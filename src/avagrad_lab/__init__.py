@@ -6,13 +6,9 @@ from .core import (
     NonFiniteError,
     RngStream,
     Schedule,
-    VectorNorms,
     clamp_box,
-    elementwise,
     ensure_vector,
-    map_scalar,
     mix_seed,
-    norms,
     schedule_eval,
 )
 from .optim import (
@@ -66,9 +62,8 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NonFiniteError", "RngStream", "Schedule", "VectorNorms", "clamp_box",
-    "elementwise", "ensure_vector", "map_scalar", "mix_seed", "norms",
-    "schedule_eval",
+    "NonFiniteError", "RngStream", "Schedule", "clamp_box", "ensure_vector",
+    "mix_seed", "schedule_eval",
     "DecayMode", "DivergenceError", "HyperParams", "Method", "OptimizerState",
     "StepReport", "eta_bounds", "init_state", "normalized_eta", "step",
     "LabeledSet", "MlpProblem", "ProblemConstants", "QuadraticProblem",

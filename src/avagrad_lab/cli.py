@@ -36,6 +36,7 @@ from .problems import (
     synth_make,
 )
 from .runner import (
+    GRAD_METRICS,
     STATUS_DIVERGED,
     TrialConfig,
     bias_gap,
@@ -116,6 +117,18 @@ def _parse_int(raw, what):
         return int(raw)
     except ValueError:
         raise ConfigError(f"{what} must be an integer, got {raw!r}") from None
+
+
+def _require_positive(value, what):
+    if value < 1:
+        raise ConfigError(f"{what} must be >= 1, got {value}")
+
+
+def _steps(cp, args, default):
+    steps = args.steps if args.steps is not None else _parse_int(
+        _get(cp, "run", "steps", default), "[run] steps")
+    _require_positive(steps, "steps")
+    return steps
 
 
 def _parse_float_list(raw, what):
@@ -251,8 +264,7 @@ def cmd_run(args) -> int:
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     hp, method = _build_hp(cp, args)
-    steps = args.steps if args.steps is not None else _parse_int(
-        _get(cp, "run", "steps", "1000"), "[run] steps")
+    steps = _steps(cp, args, "1000")
     if args.seed is not None:
         seeds = [args.seed]
     else:
@@ -260,7 +272,10 @@ def cmd_run(args) -> int:
         seeds = _parse_int_list(raw, "[run] seeds") if raw else [_base_seed(args)]
     record_every = _parse_int(
         _get(cp, "run", "record_every", str(max(1, steps // 1000))), "[run] record_every")
+    _require_positive(record_every, "[run] record_every")
     grad_metric = _get(cp, "run", "grad_metric", "full")
+    if grad_metric not in GRAD_METRICS:
+        raise ConfigError(f"[run] grad_metric must be one of {GRAD_METRICS}, got {grad_metric!r}")
     tol_raw = _get(cp, "run", "converge_tol")
     converge_tol = _parse_float(tol_raw, "[run] converge_tol") if tol_raw else None
     init_scale = _parse_float(_get(cp, "run", "init_scale", "0.1"), "[run] init_scale")
@@ -307,10 +322,12 @@ SYNTHFIG_METHODS = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
 
 
 def cmd_synthfig(args) -> int:
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     steps = args.steps if args.steps is not None else 1_000_000
     n_seeds = args.num_seeds
+    _require_positive(steps, "steps")
+    _require_positive(n_seeds, "--num-seeds")
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = _base_seed(args)
     stride = max(1, steps // 1000)
     problem = synth_make(999.0, 1.0)
@@ -372,10 +389,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"[grid] methods: {exc}") from None
     seeds_raw = _get(cp, "grid", "seeds", "0")
     seeds = _parse_int_list(seeds_raw, "[grid] seeds")
-    steps = args.steps if args.steps is not None else _parse_int(
-        _get(cp, "run", "steps", "1000"), "[run] steps")
+    steps = _steps(cp, args, "1000")
     workers = args.workers if args.workers is not None else _parse_int(
         _get(cp, "grid", "workers", "1"), "[grid] workers")
+    _require_positive(workers, "workers")
     metric = _get(cp, "grid", "metric", "full_objective")
     holdout_raw = _get(cp, "grid", "holdout")
     holdout = None
@@ -438,8 +455,7 @@ def cmd_check(args) -> int:
     cp = _load_config(args.config)
     problem = _build_problem(cp)
     hp, method = _build_hp(cp, args)
-    steps = args.steps if args.steps is not None else _parse_int(
-        _get(cp, "run", "steps", "20000"), "[run] steps")
+    steps = _steps(cp, args, "20000")
     base_seed = _base_seed(args)
     failed = False
 

@@ -1,8 +1,8 @@
 """Shared numeric primitives: dense float64 vectors, scalar schedules, seeded RNG streams.
 
 Everything downstream (optimizers, problems, trial runner, sweeps) works in
-terms of plain 1-D float64 numpy arrays; this module holds the checked
-elementwise operations, the schedule evaluator, and the deterministic RNG
+terms of plain 1-D float64 numpy arrays; this module holds the vector input
+check and box projection, the schedule evaluator, and the deterministic RNG
 contract used to derive independent per-trial streams.
 """
 
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-ELEMENTWISE_OPS = ("add", "sub", "mul", "div")
-MAP_OPS = ("sqrt", "square", "add_scalar", "scale")
 
 
 class NonFiniteError(ArithmeticError):
@@ -33,75 +30,6 @@ def ensure_vector(data, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or infinity")
     return arr
-
-
-def _check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{context} produced a non-finite value")
-    return arr
-
-
-def elementwise(a, b, op: str) -> np.ndarray:
-    """Coordinate-wise add/sub/mul/div of two equal-length vectors."""
-    a = ensure_vector(a, "a")
-    b = ensure_vector(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if op == "add":
-            out = a + b
-        elif op == "sub":
-            out = a - b
-        elif op == "mul":
-            out = a * b
-        elif op == "div":
-            if np.any(b == 0.0):
-                raise ZeroDivisionError("division by zero element")
-            out = a / b
-        else:
-            raise ValueError(f"unknown op {op!r}, expected one of {ELEMENTWISE_OPS}")
-    return _check_finite(out, f"elementwise {op}")
-
-
-def map_scalar(a, op: str, c: float | None = None) -> np.ndarray:
-    """Coordinate-wise sqrt/square, or add_scalar/scale by a constant c."""
-    a = ensure_vector(a, "a")
-    if op == "sqrt":
-        if np.any(a < 0.0):
-            raise ValueError("sqrt of negative element")
-        out = np.sqrt(a)
-    elif op == "square":
-        out = a * a
-    elif op == "add_scalar":
-        if c is None:
-            raise ValueError("add_scalar requires c")
-        out = a + c
-    elif op == "scale":
-        if c is None:
-            raise ValueError("scale requires c")
-        out = a * c
-    else:
-        raise ValueError(f"unknown op {op!r}, expected one of {MAP_OPS}")
-    return _check_finite(out, f"map_scalar {op}")
-
-
-@dataclass(frozen=True)
-class VectorNorms:
-    l2: float
-    linf: float
-    min: float
-    max: float
-
-
-def norms(a) -> VectorNorms:
-    """l2 and infinity norms plus signed coordinate extremes."""
-    a = ensure_vector(a, "a")
-    return VectorNorms(
-        l2=float(np.sqrt(np.sum(a * a))),
-        linf=float(np.max(np.abs(a))),
-        min=float(np.min(a)),
-        max=float(np.max(a)),
-    )
 
 
 def clamp_box(a, lo: float, hi: float) -> np.ndarray:

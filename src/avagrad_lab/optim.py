@@ -49,6 +49,9 @@ DELAYED_METHODS = frozenset({Method.DELAYED_ADAM, Method.AVAGRAD, Method.AVAGRAD
 #: methods that always apply decoupled weight decay, whatever hp.decay_mode says
 _FORCED_DECOUPLED = frozenset({Method.ADAMW, Method.AVAGRADW})
 
+#: methods that rescale the delayed rates by sqrt(d) / ||eta||
+_NORMALIZED_METHODS = frozenset({Method.AVAGRAD, Method.AVAGRADW})
+
 
 class DivergenceError(NonFiniteError):
     """A step produced NaN/inf in the iterate or a state buffer."""
@@ -125,6 +128,59 @@ def init_state(method: Method, d: int) -> OptimizerState:
     return OptimizerState(method=method, m=np.zeros(d), v=np.zeros(d), v_hat=v_hat, t=0)
 
 
+def _scaled_norm(eta: np.ndarray) -> np.ndarray:
+    """||eta / sqrt(d)|| of each lane (last axis), kept as a trailing axis of length 1."""
+    return np.sqrt(np.sum(eta * eta, axis=-1, keepdims=True)) / math.sqrt(eta.shape[-1])
+
+
+def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
+                alpha, b1, b2, eps, lam):
+    """One update of the shared recursion on lanes of shape (..., d).
+
+    w, m, v, g (and v_hat, amsgrad only; None otherwise) are arrays of one
+    shape; alpha, b1, b2, eps and lam are the scalars of this step. Returns
+    (w_next, m_next, v_next, v_hat_next, eta, alpha_eff), where eta is the raw
+    rate of each coordinate and alpha_eff is alpha, or for avagrad an array
+    (..., 1) of alpha * sqrt(d) / ||eta||. Everything is coordinate-wise
+    except that norm, taken per lane over the last axis. The caller opens
+    np.errstate and checks finiteness: overflow is a divergence signal here.
+    """
+    if method in _FORCED_DECOUPLED:
+        decay_mode = DecayMode.DECOUPLED
+    if lam > 0.0 and decay_mode is DecayMode.COUPLED_L2:
+        g = g + lam * w
+    v_next, v_hat_next, alpha_eff = v, v_hat, alpha
+
+    if method is Method.SGD:
+        m_next = m
+        eta = np.ones(w.shape)
+        w_next = w - alpha * g
+    elif method is Method.MOMENTUM_SGD:
+        m_next = b1 * m + (1.0 - b1) * g
+        eta = np.ones(w.shape)
+        w_next = w - alpha * m_next
+    else:
+        m_next = b1 * m + (1.0 - b1) * g
+        v_next = b2 * v + (1.0 - b2) * (g * g)
+        if method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
+            eta = 1.0 / (np.sqrt(v) + eps)
+        elif method is Method.AMSGRAD:
+            v_hat_next = np.maximum(v_hat, v_next)
+            eta = 1.0 / (np.sqrt(v_hat_next) + eps)
+        else:
+            eta = 1.0 / (np.sqrt(v_next) + eps)
+        if method in _NORMALIZED_METHODS:
+            scaled_norm = _scaled_norm(eta)
+            w_next = w - alpha * ((eta / scaled_norm) * m_next)
+            alpha_eff = alpha / scaled_norm
+        else:
+            w_next = w - alpha * (eta * m_next)
+
+    if lam > 0.0 and decay_mode is DecayMode.DECOUPLED:
+        w_next = w_next - (alpha * lam) * w
+    return w_next, m_next, v_next, v_hat_next, eta, alpha_eff
+
+
 def step(
     state: OptimizerState, hp: HyperParams, w: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, OptimizerState, StepReport]:
@@ -140,58 +196,15 @@ def step(
         raise DivergenceError("gradient contains NaN or infinity")
 
     t = state.t + 1
+    method = state.method
     b1 = schedule_eval(hp.beta1, t)
     b2 = schedule_eval(hp.beta2, t)
     alpha = schedule_eval(hp.alpha, t)
-    eps = hp.epsilon
-    lam = hp.weight_decay
-    method = state.method
-    mode = DecayMode.DECOUPLED if method in _FORCED_DECOUPLED else hp.decay_mode
-
     # overflow to inf is an expected divergence signal, caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode is DecayMode.COUPLED_L2 and lam > 0.0:
-            g_eff = g + lam * w
-        else:
-            g_eff = g
-
-        v_next = state.v
-        v_hat_next = state.v_hat
-
-        if method is Method.SGD:
-            m_next = state.m
-            w_next = w - alpha * g_eff
-            eta = np.ones(d)
-            alpha_eff = alpha
-        elif method is Method.MOMENTUM_SGD:
-            m_next = b1 * state.m + (1.0 - b1) * g_eff
-            w_next = w - alpha * m_next
-            eta = np.ones(d)
-            alpha_eff = alpha
-        elif method in (Method.ADAM, Method.ADAMW, Method.AMSGRAD):
-            m_next = b1 * state.m + (1.0 - b1) * g_eff
-            v_next = b2 * state.v + (1.0 - b2) * (g_eff * g_eff)
-            if method is Method.AMSGRAD:
-                v_hat_next = np.maximum(state.v_hat, v_next)
-                eta = 1.0 / (np.sqrt(v_hat_next) + eps)
-            else:
-                eta = 1.0 / (np.sqrt(v_next) + eps)
-            w_next = w - alpha * (eta * m_next)
-            alpha_eff = alpha
-        else:  # delayed_adam, avagrad, avagradw: rates from v_{t-1}, v updated after
-            m_next = b1 * state.m + (1.0 - b1) * g_eff
-            eta = 1.0 / (np.sqrt(state.v) + eps)
-            if method is Method.DELAYED_ADAM:
-                w_next = w - alpha * (eta * m_next)
-                alpha_eff = alpha
-            else:
-                scaled_norm = float(np.sqrt(np.sum(eta * eta))) / math.sqrt(d)  # ||eta/sqrt(d)||
-                w_next = w - alpha * ((eta / scaled_norm) * m_next)
-                alpha_eff = alpha / scaled_norm
-            v_next = b2 * state.v + (1.0 - b2) * (g_eff * g_eff)
-
-        if mode is DecayMode.DECOUPLED and lam > 0.0:
-            w_next = w_next - (alpha * lam) * w
+        w_next, m_next, v_next, v_hat_next, eta, alpha_eff = lane_update(
+            method, hp.decay_mode, w, state.m, state.v, state.v_hat, g,
+            alpha, b1, b2, hp.epsilon, hp.weight_decay)
 
     ok = np.all(np.isfinite(w_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(v_next))
     if ok and v_hat_next is not None:
@@ -202,7 +215,7 @@ def step(
     state_next = OptimizerState(method=method, m=m_next, v=v_next, v_hat=v_hat_next, t=t)
     report = StepReport(
         eta=eta,
-        alpha_eff=alpha_eff,
+        alpha_eff=np.asarray(alpha_eff).item(),
         eta_min=float(np.min(eta)),
         eta_l2=float(np.sqrt(np.sum(eta * eta))),
     )
@@ -229,8 +242,7 @@ def normalized_eta(eta) -> np.ndarray:
     eta = ensure_vector(eta, "eta")
     if np.any(eta <= 0.0):
         raise ValueError("eta must be coordinate-wise positive")
-    d = eta.shape[0]
-    scaled_norm = float(np.sqrt(np.sum(eta * eta))) / math.sqrt(d)
-    if scaled_norm == 0.0:
+    scaled_norm = _scaled_norm(eta)
+    if scaled_norm[0] == 0.0:
         raise ValueError("eta has zero norm")
     return eta / scaled_norm

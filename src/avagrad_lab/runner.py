@@ -4,8 +4,9 @@ run_trial drives one optimizer over one stochastic problem, accumulating
 prefix statistics (mean iterate, mean squared gradient norm, the rate-weighted
 mass Z) at full resolution while logging CSV rows at a configurable stride.
 run_synth_replicas is a vectorised fast path for the scalar two-outcome
-benchmark that executes many independent replicas in lock-step and produces
-records bit-identical to run_trial.
+benchmark: it advances many independent replicas in lock-step as lanes of
+optim.lane_update, the same update step() applies, for every method and decay
+mode, and produces records bit-identical to run_trial.
 
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval
-from .optim import DecayMode, HyperParams, Method, OptimizerState, init_state, step
+from .optim import HyperParams, Method, OptimizerState, init_state, lane_update, step
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
 ROW_COLUMNS = ("t", "w_mean", "grad_norm_sq_mean", "alpha_t", "eta_min", "eta_l2", "alpha_eff")
@@ -194,11 +195,6 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     )
 
 
-#: methods whose scalar update is coordinate-wise, hence batchable across replicas
-ENGINE_METHODS = frozenset(
-    {Method.SGD, Method.MOMENTUM_SGD, Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM}
-)
-
 _ENGINE_CHUNK = 65536
 
 
@@ -216,16 +212,12 @@ def run_synth_replicas(
     """Run n independent replicas of the scalar benchmark in lock-step.
 
     Replica i draws from the stream seeded mix_seed(base_seed, i) and yields
-    exactly the TrialRecord that run_trial would produce for that seed; the
-    vectorisation only batches the identical coordinate-wise arithmetic.
+    exactly the TrialRecord that run_trial would produce for that seed: each
+    replica is one (1,)-lane of optim.lane_update, the update step() applies.
     """
     method = Method(method)
-    if method not in ENGINE_METHODS:
-        raise ValueError(f"{method.value} has no batched fast path; use run_trial")
     if not isinstance(problem, SynthProblem):
         raise ValueError("fast path only supports the scalar two-outcome benchmark")
-    if hp.weight_decay != 0.0 and hp.decay_mode is not DecayMode.NONE:
-        raise ValueError("fast path does not implement weight decay")
     if T < 1 or n_replicas < 1 or record_every < 1:
         raise ValueError("T, n_replicas and record_every must all be >= 1")
     if capture_trace is None:
@@ -236,25 +228,26 @@ def run_synth_replicas(
     big_c = problem.big_c
     slope, offs = problem.mean_slope, problem.mean_offset
     lo, hi = problem.box
-    eps = hp.epsilon
+    eps, lam = hp.epsilon, hp.weight_decay
     streams = [RngStream(mix_seed(base_seed, i)) for i in range(n)]
 
-    w = np.full(n, float(w1))
-    m = np.zeros(n)
-    v = np.zeros(n)
-    v_hat = np.zeros(n) if method is Method.AMSGRAD else None
-    ones = np.ones(n)
+    # lanes of shape (n, 1): replica i is row i
+    w = np.full((n, 1), float(w1))
+    m = np.zeros((n, 1))
+    v = np.zeros((n, 1))
+    v_hat = np.zeros((n, 1)) if method is Method.AMSGRAD else None
 
-    w_sum = np.zeros(n)
-    gs_sum = np.zeros(n)
-    z_sum = np.zeros(n)
+    w_sum = np.zeros((n, 1))
+    gs_sum = np.zeros((n, 1))
+    z_sum = np.zeros((n, 1))
     n_rows = T // record_every + (1 if T % record_every else 0)
-    rows = np.empty((n_rows, len(ROW_COLUMNS), n))
+    rows = np.empty((n_rows, len(ROW_COLUMNS), n, 1))
     row_idx = 0
     if capture_trace:
         tr_alpha = np.empty(T)
-        tr_eta = np.empty((T, n))
-        tr_gs = np.empty((T, n))
+        tr_eta = np.empty((T, n, 1))
+        tr_alpha_eff = np.empty((T, n, 1))
+        tr_gs = np.empty((T, n, 1))
 
     # constant schedules evaluate to the same float at every t; hoist them
     const_b1 = hp.beta1.base if hp.beta1.kind == "constant" else None
@@ -262,56 +255,39 @@ def run_synth_replicas(
     const_alpha = hp.alpha.base if hp.alpha.kind == "constant" else None
 
     t = 0
-    while t < T:
-        span = min(_ENGINE_CHUNK, T - t)
-        uniforms = np.column_stack([s.random(span) for s in streams])
-        rare = uniforms < p
-        for k in range(span):
-            t += 1
-            b1 = const_b1 if const_b1 is not None else schedule_eval(hp.beta1, t)
-            b2 = const_b2 if const_b2 is not None else schedule_eval(hp.beta2, t)
-            alpha = const_alpha if const_alpha is not None else schedule_eval(hp.alpha, t)
-            g = np.where(rare[k], big_c * w, -1.0)
-            fg = slope * w - offs
-            gs = fg * fg
-            if method is Method.SGD:
-                eta = ones
-                upd = alpha * g
-            elif method is Method.MOMENTUM_SGD:
-                m = b1 * m + (1.0 - b1) * g
-                eta = ones
-                upd = alpha * m
-            elif method is Method.DELAYED_ADAM:
-                m = b1 * m + (1.0 - b1) * g
-                eta = 1.0 / (np.sqrt(v) + eps)
-                upd = alpha * (eta * m)
-                v = b2 * v + (1.0 - b2) * (g * g)
-            else:  # adam, amsgrad
-                m = b1 * m + (1.0 - b1) * g
-                v = b2 * v + (1.0 - b2) * (g * g)
-                if method is Method.AMSGRAD:
-                    v_hat = np.maximum(v_hat, v)
-                    eta = 1.0 / (np.sqrt(v_hat) + eps)
-                else:
-                    eta = 1.0 / (np.sqrt(v) + eps)
-                upd = alpha * (eta * m)
-            w_sum += w
-            gs_sum += gs
-            z_sum += alpha * eta
-            if capture_trace:
-                tr_alpha[t - 1] = alpha
-                tr_eta[t - 1] = eta
-                tr_gs[t - 1] = gs
-            if t % record_every == 0 or t == T:
-                rows[row_idx, 0] = t
-                rows[row_idx, 1] = w_sum / t
-                rows[row_idx, 2] = gs_sum / t
-                rows[row_idx, 3] = alpha
-                rows[row_idx, 4] = eta
-                rows[row_idx, 5] = eta  # d = 1: the l2 norm is the rate itself
-                rows[row_idx, 6] = alpha
-                row_idx += 1
-            w = np.clip(w - upd, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < T:
+            span = min(_ENGINE_CHUNK, T - t)
+            uniforms = np.column_stack([s.random(span) for s in streams])
+            rare = (uniforms < p)[:, :, None]
+            for k in range(span):
+                t += 1
+                b1 = const_b1 if const_b1 is not None else schedule_eval(hp.beta1, t)
+                b2 = const_b2 if const_b2 is not None else schedule_eval(hp.beta2, t)
+                alpha = const_alpha if const_alpha is not None else schedule_eval(hp.alpha, t)
+                g = np.where(rare[k], big_c * w, -1.0)
+                fg = slope * w - offs
+                gs = fg * fg
+                w_next, m, v, v_hat, eta, alpha_eff = lane_update(
+                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam)
+                w_sum += w
+                gs_sum += gs
+                z_sum += alpha * eta  # d = 1: eta is its own minimum
+                if capture_trace:
+                    tr_alpha[t - 1] = alpha
+                    tr_eta[t - 1] = eta
+                    tr_alpha_eff[t - 1] = alpha_eff
+                    tr_gs[t - 1] = gs
+                if t % record_every == 0 or t == T:
+                    rows[row_idx, 0] = t
+                    rows[row_idx, 1] = w_sum / t
+                    rows[row_idx, 2] = gs_sum / t
+                    rows[row_idx, 3] = alpha
+                    rows[row_idx, 4] = eta
+                    rows[row_idx, 5] = np.sqrt(eta * eta)
+                    rows[row_idx, 6] = alpha_eff
+                    row_idx += 1
+                w = np.clip(w_next, lo, hi)
 
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(gs_sum))):
         raise NonFiniteError("fast path produced non-finite statistics")
@@ -331,26 +307,26 @@ def run_synth_replicas(
         )
         trace = None
         if capture_trace:
-            eta_col = tr_eta[:, i]
+            eta_col = tr_eta[:, i, 0]
             trace = TrialTrace(
                 alpha=tr_alpha,
                 eta_min=eta_col,
                 eta_max=eta_col,
-                eta_l2=eta_col,
-                alpha_eff=tr_alpha,
-                grad_norm_sq=tr_gs[:, i],
+                eta_l2=np.sqrt(eta_col * eta_col),
+                alpha_eff=tr_alpha_eff[:, i, 0],
+                grad_norm_sq=tr_gs[:, i, 0],
             )
         records.append(
             TrialRecord(
                 config=cfg,
                 status=STATUS_FINISHED,
                 steps_done=T,
-                w_mean=float(w_sum[i]) / T,
-                grad_norm_sq_mean=float(gs_sum[i]) / T,
-                z_weight_sum=float(z_sum[i]),
+                w_mean=float(w_sum[i, 0]) / T,
+                grad_norm_sq_mean=float(gs_sum[i, 0]) / T,
+                z_weight_sum=float(z_sum[i, 0]),
                 grad_metric_exact=True,
-                w_final=np.array([w[i]]),
-                rows=rows[:row_idx, :, i].copy(),
+                w_final=w[i].copy(),
+                rows=rows[:row_idx, :, i, 0].copy(),
                 trace=trace,
             )
         )

@@ -73,8 +73,8 @@ class GridSpec:
             vals = getattr(self, name)
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
-            if any(v <= 0.0 for v in vals):
-                raise ValueError(f"{name} must be strictly positive")
+            if any(not (0.0 < v < math.inf) for v in vals):
+                raise ValueError(f"{name} must be finite and strictly positive")
             if sorted(vals) != list(vals) or len(set(vals)) != len(vals):
                 raise ValueError(f"{name} must be strictly ascending")
         if self.T < 1:
@@ -90,6 +90,17 @@ class GridSpec:
             np.zeros(self.problem.dim)
         ) is None:
             raise ValueError("problem has no exact objective; pick another metric")
+        self.hyper_params(self.alphas[0], self.epsilons[0])  # rejects bad betas or decay
+
+    def hyper_params(self, alpha: float, epsilon: float) -> HyperParams:
+        return HyperParams(
+            alpha=Schedule.constant(alpha),
+            epsilon=epsilon,
+            beta1=Schedule.constant(self.beta1),
+            beta2=Schedule.constant(self.beta2),
+            weight_decay=self.weight_decay,
+            decay_mode=self.decay_mode,
+        )
 
 
 @dataclass(frozen=True)
@@ -123,38 +134,30 @@ def _run_cell(spec: GridSpec, task: tuple[int, int, int, int]) -> HeatmapCell:
     epsilon = spec.epsilons[ei]
     seed_label = spec.seeds[si]
     cell_seed = mix_seed(spec.base_seed, mi, ai, ei, si)
+    if spec.w1 is not None:
+        w1 = np.array(spec.w1, dtype=np.float64)
+    else:
+        w1 = spec.init_scale * RngStream(mix_seed(cell_seed, 0)).normal(spec.problem.dim)
+    cfg = TrialConfig(
+        method=method,
+        hp=spec.hyper_params(alpha, epsilon),
+        problem=spec.problem,
+        T=spec.T,
+        w1=w1,
+        seed=mix_seed(cell_seed, 1),
+        record_every=spec.T,
+        grad_metric="none",
+    )
+    # numeric failure only: a programming error must surface, not become a cell
     try:
-        if spec.w1 is not None:
-            w1 = np.array(spec.w1, dtype=np.float64)
-        else:
-            w1 = spec.init_scale * RngStream(mix_seed(cell_seed, 0)).normal(spec.problem.dim)
-        hp = HyperParams(
-            alpha=Schedule.constant(alpha),
-            epsilon=epsilon,
-            beta1=Schedule.constant(spec.beta1),
-            beta2=Schedule.constant(spec.beta2),
-            weight_decay=spec.weight_decay,
-            decay_mode=spec.decay_mode,
-        )
-        cfg = TrialConfig(
-            method=method,
-            hp=hp,
-            problem=spec.problem,
-            T=spec.T,
-            w1=w1,
-            seed=mix_seed(cell_seed, 1),
-            record_every=spec.T,
-            grad_metric="none",
-        )
         record = run_trial(cfg)
-        if record.status == STATUS_DIVERGED:
-            return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, STATUS_DIVERGED)
-        metric = _cell_metric(spec, record.w_final)
-        if not math.isfinite(metric):
-            return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, STATUS_DIVERGED)
-        return HeatmapCell(method.value, alpha, epsilon, seed_label, metric, record.status)
-    except Exception:
+        diverged = record.status == STATUS_DIVERGED
+        metric = math.inf if diverged else _cell_metric(spec, record.w_final)
+    except ArithmeticError:
         return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, "failed")
+    if not math.isfinite(metric):
+        return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, STATUS_DIVERGED)
+    return HeatmapCell(method.value, alpha, epsilon, seed_label, metric, record.status)
 
 
 _WORKER_SPEC: GridSpec | None = None

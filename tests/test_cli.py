@@ -43,6 +43,11 @@ def write_blobs_csv(tmp_path, name, n_per_class=12, seed=5):
     return str(path)
 
 
+def assert_one_error_line(capsys, word):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and word in err[0], err
+
+
 class TestCmdRun:
     def test_run_writes_trajectories_and_summaries(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)
@@ -69,6 +74,16 @@ class TestCmdRun:
         cfg = write_config(tmp_path, SYNTH_CONFIG + "\n[extras]\nfoo = 1\n")
         assert main(["run", "--config", cfg]) == 1
         assert "extras" in capsys.readouterr().err
+
+    def test_zero_steps_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--steps", "0"]) == 1
+        assert_one_error_line(capsys, "steps")
+
+    def test_unknown_grad_metric_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG + "grad_metric = bogus\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "grad_metric")
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         text = """\
@@ -137,6 +152,13 @@ class TestCmdSynthfig:
         assert right[0] == "t,adam,amsgrad,delayed_adam"
         assert len(left) == len(right) > 10
 
+    def test_zero_seeds_rejected(self, tmp_path, capsys):
+        code = main(["synthfig", "--out", str(tmp_path / "o"), "--steps", "10",
+                     "--num-seeds", "0"])
+        assert code == 1
+        assert_one_error_line(capsys, "--num-seeds")
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_across_runs(self, tmp_path):
         for sub in ("x", "y"):
             main(["synthfig", "--out", str(tmp_path / sub), "--steps", "3000",
@@ -179,6 +201,11 @@ class TestCmdSweep:
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "w2"), "--workers", "2"])
         assert (tmp_path / "w1" / "heatmap.csv").read_bytes() == \
                (tmp_path / "w2" / "heatmap.csv").read_bytes()
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG + "workers = 0\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "workers")
 
     def test_grid_section_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)

@@ -1,109 +1,13 @@
-import math
-from decimal import Decimal, getcontext
-
 import numpy as np
 import pytest
 
 from avagrad_lab.core import (
-    NonFiniteError,
     RngStream,
     Schedule,
     clamp_box,
-    elementwise,
-    map_scalar,
     mix_seed,
-    norms,
     schedule_eval,
 )
-
-
-class TestElementwise:
-    def test_add(self):
-        assert np.array_equal(elementwise([1, 2], [3, 4], "add"), [4, 6])
-
-    def test_div(self):
-        assert np.array_equal(elementwise([1, 1], [2, 4], "div"), [0.5, 0.25])
-
-    def test_mul_matches_arbitrary_precision_product(self):
-        # exact binary values via Decimal: the correctly rounded double product
-        getcontext().prec = 60
-        expected = float(Decimal(0.1) * Decimal(0.1))
-        out = elementwise([0.1], [0.1], "mul")
-        assert out[0] == expected
-        assert out[0] == 0.010000000000000002
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            elementwise([1, 2], [1], "add")
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            elementwise([1.0], [0.0], "div")
-
-    def test_nonfinite_output(self):
-        with pytest.raises(NonFiniteError):
-            elementwise([1e308], [1e308], "mul")
-
-    def test_nonfinite_input(self):
-        with pytest.raises(NonFiniteError):
-            elementwise([np.nan], [1.0], "add")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise([1.0], [1.0], "pow")
-
-    def test_mul_by_ones_is_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=rng.integers(1, 50))
-            assert np.array_equal(elementwise(a, np.ones_like(a), "mul"), a)
-
-
-class TestMapScalar:
-    def test_sqrt(self):
-        assert np.array_equal(map_scalar([4, 9], "sqrt"), [2, 3])
-
-    def test_square(self):
-        assert np.array_equal(map_scalar([2], "square"), [4])
-
-    def test_scale(self):
-        assert np.array_equal(map_scalar([1, 2], "scale", 0.5), [0.5, 1.0])
-
-    def test_add_scalar(self):
-        assert np.array_equal(map_scalar([1, 2], "add_scalar", 3.0), [4.0, 5.0])
-
-    def test_sqrt_negative(self):
-        with pytest.raises(ValueError):
-            map_scalar([-1.0], "sqrt")
-
-    def test_scale_requires_constant(self):
-        with pytest.raises(ValueError):
-            map_scalar([1.0], "scale")
-
-
-class TestNorms:
-    def test_three_four_five(self):
-        assert norms([3, 4]).l2 == 5.0
-
-    def test_signed_extremes(self):
-        n = norms([-2, 1])
-        assert n.linf == 2.0 and n.min == -2.0 and n.max == 1.0
-
-    def test_against_bruteforce_sum(self):
-        n = norms([5, 3.3333333333])
-        brute = math.sqrt(5 * 5 + 3.3333333333 * 3.3333333333)
-        assert abs(n.l2 - brute) <= 1e-15 * brute
-        assert abs(n.l2 - 6.0092521) < 1e-6
-
-    def test_bruteforce_large_dim(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=10_000)
-        brute = math.sqrt(sum(float(x) * float(x) for x in a))
-        assert abs(norms(a).l2 - brute) <= 1e-15 * brute
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            norms([])
 
 
 class TestClampBox:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avagrad_lab.core import Schedule
 from avagrad_lab.optim import (
@@ -9,8 +11,10 @@ from avagrad_lab.optim import (
     DivergenceError,
     HyperParams,
     Method,
+    OptimizerState,
     eta_bounds,
     init_state,
+    lane_update,
     normalized_eta,
     step,
 )
@@ -204,6 +208,45 @@ class TestStepOracle:
             w, state, _ = step(state, hp, w, g)
             w_ref = ref.step(w_ref, [float(x) for x in g])
             np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+
+class TestLaneKernel:
+    """One lane_update call on n stacked lanes equals n single-lane step() calls, bit
+    for bit; this pins avagrad's norm to each lane's own row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        method=st.sampled_from(list(Method)),
+        decay=st.sampled_from(list(DecayMode)),
+        d=st.integers(1, 64),
+        n=st.integers(1, 8),
+        alpha=st.floats(1e-6, 10.0),
+        epsilon=st.floats(1e-10, 10.0),
+        beta1=st.floats(0.0, 0.999),
+        beta2=st.floats(0.0, 0.9999),
+        weight_decay=st.floats(0.0, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_lanes_match_single_steps(self, method, decay, d, n, alpha, epsilon,
+                                               beta1, beta2, weight_decay, seed):
+        rng = np.random.default_rng(seed)
+        w, m, g = rng.normal(size=(3, n, d))
+        v = 10.0 * rng.random((n, d))
+        v_hat = v + rng.random((n, d)) if method is Method.AMSGRAD else None
+        hp = hp_of(alpha, epsilon, beta1, beta2, weight_decay, decay)
+        w_next, m_next, v_next, v_hat_next, eta, alpha_eff = lane_update(
+            method, decay, w, m, v, v_hat, g, alpha, beta1, beta2, epsilon, weight_decay)
+        alpha_eff = np.broadcast_to(alpha_eff, (n, 1))
+        for i in range(n):
+            state = OptimizerState(method, m[i], v[i], None if v_hat is None else v_hat[i], 0)
+            w_i, state_i, rep = step(state, hp, w[i], g[i])
+            assert w_next[i].tobytes() == w_i.tobytes()
+            assert m_next[i].tobytes() == state_i.m.tobytes()
+            assert v_next[i].tobytes() == state_i.v.tobytes()
+            if v_hat is not None:
+                assert v_hat_next[i].tobytes() == state_i.v_hat.tobytes()
+            assert eta[i].tobytes() == rep.eta.tobytes()
+            assert alpha_eff[i, 0] == rep.alpha_eff
 
 
 class TestDelayProperty:

@@ -146,16 +146,29 @@ class TestPrefixCorrectness:
         assert rec.grad_norm_sq_mean == pytest.approx(sum(gsqs) / T, rel=1e-12)
 
 
+def _engine_cases():
+    # the plain case keeps the bare method id; decay and schedule variants extend it
+    cases = []
+    for method in Method:
+        for decay in (DecayMode.NONE, DecayMode.COUPLED_L2, DecayMode.DECOUPLED):
+            for schedule in ("constant", "inverse_sqrt"):
+                tags = [t for t in (decay.value, schedule) if t not in ("none", "constant")]
+                cases.append(pytest.param(method, decay, schedule,
+                                          id="-".join([method.value] + tags)))
+    return cases
+
+
 class TestReplicaEngineParity:
-    @pytest.mark.parametrize("method", [Method.SGD, Method.MOMENTUM_SGD, Method.ADAM,
-                                        Method.AMSGRAD, Method.DELAYED_ADAM])
-    def test_engine_matches_run_trial_bitwise(self, method):
+    @pytest.mark.parametrize("method,decay,schedule", _engine_cases())
+    def test_engine_matches_run_trial_bitwise(self, method, decay, schedule):
         problem = synth_make(999.0, 1.0)
         hp = HyperParams(
-            alpha=Schedule.constant(1e-4),
+            alpha=Schedule(schedule, 1e-4),
             epsilon=1e-8,
             beta1=Schedule.constant(0.9),
             beta2=Schedule.constant(0.99),
+            weight_decay=0.0 if decay is DecayMode.NONE else 1e-2,
+            decay_mode=decay,
         )
         T, n, base = 500, 3, 2024
         records = run_synth_replicas(problem, method, hp, w1=0.5, T=T, base_seed=base,
@@ -176,15 +189,17 @@ class TestReplicaEngineParity:
     def test_engine_trace_matches_run_trial(self):
         problem = synth_make(999.0, 1.0)
         hp = make_hp(alpha=1e-4, beta1=0.0, beta2=0.99)
-        fast = run_synth_replicas(problem, Method.DELAYED_ADAM, hp, w1=0.5, T=100,
-                                  base_seed=5, n_replicas=2, record_every=1)[1]
-        cfg = TrialConfig(method=Method.DELAYED_ADAM, hp=hp, problem=problem, T=100,
-                          w1=np.array([0.5]), seed=mix_seed(5, 1), record_every=1)
-        slow = run_trial(cfg)
-        assert np.array_equal(fast.trace.alpha, slow.trace.alpha)
-        assert np.array_equal(fast.trace.eta_min, slow.trace.eta_min)
-        assert np.array_equal(fast.trace.eta_l2, slow.trace.eta_l2)
-        assert np.array_equal(fast.trace.grad_norm_sq, slow.trace.grad_norm_sq)
+        # avagrad's alpha_eff differs per replica, delayed adam's is alpha itself
+        for method in (Method.DELAYED_ADAM, Method.AVAGRAD):
+            fast = run_synth_replicas(problem, method, hp, w1=0.5, T=100,
+                                      base_seed=5, n_replicas=2, record_every=1)[1]
+            cfg = TrialConfig(method=method, hp=hp, problem=problem, T=100,
+                              w1=np.array([0.5]), seed=mix_seed(5, 1), record_every=1)
+            slow = run_trial(cfg)
+            assert np.array_equal(fast.rows, slow.rows), method.value
+            for field in ("alpha", "eta_min", "eta_max", "eta_l2", "alpha_eff", "grad_norm_sq"):
+                assert np.array_equal(getattr(fast.trace, field), getattr(slow.trace, field)), \
+                    f"{method.value} {field}"
 
     def test_stride_policy_includes_final_partial_row(self):
         problem = synth_make(999.0, 1.0)
@@ -192,10 +207,10 @@ class TestReplicaEngineParity:
                                   base_seed=0, n_replicas=1, record_every=10)
         assert list(recs[0].rows[:, 0]) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
 
-    def test_unsupported_method_rejected(self):
-        problem = synth_make(999.0, 1.0)
+    def test_unsupported_problem_rejected(self):
+        problem = quadratic_make([1.0], 0.0)
         with pytest.raises(ValueError):
-            run_synth_replicas(problem, Method.AVAGRAD, make_hp(), 0.5, 10, 0, 1)
+            run_synth_replicas(problem, Method.ADAM, make_hp(), 0.5, 10, 0, 1)
 
 
 class TestIterateDistribution:

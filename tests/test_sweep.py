@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avagrad_lab.optim import Method
-from avagrad_lab.problems import quadratic_make
+from avagrad_lab.problems import QuadraticProblem, quadratic_make
 from avagrad_lab.sweep import (
     GridSpec,
     HeatmapCell,
@@ -91,6 +91,20 @@ class TestRunSweep:
         assert all(c.status == "diverged" and math.isinf(c.final_metric) for c in big)
         small = [c for c in cells if c.alpha == 0.01]
         assert all(math.isfinite(c.final_metric) for c in small)
+
+    def test_programming_error_propagates(self):
+        class BrokenProblem(QuadraticProblem):
+            def grad(self, w, token):
+                raise TypeError("bug in grad")
+
+        spec = small_spec(methods=(Method.SGD,), alphas=(0.1,), epsilons=(1e-2,), seeds=(0,))
+        spec.problem = BrokenProblem([1.0, 4.0])
+        with pytest.raises(TypeError, match="bug in grad"):
+            run_sweep(spec, progress=io.StringIO())
+
+    def test_bad_beta_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="beta1"):
+            small_spec(beta1=1.0)
 
     def test_progress_lines(self):
         out = io.StringIO()

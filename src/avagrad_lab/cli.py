@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -131,18 +132,12 @@ def _steps(cp, args, default):
     return steps
 
 
-def _parse_float_list(raw, what):
+def _parse_list(raw, what, kind=float):
     try:
-        return [float(v) for v in raw.split(",") if v.strip()]
+        return [kind(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"{what} must be comma-separated floats, got {raw!r}") from None
-
-
-def _parse_int_list(raw, what):
-    try:
-        return [int(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"{what} must be comma-separated integers, got {raw!r}") from None
+        noun = "floats" if kind is float else "integers"
+        raise ConfigError(f"{what} must be comma-separated {noun}, got {raw!r}") from None
 
 
 def _parse_bool(raw, what):
@@ -169,10 +164,10 @@ def _build_problem(cp):
         raw = _get(cp, "problem", "curvatures")
         if raw is None:
             raise ConfigError("[problem] curvatures is required for kind=quadratic")
-        curv = _parse_float_list(raw, "[problem] curvatures")
+        curv = _parse_list(raw, "[problem] curvatures")
         noise = _parse_float(_get(cp, "problem", "noise_std", "0"), "[problem] noise_std")
         w_star_raw = _get(cp, "problem", "w_star")
-        w_star = _parse_float_list(w_star_raw, "[problem] w_star") if w_star_raw else None
+        w_star = _parse_list(w_star_raw, "[problem] w_star") if w_star_raw else None
         try:
             return quadratic_make(curv, noise, w_star)
         except ValueError as exc:
@@ -269,7 +264,7 @@ def cmd_run(args) -> int:
         seeds = [args.seed]
     else:
         raw = _get(cp, "run", "seeds")
-        seeds = _parse_int_list(raw, "[run] seeds") if raw else [_base_seed(args)]
+        seeds = _parse_list(raw, "[run] seeds", int) if raw else [_base_seed(args)]
     record_every = _parse_int(
         _get(cp, "run", "record_every", str(max(1, steps // 1000))), "[run] record_every")
     _require_positive(record_every, "[run] record_every")
@@ -281,6 +276,10 @@ def cmd_run(args) -> int:
     init_scale = _parse_float(_get(cp, "run", "init_scale", "0.1"), "[run] init_scale")
     out_dir = Path(args.out or _get(cp, "run", "out_dir", "."))
     w1_raw = _get(cp, "run", "w1")
+    if w1_raw:
+        fixed_w1 = np.asarray(_parse_list(w1_raw, "[run] w1"), dtype=np.float64)
+        if fixed_w1.shape != (problem.dim,) or not np.all(np.isfinite(fixed_w1)):
+            raise ConfigError(f"[run] w1 must be {problem.dim} finite values, got {w1_raw!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     print(
@@ -293,12 +292,7 @@ def cmd_run(args) -> int:
     )
     any_diverged = False
     for seed in seeds:
-        if w1_raw:
-            w1 = np.asarray(_parse_float_list(w1_raw, "[run] w1"), dtype=np.float64)
-            if w1.shape != (problem.dim,):
-                raise ConfigError(f"[run] w1 must have {problem.dim} values")
-        else:
-            w1 = _default_w1(problem, seed, init_scale)
+        w1 = fixed_w1 if w1_raw else _default_w1(problem, seed, init_scale)
         cfg = TrialConfig(
             method=method, hp=hp, problem=problem, T=steps, w1=w1, seed=seed,
             record_every=record_every, grad_metric=grad_metric, converge_tol=converge_tol,
@@ -378,8 +372,8 @@ def cmd_sweep(args) -> int:
         a_raw, e_raw = _get(cp, "grid", "alphas"), _get(cp, "grid", "epsilons")
         if a_raw is None or e_raw is None:
             raise ConfigError("[grid] needs alphas and epsilons (or default = true)")
-        alphas = _parse_float_list(a_raw, "[grid] alphas")
-        epsilons = _parse_float_list(e_raw, "[grid] epsilons")
+        alphas = _parse_list(a_raw, "[grid] alphas")
+        epsilons = _parse_list(e_raw, "[grid] epsilons")
     methods_raw = _get(cp, "grid", "methods")
     if methods_raw is None:
         raise ConfigError("[grid] methods is required")
@@ -388,7 +382,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"[grid] methods: {exc}") from None
     seeds_raw = _get(cp, "grid", "seeds", "0")
-    seeds = _parse_int_list(seeds_raw, "[grid] seeds")
+    seeds = _parse_list(seeds_raw, "[grid] seeds", int)
     steps = _steps(cp, args, "1000")
     workers = args.workers if args.workers is not None else _parse_int(
         _get(cp, "grid", "workers", "1"), "[grid] workers")
@@ -484,9 +478,8 @@ def cmd_check(args) -> int:
             srng = RngStream(mix_seed(base_seed, 3, i))
             lo, hi = problem.box if problem.box else (-1.0, 1.0)
             w = lo + (hi - lo) * srng.random(problem.dim)
-            state = init_state(method, problem.dim)
-            state.v = 100.0 * srng.random(problem.dim)
-            state.t = 10
+            state = dataclasses.replace(
+                init_state(method, problem.dim), v=100.0 * srng.random(problem.dim), t=10)
             gap_d = bias_gap(w, state, hp, problem, "delayed")
             gap_a = bias_gap(w, state, hp, problem, "adam")
             worst_delayed = max(worst_delayed, float(np.max(np.abs(gap_d))))

@@ -1,9 +1,10 @@
 """Shared numeric primitives: dense float64 vectors, scalar schedules, seeded RNG streams.
 
 Everything downstream (optimizers, problems, trial runner, sweeps) works in
-terms of plain 1-D float64 numpy arrays; this module holds the vector input
-check and box projection, the schedule evaluator, and the deterministic RNG
-contract used to derive independent per-trial streams.
+terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
+module holds the vector input check and box projection, the schedule
+evaluator, and the deterministic RNG contract used to derive independent
+per-trial streams.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ def ensure_vector(data, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def clamp_box(a, lo: float, hi: float) -> np.ndarray:
-    """Euclidean projection onto the box [lo, hi]^d."""
-    a = ensure_vector(a, "a")
+def clamp_box(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Euclidean projection of each lane (..., d) onto the box [lo, hi]^d."""
     if lo > hi:
         raise ValueError(f"clamp bounds out of order: lo={lo} > hi={hi}")
-    return np.clip(a, lo, hi)
+    return np.asarray(a).clip(lo, hi)  # np.clip, less its dispatch
 
 
 SCHEDULE_KINDS = ("constant", "inverse_sqrt", "inverse_t")

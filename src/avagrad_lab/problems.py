@@ -1,9 +1,11 @@
 """Stochastic objectives: the two-outcome rare-event benchmark, noisy quadratics,
 and a small tanh MLP classifier with hand-derived backprop.
 
-Each problem exposes the same contract: sample(rng) draws an opaque token,
-grad(w, token) and loss(w, token) are deterministic given the token, and
-full_grad(w) / objective(w) give the exact expectation where one exists.
+Each problem exposes the same contract: sample(rng) draws an opaque token
+(sample(rng, k) the next k tokens, stacked), grad(w, token) and loss(w, token)
+are deterministic given the token, and full_grad(w) / objective(w) give the
+exact expectation where one exists. grad and full_grad also take lanes: w of
+shape (n, d) with one stacked token per lane gives one gradient per lane.
 Problems are immutable after construction; all randomness flows through the
 caller-provided RngStream.
 """
@@ -47,9 +49,10 @@ class StochasticProblem:
     """Base contract; concrete problems override the sampling and gradient oracle."""
 
     dim: int
+    draw_size: int = 1  # scalars one sample draws from the stream
     box: tuple[float, float] | None = None  # coordinate bounds, or None if unconstrained
 
-    def sample(self, rng: RngStream):
+    def sample(self, rng: RngStream, size: int | None = None):
         raise NotImplementedError
 
     def grad(self, w: np.ndarray, token) -> np.ndarray:
@@ -75,7 +78,7 @@ class StochasticProblem:
         return None
 
 
-RARE, COMMON = 1, 0
+RARE, COMMON = True, False  # a synth token: was the rare outcome drawn (a mask shaped like w)
 
 
 class SynthProblem(StochasticProblem):
@@ -109,16 +112,14 @@ class SynthProblem(StochasticProblem):
         self.dim = 1
         self.box = (0.0, 1.0)
 
-    def sample(self, rng: RngStream):
-        return RARE if rng.random() < self.p else COMMON
+    def sample(self, rng: RngStream, size: int | None = None):
+        return rng.random(1 if size is None else (size, 1)) < self.p
 
     def grad(self, w, token):
-        if token == RARE:
-            return self.big_c * w
-        return np.full(1, -1.0)
+        return np.where(token, self.big_c * w, -1.0)
 
     def loss(self, w, token):
-        if token == RARE:
+        if token:
             return float(self.big_c * 0.5 * w[0] * w[0])
         return float(-w[0])
 
@@ -165,10 +166,11 @@ class QuadraticProblem(StochasticProblem):
         self.w_star = np.zeros(c.shape[0]) if w_star is None else ensure_vector(w_star, "w_star")
         if self.w_star.shape != c.shape:
             raise ValueError("w_star length must match curvatures")
-        self.dim = c.shape[0]
+        self.dim = self.draw_size = c.shape[0]
 
-    def sample(self, rng: RngStream):
-        return self.w_star + self.noise_std * rng.normal(self.dim)
+    def sample(self, rng: RngStream, size: int | None = None):
+        return self.w_star + self.noise_std * rng.normal(self.dim if size is None
+                                                         else (size, self.dim))
 
     def grad(self, w, token):
         return self.curvatures * (w - token)
@@ -263,32 +265,36 @@ class MlpProblem(StochasticProblem):
             raise ValueError("batch_size must be in [1, len(dataset)]")
         self.n_in, self.n_hidden, self.n_classes = n_in, n_hidden, n_classes
         self.dataset = dataset
-        self.batch_size = batch_size
+        self.batch_size = self.draw_size = batch_size
         self.dim = (n_in + 1) * n_hidden + (n_hidden + 1) * n_classes
 
     def _unpack(self, w):
+        """Per lane: w1 (..., n_in, h), b1 (..., 1, h), w2 (..., h, k), b2 (..., 1, k)."""
         n_in, h, k = self.n_in, self.n_hidden, self.n_classes
+        lanes = w.shape[:-1]
         i = 0
-        w1 = w[i : i + n_in * h].reshape(n_in, h)
+        w1 = w[..., i : i + n_in * h].reshape(lanes + (n_in, h))
         i += n_in * h
-        b1 = w[i : i + h]
+        b1 = w[..., None, i : i + h]
         i += h
-        w2 = w[i : i + h * k].reshape(h, k)
+        w2 = w[..., i : i + h * k].reshape(lanes + (h, k))
         i += h * k
-        b2 = w[i : i + k]
+        b2 = w[..., None, i : i + k]
         return w1, b1, w2, b2
 
     def _forward(self, w, x):
         w1, b1, w2, b2 = self._unpack(w)
         hidden = np.tanh(x @ w1 + b1)
         logits = hidden @ w2 + b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        log_probs = shifted - log_norm[:, None]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+        log_probs = shifted - log_norm[..., None]
         return hidden, log_probs
 
-    def sample(self, rng: RngStream):
-        return rng.choice(len(self.dataset), size=self.batch_size, replace=False)
+    def sample(self, rng: RngStream, size: int | None = None):
+        if size is None:
+            return rng.choice(len(self.dataset), size=self.batch_size, replace=False)
+        return np.stack([self.sample(rng) for _ in range(size)])
 
     def loss(self, w, token):
         x = self.dataset.features[token]
@@ -299,20 +305,18 @@ class MlpProblem(StochasticProblem):
     def grad(self, w, token):
         x = self.dataset.features[token]
         y = self.dataset.labels[token]
-        n = x.shape[0]
         w1, b1, w2, b2 = self._unpack(w)
         hidden, log_probs = self._forward(w, x)
-        probs = np.exp(log_probs)
-        g_logits = probs
-        g_logits[np.arange(n), y] -= 1.0
-        g_logits /= n
-        g_w2 = hidden.T @ g_logits
-        g_b2 = g_logits.sum(axis=0)
-        g_hidden = g_logits @ w2.T
+        # softmax minus the one-hot labels, averaged over the batch
+        g_logits = (np.exp(log_probs) - (y[..., None] == np.arange(self.n_classes))) / x.shape[-2]
+        g_w2 = hidden.swapaxes(-1, -2) @ g_logits
+        g_b2 = g_logits.sum(axis=-2)
+        g_hidden = g_logits @ w2.swapaxes(-1, -2)
         g_pre = g_hidden * (1.0 - hidden * hidden)
-        g_w1 = x.T @ g_pre
-        g_b1 = g_pre.sum(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        g_w1 = x.swapaxes(-1, -2) @ g_pre
+        g_b1 = g_pre.sum(axis=-2)
+        flat = g_logits.shape[:-2] + (-1,)
+        return np.concatenate([g_w1.reshape(flat), g_b1, g_w2.reshape(flat), g_b2], axis=-1)
 
     def full_grad(self, w):
         return self.grad(w, np.arange(len(self.dataset)))
@@ -382,6 +386,8 @@ def load_csv_dataset(path, n_in: int, n_classes: int) -> LabeledSet:
                 label = int(parts[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: line {lineno}: features must be finite")
             if not (0 <= label < n_classes):
                 raise ValueError(
                     f"{path}: line {lineno}: label {label} outside [0, {n_classes})"

@@ -1,12 +1,12 @@
 """Trial execution and diagnostics.
 
-run_trial drives one optimizer over one stochastic problem, accumulating
-prefix statistics (mean iterate, mean squared gradient norm, the rate-weighted
-mass Z) at full resolution while logging CSV rows at a configurable stride.
-run_synth_replicas is a vectorised fast path for the scalar two-outcome
-benchmark: it advances many independent replicas in lock-step as lanes of
-optim.lane_update, the same update step() applies, for every method and decay
-mode, and produces records bit-identical to run_trial.
+A trial drives one optimizer over one stochastic problem, accumulating prefix
+statistics (mean iterate, mean squared gradient norm, the rate-weighted mass
+Z) at full resolution while logging CSV rows at a configurable stride. One
+loop runs every trial: it advances n trials that differ only in w1 and seed
+in lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
+one-lane case; run_synth_replicas runs n seeded replicas of the scalar
+two-outcome benchmark. Each lane gets exactly the record it would get alone.
 
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval
-from .optim import HyperParams, Method, OptimizerState, init_state, lane_update, step
+from .core import RngStream, clamp_box, mix_seed, schedule_eval
+from .optim import HyperParams, Method, OptimizerState, lane_update
+from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
 ROW_COLUMNS = ("t", "w_mean", "grad_norm_sq_mean", "alpha_t", "eta_min", "eta_l2", "alpha_eff")
@@ -79,123 +80,18 @@ class TrialRecord:
     trace: TrialTrace | None = None
 
 
-def _wants_trace(cfg: TrialConfig) -> bool:
-    return cfg.capture_trace or cfg.record_every == 1
-
-
 def run_trial(cfg: TrialConfig) -> TrialRecord:
     """Execute one trial; divergence stops early and keeps the partial statistics."""
-    problem = cfg.problem
     if cfg.T < 1:
         raise ValueError("T must be >= 1")
     if cfg.record_every < 1:
         raise ValueError("record_every must be >= 1")
     if cfg.grad_metric not in GRAD_METRICS:
         raise ValueError(f"grad_metric must be one of {GRAD_METRICS}")
-    w = np.array(cfg.w1, dtype=np.float64)
-    if w.shape != (problem.dim,):
-        raise ValueError(f"w1 has shape {w.shape}, problem dimension is {problem.dim}")
-
-    grad_metric = cfg.grad_metric
-    if grad_metric == "full" and problem.full_grad(w) is None:
-        grad_metric = "batch"  # no exact expectation available; fall back, flag it
-
-    rng = RngStream(cfg.seed)
-    state = init_state(cfg.method, problem.dim)
-    box = problem.box
-    want_trace = _wants_trace(cfg)
-    T = cfg.T
-
-    if want_trace:
-        tr_alpha = np.empty(T)
-        tr_eta_min = np.empty(T)
-        tr_eta_max = np.empty(T)
-        tr_eta_l2 = np.empty(T)
-        tr_alpha_eff = np.empty(T)
-        tr_gs = np.empty(T)
-
-    rows: list[list[float]] = []
-    w_sum = 0.0
-    gs_sum = 0.0
-    z_sum = 0.0
-    steps_done = 0
-    last_logged_t = 0
-    last_gs = math.nan
-    status = STATUS_FINISHED
-
-    for t in range(1, T + 1):
-        token = problem.sample(rng)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = problem.grad(w, token)
-            if grad_metric == "full":
-                fg = problem.full_grad(w)
-                gs = float(fg @ fg)
-            elif grad_metric == "batch":
-                gs = float(g @ g)
-            else:
-                gs = math.nan
-        if grad_metric != "none" and not math.isfinite(gs):
-            status = STATUS_DIVERGED
-            break
-        try:
-            w_next, state, rep = step(state, cfg.hp, w, g)
-        except NonFiniteError:
-            status = STATUS_DIVERGED
-            break
-        alpha_t = schedule_eval(cfg.hp.alpha, t)
-        w_sum += float(np.mean(w))
-        gs_sum += gs
-        z_sum += alpha_t * rep.eta_min
-        steps_done = t
-        last_gs = gs
-        if want_trace:
-            tr_alpha[t - 1] = alpha_t
-            tr_eta_min[t - 1] = rep.eta_min
-            tr_eta_max[t - 1] = float(np.max(rep.eta))
-            tr_eta_l2[t - 1] = rep.eta_l2
-            tr_alpha_eff[t - 1] = rep.alpha_eff
-            tr_gs[t - 1] = gs
-        if t % cfg.record_every == 0:
-            rows.append([t, w_sum / t, gs_sum / t, alpha_t, rep.eta_min, rep.eta_l2, rep.alpha_eff])
-            last_logged_t = t
-        w = clamp_box(w_next, box[0], box[1]) if box is not None else w_next
-
-    if steps_done >= 1 and last_logged_t != steps_done:
-        # final row always flushed, whatever the stride
-        rows.append(
-            [steps_done, w_sum / steps_done, gs_sum / steps_done,
-             tr_alpha[steps_done - 1] if want_trace else schedule_eval(cfg.hp.alpha, steps_done),
-             rep.eta_min, rep.eta_l2, rep.alpha_eff]
-        )
-
-    if status == STATUS_FINISHED and cfg.converge_tol is not None and last_gs <= cfg.converge_tol:
-        status = STATUS_CONVERGED
-
-    trace = None
-    if want_trace:
-        trace = TrialTrace(
-            alpha=tr_alpha[:steps_done],
-            eta_min=tr_eta_min[:steps_done],
-            eta_max=tr_eta_max[:steps_done],
-            eta_l2=tr_eta_l2[:steps_done],
-            alpha_eff=tr_alpha_eff[:steps_done],
-            grad_norm_sq=tr_gs[:steps_done],
-        )
-    return TrialRecord(
-        config=cfg,
-        status=status,
-        steps_done=steps_done,
-        w_mean=w_sum / steps_done if steps_done else math.nan,
-        grad_norm_sq_mean=gs_sum / steps_done if steps_done else math.nan,
-        z_weight_sum=z_sum,
-        grad_metric_exact=(grad_metric == "full"),
-        w_final=w,
-        rows=np.asarray(rows, dtype=np.float64).reshape(len(rows), len(ROW_COLUMNS)),
-        trace=trace,
-    )
-
-
-_ENGINE_CHUNK = 65536
+    w1 = np.asarray(cfg.w1, dtype=np.float64)
+    if w1.shape != (cfg.problem.dim,):
+        raise ValueError(f"w1 has shape {w1.shape}, problem dimension is {cfg.problem.dim}")
+    return _run_lanes([cfg])[0]
 
 
 def run_synth_replicas(
@@ -211,125 +107,146 @@ def run_synth_replicas(
 ) -> list[TrialRecord]:
     """Run n independent replicas of the scalar benchmark in lock-step.
 
-    Replica i draws from the stream seeded mix_seed(base_seed, i) and yields
-    exactly the TrialRecord that run_trial would produce for that seed: each
-    replica is one (1,)-lane of optim.lane_update, the update step() applies.
+    Replica i is the trial run_trial would run with seed mix_seed(base_seed, i),
+    and it gets exactly that trial's record, divergence included.
     """
     method = Method(method)
     if not isinstance(problem, SynthProblem):
-        raise ValueError("fast path only supports the scalar two-outcome benchmark")
+        raise ValueError("replicas only support the scalar two-outcome benchmark")
     if T < 1 or n_replicas < 1 or record_every < 1:
         raise ValueError("T, n_replicas and record_every must all be >= 1")
     if capture_trace is None:
         capture_trace = record_every == 1
+    return _run_lanes([TrialConfig(
+        method=method, hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
+        seed=mix_seed(base_seed, i), record_every=record_every,
+        capture_trace=capture_trace, grad_metric="full") for i in range(n_replicas)])
 
-    n = n_replicas
-    p = problem.p
-    big_c = problem.big_c
-    slope, offs = problem.mean_slope, problem.mean_offset
-    lo, hi = problem.box
+
+def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
+    """Run trials that differ only in w1 and seed in lock-step, as the (n, d)
+    lanes of optim.lane_update, and give each the record it would get alone.
+
+    Each lane draws its tokens from its own stream, in chunks: Philox is
+    counter-based, so a chunk of k draws equals k single draws. A lane whose
+    gradient metric, gradient, iterate or buffers turn non-finite at step t
+    leaves the batch there, diverged, with the statistics of the steps before.
+    """
+    cfg = cfgs[0]
+    problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
+    method, d = Method(cfg.method), problem.dim
+    w = np.array([c.w1 for c in cfgs], dtype=np.float64)
+    grad_metric = cfg.grad_metric
+    if grad_metric == "full" and problem.full_grad(w[0]) is None:
+        grad_metric = "batch"  # no exact expectation available; fall back, flag it
+    want_trace = cfg.capture_trace or every == 1
     eps, lam = hp.epsilon, hp.weight_decay
-    streams = [RngStream(mix_seed(base_seed, i)) for i in range(n)]
+    schedules = (hp.alpha, hp.beta1, hp.beta2)
+    varying = any(s.kind != "constant" for s in schedules)  # else evaluated once, here
+    alpha, b1, b2 = [s.base for s in schedules]
 
-    # lanes of shape (n, 1): replica i is row i
-    w = np.full((n, 1), float(w1))
-    m = np.zeros((n, 1))
-    v = np.zeros((n, 1))
-    v_hat = np.zeros((n, 1)) if method is Method.AMSGRAD else None
+    # Lane state. Per-lane scalars are (n, 1) columns, like avagrad's alpha_eff;
+    # the lane axis is 0, except in tokens (1) and the row and trace buffers (2).
+    # A diverged lane is dropped from all of them.
+    n = len(cfgs)
+    ids = np.arange(n)
+    streams = [RngStream(c.seed) for c in cfgs]
+    m, v = np.zeros((n, d)), np.zeros((n, d))
+    v_hat = np.zeros((n, d)) if method is Method.AMSGRAD else None
+    w_sum, gs_sum, z_sum = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1))
+    rows, n_rows = np.empty((T // every + (T % every > 0), len(ROW_COLUMNS), n, 1)), 0
+    tr = np.empty((6, T, n, 1)) if want_trace else None  # the TrialTrace fields, in order
+    eta = eta_min = alpha_eff = None  # of the last completed step
+    gs = math.nan
+    records: list[TrialRecord | None] = [None] * n
+    no_rows = np.empty((0, len(ROW_COLUMNS)))
 
-    w_sum = np.zeros((n, 1))
-    gs_sum = np.zeros((n, 1))
-    z_sum = np.zeros((n, 1))
-    n_rows = T // record_every + (1 if T % record_every else 0)
-    rows = np.empty((n_rows, len(ROW_COLUMNS), n, 1))
-    row_idx = 0
-    if capture_trace:
-        tr_alpha = np.empty(T)
-        tr_eta = np.empty((T, n, 1))
-        tr_alpha_eff = np.empty((T, n, 1))
-        tr_gs = np.empty((T, n, 1))
+    def record(p: int, status: str, done: int, flushed=no_rows) -> TrialRecord:
+        return TrialRecord(
+            config=cfgs[ids[p]],
+            status=status,
+            steps_done=done,
+            w_mean=float(w_sum[p, 0]) / done if done else math.nan,
+            grad_norm_sq_mean=float(gs_sum[p, 0]) / done if done else math.nan,
+            z_weight_sum=float(z_sum[p, 0]),
+            grad_metric_exact=(grad_metric == "full"),
+            w_final=w[p].copy(),
+            rows=np.concatenate((rows[:n_rows, :, p, 0], flushed)),
+            trace=TrialTrace(*tr[:, :done, p, 0]) if want_trace else None,
+        )
 
-    # constant schedules evaluate to the same float at every t; hoist them
-    const_b1 = hp.beta1.base if hp.beta1.kind == "constant" else None
-    const_b2 = hp.beta2.base if hp.beta2.kind == "constant" else None
-    const_alpha = hp.alpha.base if hp.alpha.kind == "constant" else None
-
-    t = 0
+    span = max(1, 65536 // problem.draw_size)  # steps of tokens drawn ahead, <= 65536 scalars
+    k = span
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < T:
-            span = min(_ENGINE_CHUNK, T - t)
-            uniforms = np.column_stack([s.random(span) for s in streams])
-            rare = (uniforms < p)[:, :, None]
-            for k in range(span):
-                t += 1
-                b1 = const_b1 if const_b1 is not None else schedule_eval(hp.beta1, t)
-                b2 = const_b2 if const_b2 is not None else schedule_eval(hp.beta2, t)
-                alpha = const_alpha if const_alpha is not None else schedule_eval(hp.alpha, t)
-                g = np.where(rare[k], big_c * w, -1.0)
-                fg = slope * w - offs
-                gs = fg * fg
-                w_next, m, v, v_hat, eta, alpha_eff = lane_update(
+        for t in range(1, T + 1):
+            if k == span:
+                span, k = min(span, T - t + 1), 0
+                tokens = np.array([problem.sample(rng, span) for rng in streams]).swapaxes(0, 1)
+            if varying:
+                alpha, b1, b2 = [schedule_eval(s, t) for s in schedules]
+            while True:  # once, unless a lane diverges: then again without it
+                g = problem.grad(w, tokens[k])
+                if grad_metric != "none":
+                    x = problem.full_grad(w) if grad_metric == "full" else g
+                    gs = x * x if d == 1 else np.vecdot(x, x)[:, None]  # x @ x, bit for bit
+                w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(
                     method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam)
-                w_sum += w
-                gs_sum += gs
-                z_sum += alpha * eta  # d = 1: eta is its own minimum
-                if capture_trace:
-                    tr_alpha[t - 1] = alpha
-                    tr_eta[t - 1] = eta
-                    tr_alpha_eff[t - 1] = alpha_eff
-                    tr_gs[t - 1] = gs
-                if t % record_every == 0 or t == T:
-                    rows[row_idx, 0] = t
-                    rows[row_idx, 1] = w_sum / t
-                    rows[row_idx, 2] = gs_sum / t
-                    rows[row_idx, 3] = alpha
-                    rows[row_idx, 4] = eta
-                    rows[row_idx, 5] = np.sqrt(eta * eta)
-                    rows[row_idx, 6] = alpha_eff
-                    row_idx += 1
-                w = np.clip(w_next, lo, hi)
+                # A sum of products is finite only if every factor is. A non-finite
+                # g or m_next makes w_next non-finite (1 - b1 and 1 - b2 are > 0),
+                # and v_hat_next is finite when v_next is, so this screen is sound.
+                screen = np.vdot(w_next if grad_metric == "none" else w_next * gs, v_next)
+                if math.isfinite(screen):
+                    break
+                ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in (
+                    gs, g, w_next, m_next, v_next, v_hat_next) if isinstance(a, np.ndarray)])
+                if ok.all():
+                    break
+                done = t - 1
+                for p in np.flatnonzero(~ok):
+                    flushed = no_rows
+                    if done % every:  # the final row is always flushed, whatever the stride
+                        flushed = np.array([[done, w_sum[p, 0] / done, gs_sum[p, 0] / done,
+                                             schedule_eval(hp.alpha, done), eta_min[p, 0],
+                                             np.sqrt(np.sum(eta[p] * eta[p])),
+                                             np.broadcast_to(alpha_eff, (len(ids), 1))[p, 0]]])
+                    records[ids[p]] = record(p, STATUS_DIVERGED, done, flushed)
+                keep = np.flatnonzero(ok)
+                streams = [streams[p] for p in keep]
+                tokens, rows = tokens[:, keep], rows[:, :, keep]
+                tr = tr[:, :, keep] if want_trace else None
+                lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum)
+                ids, w, m, v, v_hat, w_sum, gs_sum, z_sum = [
+                    None if a is None else a[keep] for a in lane_state]
+                if not len(ids):
+                    return records  # else the step is redone: the kept lanes were finite
+            k += 1
+            m, v, v_hat, eta, alpha_eff = m_next, v_next, v_hat_next, eta_t, alpha_eff_t
+            if d == 1:  # the mean and the min of one coordinate are that coordinate
+                w_mean, eta_min = w, eta
+            else:
+                w_mean = np.add.reduce(w, axis=-1, keepdims=True) / d  # np.mean, bit for bit
+                eta_min = np.minimum.reduce(eta, axis=-1, keepdims=True)
+            w_sum += w_mean
+            gs_sum += gs
+            z_sum += alpha * eta_min
+            row_due = t % every == 0 or t == T
+            if want_trace or row_due:
+                eta_l2 = np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
+            if want_trace:
+                eta_max = np.maximum.reduce(eta, axis=-1, keepdims=True)
+                for j, val in enumerate((alpha, eta_min, eta_max, eta_l2, alpha_eff, gs)):
+                    tr[j, t - 1] = val
+            if row_due:
+                for j, val in enumerate((t, w_sum / t, gs_sum / t, alpha, eta_min, eta_l2,
+                                         alpha_eff)):
+                    rows[n_rows, j] = val
+                n_rows += 1
+            w = clamp_box(w_next, *problem.box) if problem.box is not None else w_next
 
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(gs_sum))):
-        raise NonFiniteError("fast path produced non-finite statistics")
-
-    records = []
-    for i in range(n):
-        cfg = TrialConfig(
-            method=method,
-            hp=hp,
-            problem=problem,
-            T=T,
-            w1=np.array([float(w1)]),
-            seed=mix_seed(base_seed, i),
-            record_every=record_every,
-            capture_trace=capture_trace,
-            grad_metric="full",
-        )
-        trace = None
-        if capture_trace:
-            eta_col = tr_eta[:, i, 0]
-            trace = TrialTrace(
-                alpha=tr_alpha,
-                eta_min=eta_col,
-                eta_max=eta_col,
-                eta_l2=np.sqrt(eta_col * eta_col),
-                alpha_eff=tr_alpha_eff[:, i, 0],
-                grad_norm_sq=tr_gs[:, i, 0],
-            )
-        records.append(
-            TrialRecord(
-                config=cfg,
-                status=STATUS_FINISHED,
-                steps_done=T,
-                w_mean=float(w_sum[i, 0]) / T,
-                grad_norm_sq_mean=float(gs_sum[i, 0]) / T,
-                z_weight_sum=float(z_sum[i, 0]),
-                grad_metric_exact=True,
-                w_final=w[i].copy(),
-                rows=rows[:row_idx, :, i, 0].copy(),
-                trace=trace,
-            )
-        )
+    tol = cfg.converge_tol
+    for p, i in enumerate(ids):  # the lanes that ran all T steps
+        converged = tol is not None and grad_metric != "none" and gs[p, 0] <= tol
+        records[i] = record(p, STATUS_CONVERGED if converged else STATUS_FINISHED, T)
     return records
 
 

@@ -105,6 +105,41 @@ w1 = 1.0
         assert code == 2
         assert "status=diverged" in capsys.readouterr().out
 
+    def test_non_finite_w1_rejected(self, tmp_path, capsys):
+        text = SYNTH_CONFIG.replace("kind = synth\nc = 999\ndelta = 1",
+                                    "kind = quadratic\ncurvatures = 1,2")
+        cfg = write_config(tmp_path, text + "w1 = nan,1\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "w1")
+
+    @pytest.mark.parametrize("flag", [[], ["--alpha", "-0.5"], ["--alpha", "0"]])
+    def test_non_positive_alpha_rejected(self, tmp_path, capsys, flag):
+        text = SYNTH_CONFIG if flag else SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = -0.5")
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")] + flag) == 1
+        assert_one_error_line(capsys, "alpha")
+
+    def test_non_finite_dataset_feature_rejected(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("0.5,1.0,0\n1e400,0.0,1\n")
+        text = f"""\
+[problem]
+kind = mlp
+n_in = 2
+n_hidden = 4
+n_classes = 2
+dataset = {data}
+
+[optimizer]
+method = adam
+
+[run]
+steps = 5
+"""
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "line 2")
+
     def test_override_echoed_in_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)
         main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--alpha", "0.5",

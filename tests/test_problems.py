@@ -267,6 +267,13 @@ class TestLoadCsvDataset:
         with pytest.raises(ValueError, match="label"):
             load_csv_dataset(path, 2, 2)
 
+    @pytest.mark.parametrize("feature", ["nan", "1e400", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, feature):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,0\n{feature},2.0,1\n")
+        with pytest.raises(ValueError, match="line 2: features must be finite"):
+            load_csv_dataset(path, 2, 2)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

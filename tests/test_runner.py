@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avagrad_lab.core import RngStream, Schedule, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
-from avagrad_lab.problems import quadratic_make, synth_make
+from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
 from avagrad_lab.runner import (
     ROW_COLUMNS,
     STATUS_DIVERGED,
     STATUS_FINISHED,
     TrialConfig,
+    TrialTrace,
+    _run_lanes,
     bias_gap,
     eval_bound,
     export_trajectory,
@@ -146,6 +150,21 @@ class TestPrefixCorrectness:
         assert rec.grad_norm_sq_mean == pytest.approx(sum(gsqs) / T, rel=1e-12)
 
 
+def assert_same_record(fast, slow):
+    """Every field of two trial records equal bit for bit (NaN equal to NaN)."""
+    assert fast.status == slow.status
+    assert fast.steps_done == slow.steps_done
+    assert fast.grad_metric_exact == slow.grad_metric_exact
+    for name in ("w_mean", "grad_norm_sq_mean", "z_weight_sum", "w_final", "rows"):
+        a, b = np.asarray(getattr(fast, name)), np.asarray(getattr(slow, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (fast.trace is None) == (slow.trace is None)
+    if fast.trace is not None:
+        for name in TrialTrace.__dataclass_fields__:
+            a, b = getattr(fast.trace, name), getattr(slow.trace, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def _engine_cases():
     # the plain case keeps the bare method id; decay and schedule variants extend it
     cases = []
@@ -206,6 +225,96 @@ class TestReplicaEngineParity:
         recs = run_synth_replicas(problem, Method.ADAM, make_hp(), w1=0.5, T=95,
                                   base_seed=0, n_replicas=1, record_every=10)
         assert list(recs[0].rows[:, 0]) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+
+    def test_diverging_replicas_match_run_trial(self):
+        # the first delayed step overflows to inf, which a box clip would hide
+        problem = synth_make(999.0, 1.0)
+        hp = make_hp(alpha=1e301)
+        records = run_synth_replicas(problem, Method.DELAYED_ADAM, hp, w1=0.5, T=50,
+                                     base_seed=3, n_replicas=3, record_every=10)
+        for i, fast in enumerate(records):
+            slow = run_trial(TrialConfig(
+                method=Method.DELAYED_ADAM, hp=hp, problem=problem, T=50, w1=np.array([0.5]),
+                seed=mix_seed(3, i), record_every=10, grad_metric="full"))
+            assert slow.status == STATUS_DIVERGED and slow.steps_done == 0
+            assert fast.status == slow.status
+            assert fast.steps_done == slow.steps_done
+            assert np.array_equal(fast.rows, slow.rows)
+            assert np.array_equal(fast.w_mean, slow.w_mean, equal_nan=True)
+            assert_same_record(fast, slow)
+
+    def test_quadratic_lanes_diverge_at_their_own_steps(self):
+        problem = quadratic_make([1.0, 2.0], 0.0)
+        starts = ([1.0, -1.0], [1e-200, 0.0], [0.0, 0.0], [1e100, 1.0])
+        cfgs = [TrialConfig(method=Method.SGD, hp=make_hp(alpha=5000.0), problem=problem,
+                            T=200, w1=np.array(w1), seed=i, record_every=4)
+                for i, w1 in enumerate(starts)]
+        records = _run_lanes(cfgs)
+        steps = [rec.steps_done for rec in records]
+        assert steps[2] == 200 and records[2].status == STATUS_FINISHED  # w1 = w* stays put
+        assert len(set(steps)) == 4
+        assert any(s % 4 for s in steps) and any(s % 4 == 0 for s in steps)  # flushed or not
+        for cfg, rec in zip(cfgs, records):
+            assert_same_record(rec, run_trial(cfg))
+
+    def test_mlp_lanes_match_run_trial(self):
+        problem = mlp_make(2, 8, 3, gaussian_blobs(20, 3, 2, 1.5, RngStream(2)), batch_size=8)
+        cfgs = [TrialConfig(method=Method.AVAGRAD, hp=make_hp(alpha=1e-2, beta1=0.9),
+                            problem=problem, T=12, w1=0.1 * RngStream(i).normal(problem.dim),
+                            seed=i, record_every=5)
+                for i in range(3)]
+        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+            assert_same_record(rec, run_trial(cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(list(Method)),
+        quadratic_d=st.integers(0, 12),  # 0: the synth problem
+        n=st.integers(1, 6),
+        log_alpha=st.floats(-4.0, 8.0),
+        alpha_kind=st.sampled_from(["constant", "inverse_sqrt"]),
+        log_scale=st.floats(0.0, 170.0),
+        grad_metric=st.sampled_from(["full", "batch", "none"]),
+        T=st.integers(1, 40),
+        record_every=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_n_lanes_equal_n_single_trials(self, method, quadratic_d, n, log_alpha, alpha_kind,
+                                           log_scale, grad_metric, T, record_every, seed):
+        """Axis and compaction bugs show here: lanes start at very different
+        scales, so at a large alpha they diverge at different steps (in about
+        a third of the examples)."""
+        rng = np.random.default_rng(seed)
+        if quadratic_d:
+            problem = quadratic_make(1.0 + 3.0 * rng.random(quadratic_d), 0.1)
+            starts = rng.normal(size=(n, quadratic_d)) * 10.0 ** (log_scale * rng.random((n, 1)))
+        else:
+            problem = synth_make(999.0, 1.0)
+            starts = rng.random((n, 1))
+        hp = HyperParams(alpha=Schedule(alpha_kind, 10.0 ** log_alpha), epsilon=1e-6,
+                         beta1=Schedule.constant(0.9), beta2=Schedule.constant(0.99))
+        cfgs = [TrialConfig(method=method, hp=hp, problem=problem, T=T, w1=w1,
+                            seed=int(rng.integers(2**63)), record_every=record_every,
+                            grad_metric=grad_metric) for w1 in starts]
+        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+            assert_same_record(rec, run_trial(cfg))
+
+    @pytest.mark.parametrize("kind", ["synth", "quadratic", "mlp"])
+    def test_chunk_size_does_not_change_the_record(self, kind):
+        """Tokens are drawn ahead in chunks; chunks of 3 steps (the last one
+        short) must give the record of one chunk for the whole trial."""
+        if kind == "synth":
+            problem, w1 = synth_make(999.0, 1.0), np.array([0.5])
+        elif kind == "quadratic":
+            problem, w1 = quadratic_make(np.linspace(1.0, 4.0, 10), 0.1), np.ones(10)
+        else:
+            problem = mlp_make(2, 4, 3, gaussian_blobs(10, 3, 2, 1.5, RngStream(4)), batch_size=5)
+            w1 = 0.1 * RngStream(5).normal(problem.dim)
+        cfg = TrialConfig(method=Method.AMSGRAD, hp=make_hp(alpha=1e-2), problem=problem, T=20,
+                          w1=w1, seed=9, record_every=1)
+        whole = run_trial(cfg)
+        problem.draw_size = 65536 // 3
+        assert_same_record(run_trial(cfg), whole)
 
     def test_unsupported_problem_rejected(self):
         problem = quadratic_make([1.0], 0.0)

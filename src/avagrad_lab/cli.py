@@ -8,9 +8,11 @@ Subcommands:
 
 Configuration is a sectioned key=value file ([problem] / [optimizer] / [run] /
 [grid]); unknown keys or sections are hard errors so typos cannot silently
-change an experiment. Command-line flags override file values and every
-effective setting is echoed in the summary header. Exit codes: 0 success,
-1 configuration or I/O error, 2 a trial diverged or a check failed.
+change an experiment. Every value is parsed by its key's type when the file
+is read: a float must be finite and a list non-empty. Command-line flags
+override file values and every effective setting is echoed in the summary
+header. Exit codes: 0 success, 1 configuration or I/O error, 2 a trial
+diverged or a check failed.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, Schedule, mix_seed
+from .core import RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method, init_state
 from .problems import (
     MlpProblem,
@@ -47,40 +50,94 @@ from .runner import (
     run_trial,
     summary_line,
 )
-from .sweep import GridSpec, default_grid, export_heatmap, run_sweep, separability_index
+from .sweep import METRICS, GridSpec, default_grid, export_heatmap, run_sweep, separability_index
 
 ENV_SEED = "AVAGRAD_LAB_SEED"
-
-_ALPHA_SCHEDULES = ("constant", "inverse_sqrt")
-_BETA_SCHEDULES = ("constant", "inverse_sqrt", "inverse_t")
-
-_ALLOWED_KEYS = {
-    "problem": {
-        "kind", "c", "delta", "curvatures", "noise_std", "w_star",
-        "n_in", "n_hidden", "n_classes", "dataset", "batch_size",
-    },
-    "optimizer": {
-        "method", "alpha", "alpha_schedule", "epsilon",
-        "beta1", "beta1_schedule", "beta2", "beta2_schedule",
-        "weight_decay", "decay_mode",
-    },
-    "run": {
-        "steps", "seeds", "record_every", "out_dir", "w1",
-        "grad_metric", "converge_tol", "init_scale",
-    },
-    "grid": {
-        "default", "alphas", "epsilons", "methods", "seeds", "workers",
-        "metric", "holdout", "beta1", "beta2", "weight_decay", "decay_mode",
-        "init_scale",
-    },
-}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _one_of(choices, parse=str):
+    def parse_choice(raw: str):
+        if raw not in choices:
+            raise ValueError(raw)
+        return parse(raw)
+    return parse_choice, "one of " + ", ".join(choices)
+
+
+def _list_of(key_type, plural: str):
+    parse = key_type[0]
+
+    def parse_list(raw: str) -> list:
+        values = [parse(v.strip()) for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ValueError(raw)
+        return values
+    return parse_list, f"comma-separated {plural}"
+
+
+# A key type is (parse, noun): parse raises ValueError on bad text, and the
+# error reads "<[section] key> must be <noun>, got '<text>'".
+_FLOAT, _INT, _TEXT = (_finite, "a finite float"), (int, "an integer"), (str, "text")
+_FLOATS, _INTS = _list_of(_FLOAT, "finite floats"), _list_of(_INT, "integers")
+_METHOD_NAMES = tuple(m.value for m in Method)
+_METHOD = _one_of(_METHOD_NAMES, Method)
+_DECAY = _one_of(tuple(m.value for m in DecayMode), DecayMode)
+_BETA_SCHEDULE = _one_of(("constant", "inverse_sqrt", "inverse_t"))
+
+#: every config key by section, with its type; unknown sections and keys are errors
+_KEYS = {
+    "problem": {
+        "kind": _one_of(("synth", "quadratic", "mlp")), "c": _FLOAT, "delta": _FLOAT,
+        "curvatures": _FLOATS, "noise_std": _FLOAT, "w_star": _FLOATS, "n_in": _INT,
+        "n_hidden": _INT, "n_classes": _INT, "dataset": _TEXT, "batch_size": _INT,
+    },
+    "optimizer": {
+        "method": _METHOD, "alpha": _FLOAT,
+        "alpha_schedule": _one_of(("constant", "inverse_sqrt")), "epsilon": _FLOAT,
+        "beta1": _FLOAT, "beta1_schedule": _BETA_SCHEDULE, "beta2": _FLOAT,
+        "beta2_schedule": _BETA_SCHEDULE, "weight_decay": _FLOAT, "decay_mode": _DECAY,
+    },
+    "run": {
+        "steps": _INT, "seeds": _INTS, "record_every": _INT, "out_dir": _TEXT, "w1": _FLOATS,
+        "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _FLOAT, "init_scale": _FLOAT,
+    },
+    "grid": {
+        "default": (_bool, "a boolean"), "alphas": _FLOATS, "epsilons": _FLOATS,
+        "methods": _list_of(_METHOD, "names from " + ", ".join(_METHOD_NAMES)),
+        "seeds": _INTS, "workers": _INT, "metric": _one_of(METRICS), "holdout": _TEXT,
+        "beta1": _FLOAT, "beta2": _FLOAT, "weight_decay": _FLOAT, "decay_mode": _DECAY,
+        "init_scale": _FLOAT,
+    },
+}
+
+
+def _parse(what: str, key_type, raw: str):
+    parse, noun = key_type
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{what} must be {noun}, got {raw!r}") from None
+
+
+def _load_config(path: str) -> dict[str, dict]:
+    """Read an INI file into {section: {key: typed value}} for the keys it sets."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
@@ -89,35 +146,18 @@ def _load_config(path: str) -> configparser.ConfigParser:
             cp.read_file(fh)
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    config = {}
     for section in cp.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(cp[section]) - _ALLOWED_KEYS[section]
+        unknown = set(cp[section]) - set(_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-    return cp
-
-
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    return default
-
-
-def _parse_float(raw, what):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{what} must be a float, got {raw!r}") from None
-
-
-def _parse_int(raw, what):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{what} must be an integer, got {raw!r}") from None
+        config[section] = {key: _parse(f"[{section}] {key}", _KEYS[section][key], raw.strip())
+                           for key, raw in cp[section].items()}
+    return config
 
 
 def _require_positive(value, what):
@@ -125,109 +165,50 @@ def _require_positive(value, what):
         raise ConfigError(f"{what} must be >= 1, got {value}")
 
 
-def _steps(cp, args, default):
-    steps = args.steps if args.steps is not None else _parse_int(
-        _get(cp, "run", "steps", default), "[run] steps")
+def _steps(run: dict, args, default: int) -> int:
+    steps = args.steps if args.steps is not None else run.get("steps", default)
     _require_positive(steps, "steps")
     return steps
 
 
-def _parse_list(raw, what, kind=float):
-    try:
-        return [kind(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        noun = "floats" if kind is float else "integers"
-        raise ConfigError(f"{what} must be comma-separated {noun}, got {raw!r}") from None
-
-
-def _parse_bool(raw, what):
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{what} must be a boolean, got {raw!r}")
-
-
-def _build_problem(cp):
-    kind = _get(cp, "problem", "kind")
+def _build_problem(cfg: dict):
+    kind = cfg.get("kind")
     if kind is None:
         raise ConfigError("[problem] kind is required")
-    if kind == "synth":
-        c = _parse_float(_get(cp, "problem", "c", "999"), "[problem] c")
-        delta = _parse_float(_get(cp, "problem", "delta", "1"), "[problem] delta")
-        try:
-            return synth_make(c, delta)
-        except ValueError as exc:
-            raise ConfigError(f"[problem] {exc}") from None
-    if kind == "quadratic":
-        raw = _get(cp, "problem", "curvatures")
-        if raw is None:
-            raise ConfigError("[problem] curvatures is required for kind=quadratic")
-        curv = _parse_list(raw, "[problem] curvatures")
-        noise = _parse_float(_get(cp, "problem", "noise_std", "0"), "[problem] noise_std")
-        w_star_raw = _get(cp, "problem", "w_star")
-        w_star = _parse_list(w_star_raw, "[problem] w_star") if w_star_raw else None
-        try:
-            return quadratic_make(curv, noise, w_star)
-        except ValueError as exc:
-            raise ConfigError(f"[problem] {exc}") from None
-    if kind == "mlp":
-        for key in ("n_in", "n_hidden", "n_classes", "dataset"):
-            if _get(cp, "problem", key) is None:
-                raise ConfigError(f"[problem] {key} is required for kind=mlp")
-        n_in = _parse_int(_get(cp, "problem", "n_in"), "[problem] n_in")
-        n_hidden = _parse_int(_get(cp, "problem", "n_hidden"), "[problem] n_hidden")
-        n_classes = _parse_int(_get(cp, "problem", "n_classes"), "[problem] n_classes")
-        batch = _parse_int(_get(cp, "problem", "batch_size", "16"), "[problem] batch_size")
-        path = _get(cp, "problem", "dataset")
-        try:
-            dataset = load_csv_dataset(path, n_in, n_classes)
-            return mlp_make(n_in, n_hidden, n_classes, dataset, batch)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"[problem] {exc}") from None
-    raise ConfigError(f"[problem] unknown kind {kind!r}")
+    required = {"synth": (), "quadratic": ("curvatures",),
+                "mlp": ("n_in", "n_hidden", "n_classes", "dataset")}[kind]
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"[problem] {key} is required for kind={kind}")
+    try:
+        if kind == "synth":
+            return synth_make(cfg.get("c", 999.0), cfg.get("delta", 1.0))
+        if kind == "quadratic":
+            return quadratic_make(cfg["curvatures"], cfg.get("noise_std", 0.0), cfg.get("w_star"))
+        dataset = load_csv_dataset(cfg["dataset"], cfg["n_in"], cfg["n_classes"])
+        return mlp_make(cfg["n_in"], cfg["n_hidden"], cfg["n_classes"], dataset,
+                        cfg.get("batch_size", 16))
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"[problem] {exc}") from None
 
 
-def _schedule(kind: str, base: float, what: str, allowed) -> Schedule:
-    if kind not in allowed:
-        raise ConfigError(f"{what} must be one of {allowed}, got {kind!r}")
-    if kind == "inverse_t":
-        return Schedule.inverse_t()
-    return Schedule(kind, base)
+def _schedule(kind: str, base: float) -> Schedule:
+    return Schedule.inverse_t() if kind == "inverse_t" else Schedule(kind, base)
 
 
-def _build_hp(cp, args) -> tuple[HyperParams, Method]:
-    method_raw = args.method or _get(cp, "optimizer", "method")
-    if method_raw is None:
+def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
+    method = _parse("--method", _METHOD, args.method) if args.method else cfg.get("method")
+    if method is None:
         raise ConfigError("[optimizer] method is required")
-    try:
-        method = Method(method_raw)
-    except ValueError:
-        raise ConfigError(f"unknown method {method_raw!r}") from None
-    alpha = args.alpha if args.alpha is not None else _parse_float(
-        _get(cp, "optimizer", "alpha", "0.001"), "[optimizer] alpha")
-    eps = args.epsilon if args.epsilon is not None else _parse_float(
-        _get(cp, "optimizer", "epsilon", "1e-8"), "[optimizer] epsilon")
-    b1 = _parse_float(_get(cp, "optimizer", "beta1", "0.9"), "[optimizer] beta1")
-    b2 = _parse_float(_get(cp, "optimizer", "beta2", "0.999"), "[optimizer] beta2")
-    wd = _parse_float(_get(cp, "optimizer", "weight_decay", "0"), "[optimizer] weight_decay")
-    decay_raw = _get(cp, "optimizer", "decay_mode", "none")
-    try:
-        decay = DecayMode(decay_raw)
-    except ValueError:
-        raise ConfigError(f"unknown decay_mode {decay_raw!r}") from None
+    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.001)
     try:
         hp = HyperParams(
-            alpha=_schedule(_get(cp, "optimizer", "alpha_schedule", "constant"), alpha,
-                            "[optimizer] alpha_schedule", _ALPHA_SCHEDULES),
-            epsilon=eps,
-            beta1=_schedule(_get(cp, "optimizer", "beta1_schedule", "constant"), b1,
-                            "[optimizer] beta1_schedule", _BETA_SCHEDULES),
-            beta2=_schedule(_get(cp, "optimizer", "beta2_schedule", "constant"), b2,
-                            "[optimizer] beta2_schedule", _BETA_SCHEDULES),
-            weight_decay=wd,
-            decay_mode=decay,
+            alpha=_schedule(cfg.get("alpha_schedule", "constant"), alpha),
+            epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
+            beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", 0.9)),
+            beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", 0.999)),
+            weight_decay=cfg.get("weight_decay", 0.0),
+            decay_mode=cfg.get("decay_mode", DecayMode.NONE),
         )
     except ValueError as exc:
         raise ConfigError(f"[optimizer] {exc}") from None
@@ -256,30 +237,19 @@ def _default_w1(problem, seed_label: int, init_scale: float) -> np.ndarray:
 
 
 def cmd_run(args) -> int:
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
-    hp, method = _build_hp(cp, args)
-    steps = _steps(cp, args, "1000")
-    if args.seed is not None:
-        seeds = [args.seed]
-    else:
-        raw = _get(cp, "run", "seeds")
-        seeds = _parse_list(raw, "[run] seeds", int) if raw else [_base_seed(args)]
-    record_every = _parse_int(
-        _get(cp, "run", "record_every", str(max(1, steps // 1000))), "[run] record_every")
+    config = _load_config(args.config)
+    run = config.get("run", {})
+    problem = _build_problem(config.get("problem", {}))
+    hp, method = _build_hp(config.get("optimizer", {}), args)
+    steps = _steps(run, args, 1000)
+    seeds = run["seeds"] if args.seed is None and "seeds" in run else [_base_seed(args)]
+    record_every = run.get("record_every", max(1, steps // 1000))
     _require_positive(record_every, "[run] record_every")
-    grad_metric = _get(cp, "run", "grad_metric", "full")
-    if grad_metric not in GRAD_METRICS:
-        raise ConfigError(f"[run] grad_metric must be one of {GRAD_METRICS}, got {grad_metric!r}")
-    tol_raw = _get(cp, "run", "converge_tol")
-    converge_tol = _parse_float(tol_raw, "[run] converge_tol") if tol_raw else None
-    init_scale = _parse_float(_get(cp, "run", "init_scale", "0.1"), "[run] init_scale")
-    out_dir = Path(args.out or _get(cp, "run", "out_dir", "."))
-    w1_raw = _get(cp, "run", "w1")
-    if w1_raw:
-        fixed_w1 = np.asarray(_parse_list(w1_raw, "[run] w1"), dtype=np.float64)
-        if fixed_w1.shape != (problem.dim,) or not np.all(np.isfinite(fixed_w1)):
-            raise ConfigError(f"[run] w1 must be {problem.dim} finite values, got {w1_raw!r}")
+    init_scale = run.get("init_scale", 0.1)
+    out_dir = Path(args.out or run.get("out_dir", "."))
+    fixed_w1 = run.get("w1")
+    if fixed_w1 is not None and len(fixed_w1) != problem.dim:
+        raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(fixed_w1)}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     print(
@@ -292,10 +262,11 @@ def cmd_run(args) -> int:
     )
     any_diverged = False
     for seed in seeds:
-        w1 = fixed_w1 if w1_raw else _default_w1(problem, seed, init_scale)
+        w1 = _default_w1(problem, seed, init_scale) if fixed_w1 is None else np.array(fixed_w1)
         cfg = TrialConfig(
             method=method, hp=hp, problem=problem, T=steps, w1=w1, seed=seed,
-            record_every=record_every, grad_metric=grad_metric, converge_tol=converge_tol,
+            record_every=record_every, grad_metric=run.get("grad_metric", "full"),
+            converge_tol=run.get("converge_tol"),
         )
         record = run_trial(cfg)
         traj_path = out_dir / f"trajectory_seed{seed}.csv"
@@ -346,110 +317,84 @@ def cmd_synthfig(args) -> int:
 
     names = [m.value for m in SYNTHFIG_METHODS]
     for fname, curves in (("fig1_left.csv", w_curves), ("fig1_right.csv", gs_curves)):
-        path = out_dir / fname
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("t," + ",".join(names) + "\n")
-                for i, t in enumerate(t_grid):
-                    vals = ",".join(f"{curves[n][i]:.17g}" for n in names)
-                    fh.write(f"{int(t)},{vals}\n")
-        except OSError as exc:
-            print(f"error: writing {path}: {exc}", file=sys.stderr)
-            return 1
+        rows = zip(t_grid.astype(np.int64).tolist(), *(curves[n].tolist() for n in names))
+        write_csv(out_dir / fname, ["t", *names], rows, "synthfig curves")
     print(f"# synthfig steps={steps} seeds={n_seeds} base_seed={base_seed} out={out_dir}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
-    if not cp.has_section("grid"):
+    config = _load_config(args.config)
+    problem = _build_problem(config.get("problem", {}))
+    grid = config.get("grid")
+    if grid is None:
         raise ConfigError("sweep needs a [grid] section")
-    use_default = _parse_bool(_get(cp, "grid", "default", "false"), "[grid] default")
-    if use_default:
+    if grid.get("default", False):
         alphas, epsilons = default_grid()
+    elif "alphas" in grid and "epsilons" in grid:
+        alphas, epsilons = grid["alphas"], grid["epsilons"]
     else:
-        a_raw, e_raw = _get(cp, "grid", "alphas"), _get(cp, "grid", "epsilons")
-        if a_raw is None or e_raw is None:
-            raise ConfigError("[grid] needs alphas and epsilons (or default = true)")
-        alphas = _parse_list(a_raw, "[grid] alphas")
-        epsilons = _parse_list(e_raw, "[grid] epsilons")
-    methods_raw = _get(cp, "grid", "methods")
-    if methods_raw is None:
+        raise ConfigError("[grid] needs alphas and epsilons (or default = true)")
+    if "methods" not in grid:
         raise ConfigError("[grid] methods is required")
-    try:
-        methods = [Method(m.strip()) for m in methods_raw.split(",") if m.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"[grid] methods: {exc}") from None
-    seeds_raw = _get(cp, "grid", "seeds", "0")
-    seeds = _parse_list(seeds_raw, "[grid] seeds", int)
-    steps = _steps(cp, args, "1000")
-    workers = args.workers if args.workers is not None else _parse_int(
-        _get(cp, "grid", "workers", "1"), "[grid] workers")
+    steps = _steps(config.get("run", {}), args, 1000)
+    workers = args.workers if args.workers is not None else grid.get("workers", 1)
     _require_positive(workers, "workers")
-    metric = _get(cp, "grid", "metric", "full_objective")
-    holdout_raw = _get(cp, "grid", "holdout")
     holdout = None
-    if holdout_raw:
+    if "holdout" in grid:
         if not isinstance(problem, MlpProblem):
             raise ConfigError("[grid] holdout only applies to mlp problems")
         try:
-            holdout = load_csv_dataset(holdout_raw, problem.n_in, problem.n_classes)
+            holdout = load_csv_dataset(grid["holdout"], problem.n_in, problem.n_classes)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"[grid] holdout: {exc}") from None
-    decay_raw = _get(cp, "grid", "decay_mode", "none")
-    try:
-        decay = DecayMode(decay_raw)
-    except ValueError:
-        raise ConfigError(f"unknown decay_mode {decay_raw!r}") from None
     try:
         spec = GridSpec(
             problem=problem,
-            methods=methods,
+            methods=grid["methods"],
             alphas=alphas,
             epsilons=epsilons,
-            seeds=seeds,
+            seeds=grid.get("seeds", [0]),
             T=steps,
             base_seed=_base_seed(args),
-            beta1=_parse_float(_get(cp, "grid", "beta1", "0.9"), "[grid] beta1"),
-            beta2=_parse_float(_get(cp, "grid", "beta2", "0.999"), "[grid] beta2"),
-            weight_decay=_parse_float(_get(cp, "grid", "weight_decay", "0"),
-                                      "[grid] weight_decay"),
-            decay_mode=decay,
-            metric=metric,
+            beta1=grid.get("beta1", 0.9),
+            beta2=grid.get("beta2", 0.999),
+            weight_decay=grid.get("weight_decay", 0.0),
+            decay_mode=grid.get("decay_mode", DecayMode.NONE),
+            metric=grid.get("metric", "full_objective"),
             holdout=holdout,
-            init_scale=_parse_float(_get(cp, "grid", "init_scale", "0.1"),
-                                    "[grid] init_scale"),
+            init_scale=grid.get("init_scale", 0.1),
         )
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from None
-    out_dir = Path(args.out or _get(cp, "run", "out_dir", "."))
+    out_dir = Path(args.out or config.get("run", {}).get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = run_sweep(spec, workers=workers)
     heatmap_path = out_dir / "heatmap.csv"
     export_heatmap(cells, heatmap_path)
     sep_path = out_dir / "separability.csv"
-    with open(sep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,separability_index\n")
-        for method in spec.methods:
-            try:
-                value = f"{separability_index(cells, method):.17g}"
-            except ValueError:
-                value = ""
-            fh.write(f"{method.value},{value}\n")
+    write_csv(sep_path, ("method", "separability_index"),
+              [(m.value, _separability(cells, m)) for m in spec.methods], "separability")
     print(f"# sweep cells={len(cells)} heatmap={heatmap_path} separability={sep_path}")
     return 0
+
+
+def _separability(cells, method: Method) -> float | str:
+    try:
+        return separability_index(cells, method)
+    except ValueError:
+        return ""  # an all-diverged column has no argmin
 
 
 _FD_THRESHOLDS = {"SynthProblem": 1e-8, "QuadraticProblem": 1e-7, "MlpProblem": 1e-5}
 
 
 def cmd_check(args) -> int:
-    cp = _load_config(args.config)
-    problem = _build_problem(cp)
-    hp, method = _build_hp(cp, args)
-    steps = _steps(cp, args, "20000")
+    config = _load_config(args.config)
+    problem = _build_problem(config.get("problem", {}))
+    hp, method = _build_hp(config.get("optimizer", {}), args)
+    steps = _steps(config.get("run", {}), args, 20000)
     base_seed = _base_seed(args)
     failed = False
 
@@ -559,10 +504,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,8 @@
 Everything downstream (optimizers, problems, trial runner, sweeps) works in
 terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
-evaluator, and the deterministic RNG contract used to derive independent
-per-trial streams.
+evaluator, the deterministic RNG contract used to derive independent
+per-trial streams, and the CSV writer every output file goes through.
 """
 
 from __future__ import annotations
@@ -38,6 +38,20 @@ def clamp_box(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if lo > hi:
         raise ValueError(f"clamp bounds out of order: lo={lo} > hi={hi}")
     return np.asarray(a).clip(lo, hi)  # np.clip, less its dispatch
+
+
+def write_csv(path, header, rows, what: str) -> None:
+    """Write a header and rows as LF-terminated UTF-8 CSV. Floats print with 17
+    significant digits, so the bytes are fixed for a fixed seed; other fields
+    print with str()."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join([f"{v:.17g}" if isinstance(v, float) else str(v)
+                                   for v in row]) + "\n")
+    except OSError as exc:
+        raise OSError(f"writing {what} to {path}: {exc}") from exc
 
 
 SCHEDULE_KINDS = ("constant", "inverse_sqrt", "inverse_t")

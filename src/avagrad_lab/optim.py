@@ -87,8 +87,8 @@ class HyperParams:
     def __post_init__(self):
         if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a positive finite float, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (0.0 <= self.weight_decay < math.inf):  # nan > 0 is False: decay skipped
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.alpha.kind in ("constant", "inverse_sqrt") and not (self.alpha.base > 0.0):
             raise ValueError(f"alpha must be > 0, got base {self.alpha.base}")
         _validate_beta_schedule(self.beta1, "beta1")

@@ -159,8 +159,8 @@ class QuadraticProblem(StochasticProblem):
         c = ensure_vector(curvatures, "curvatures")
         if np.any(c <= 0.0):
             raise ValueError("curvatures must be positive")
-        if noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not (0.0 <= noise_std < math.inf):
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         self.curvatures = c
         self.noise_std = float(noise_std)
         self.w_star = np.zeros(c.shape[0]) if w_star is None else ensure_vector(w_star, "w_star")

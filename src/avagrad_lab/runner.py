@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, clamp_box, mix_seed, schedule_eval
+from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from .optim import HyperParams, Method, OptimizerState, lane_update
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
@@ -403,14 +403,8 @@ def bias_gap(
 def export_trajectory(record: TrialRecord, path) -> None:
     """Write the strided rows as CSV with a fixed header; bytes are
     deterministic for a fixed seed (17 significant digit float format)."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(ROW_COLUMNS) + "\n")
-            for row in record.rows:
-                fields = [str(int(row[0]))] + [f"{val:.17g}" for val in row[1:]]
-                fh.write(",".join(fields) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing trajectory to {path}: {exc}") from exc
+    rows = ([int(row[0]), *row[1:]] for row in record.rows.tolist())
+    write_csv(path, ROW_COLUMNS, rows, "trajectory")
 
 
 def summary_line(record: TrialRecord) -> str:

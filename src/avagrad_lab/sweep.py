@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, Schedule, mix_seed
+from .core import RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
 from .problems import LabeledSet, MlpProblem, StochasticProblem
 from .runner import STATUS_DIVERGED, TrialConfig, run_trial
@@ -248,14 +248,7 @@ def separability_index(cells: list[HeatmapCell], method: Method | str) -> float:
 
 def export_heatmap(cells: list[HeatmapCell], path) -> None:
     """Write sorted cells as CSV; diverged cells carry an empty metric field."""
-    ordered = sorted(cells, key=lambda c: c.sort_key)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(HEATMAP_COLUMNS) + "\n")
-            for c in ordered:
-                metric = f"{c.final_metric:.17g}" if math.isfinite(c.final_metric) else ""
-                fh.write(
-                    f"{c.method},{c.alpha:.17g},{c.epsilon:.17g},{c.seed},{metric},{c.status}\n"
-                )
-    except OSError as exc:
-        raise OSError(f"writing heatmap to {path}: {exc}") from exc
+    rows = ((c.method, c.alpha, c.epsilon, c.seed,
+             c.final_metric if math.isfinite(c.final_metric) else "", c.status)
+            for c in sorted(cells, key=lambda c: c.sort_key))
+    write_csv(path, HEATMAP_COLUMNS, rows, "heatmap")

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from avagrad_lab.cli import main
+from avagrad_lab.cli import _FLOAT, _KEYS, main
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import gaussian_blobs
 
@@ -343,3 +346,69 @@ steps = 10
         out = capsys.readouterr().out
         assert "bound_skipped=momentum" in out
         assert code == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# A config that `run` (first three sections) and `sweep` (problem, run, grid) accept.
+FULL_CONFIG = {
+    "problem": {"kind": "quadratic", "curvatures": "1,2", "noise_std": "0.1"},
+    "optimizer": {"method": "adam", "alpha": "0.01"},
+    "run": {"steps": "5", "seeds": "0"},
+    "grid": {"alphas": "0.01,0.1", "epsilons": "1e-3", "methods": "adam"},
+}
+FLOAT_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items() if t is _FLOAT]
+LIST_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items()
+             if t[1].startswith("comma-separated")]
+
+
+def run_full_config(tmp_path, command, section=None, key=None, value=None):
+    config = {s: dict(keys) for s, keys in FULL_CONFIG.items()}
+    if section is not None:
+        config[section][key] = value
+    text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for s, keys in config.items())
+    cfg = write_config(tmp_path, text)
+    return main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_full_config_runs(self, tmp_path, command):
+        assert run_full_config(tmp_path, command) == 0
+
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}-{k}" for s, k in FLOAT_KEYS])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, section, key):
+        command = "sweep" if section == "grid" else "run"
+        assert run_full_config(tmp_path, command, section, key, "nan") == 1
+        assert_one_error_line(capsys, f"[{section}] {key} must be a finite float")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key", LIST_KEYS, ids=[f"{s}-{k}" for s, k in LIST_KEYS])
+    def test_empty_list_rejected(self, tmp_path, capsys, section, key):
+        command = "sweep" if section == "grid" else "run"
+        assert run_full_config(tmp_path, command, section, key, ",") == 1
+        assert_one_error_line(capsys, f"[{section}] {key} must be comma-separated")
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_method_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--method", "bogus"]) == 1
+        assert_one_error_line(capsys, "--method must be one of")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos" / "configs").glob("*.ini")),
+                         ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, capsys, path):
+    command = re.search(r"^# Usage: avagrad-lab (\w+) --config", path.read_text(), re.M)[1]
+    assert main([command, "--config", str(path), "--steps", "2", "--out", str(tmp_path)]) == 0
+
+
+def test_readme_names_every_config_key():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Configuration format", 1)[1].split("```ini\n", 1)[1]
+    parts = re.split(r"^\[(\w+)\]", block.split("```", 1)[0], flags=re.M)[1:]
+    named = {section: set(re.findall(r"(?<![\w.])(\w+) =", body))
+             for section, body in zip(parts[::2], parts[1::2])}
+    assert named == {section: set(keys) for section, keys in _KEYS.items()}

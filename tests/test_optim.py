@@ -98,6 +98,12 @@ class TestStepContracts:
         with pytest.raises(ValueError):
             hp_of(0.1, 0.0)
 
+    @pytest.mark.parametrize("weight_decay", [-0.1, math.nan, math.inf])
+    def test_weight_decay_must_be_finite_and_non_negative(self, weight_decay):
+        # a nan decay used to pass (nan < 0 is False) and then skip the decay term
+        with pytest.raises(ValueError, match="weight_decay"):
+            hp_of(0.1, 1e-8, weight_decay=weight_decay, decay_mode=DecayMode.DECOUPLED)
+
     def test_dimension_mismatch(self):
         hp = hp_of(0.1, 1e-8)
         with pytest.raises(ValueError):

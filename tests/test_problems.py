@@ -115,6 +115,11 @@ class TestQuadraticProblem:
         with pytest.raises(ValueError):
             quadratic_make([1.0, 0.0])
 
+    @pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
+    def test_noise_std_must_be_finite_and_non_negative(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            quadratic_make([1.0, 2.0], noise_std)
+
     def test_objective_gap_positive(self):
         prob = quadratic_make([2.0, 1.0], 0.3, [0.0, 0.0])
         consts = prob.constants(np.array([1.0, 1.0]))

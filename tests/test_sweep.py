@@ -106,6 +106,10 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="beta1"):
             small_spec(beta1=1.0)
 
+    def test_non_finite_weight_decay_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="weight_decay"):
+            small_spec(weight_decay=math.nan)
+
     def test_progress_lines(self):
         out = io.StringIO()
         run_sweep(small_spec(seeds=(0,), alphas=(0.1,), epsilons=(1e-2,),

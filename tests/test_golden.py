@@ -1,27 +1,34 @@
-"""Byte-for-byte trajectory fixtures.
+"""Byte-for-byte trajectory and sweep fixtures.
 
-Each case runs one trial and writes its rows with export_trajectory; the
-bytes must equal the CSV stored under tests/golden/. The fixtures were
-recorded with Python 3.11.7 and numpy 2.4.6; a different numpy or BLAS build
-may round differently. Re-record them only on purpose, with
+Each trajectory case runs one trial and writes its rows with
+export_trajectory; each sweep case runs one grid and writes heatmap.csv and
+separability.csv as the sweep command does. The bytes must equal the CSVs
+stored under tests/golden/. The fixtures were recorded with Python 3.11.7 and
+numpy 2.4.6; a different numpy or BLAS build may round differently.
+Re-record them only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avagrad_lab.core import RngStream, Schedule
+from avagrad_lab.cli import main
+from avagrad_lab.core import RngStream, Schedule, write_csv
 from avagrad_lab.optim import HyperParams, Method
 from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
 from avagrad_lab.runner import TrialConfig, export_trajectory, run_trial
+from avagrad_lab.sweep import GridSpec, default_grid, export_heatmap, run_sweep, separability_index
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REPO = GOLDEN.parent.parent
+SWEEP_FILES = ("heatmap.csv", "separability.csv")
 
 
 def _hp(alpha, epsilon=1e-8, beta1=0.9, beta2=0.999):
@@ -62,6 +69,66 @@ def _cases() -> dict[str, TrialConfig]:
     return cases
 
 
+def _criterion8_spec() -> GridSpec:
+    """The grid of acceptance criterion 8: delayed Adam on the default 21 x 21 axes."""
+    alphas, epsilons = default_grid()
+    return GridSpec(problem=quadratic_make(np.linspace(1.0, 4.0, 10), 0.1, np.zeros(10)),
+                    methods=[Method.DELAYED_ADAM], alphas=alphas, epsilons=epsilons,
+                    seeds=[0], T=1000, w1=np.ones(10))
+
+
+def _criterion9_spec() -> GridSpec:
+    """The grid of acceptance criterion 9: the 7 x 7 x 3 MLP holdout sweep."""
+    train = gaussian_blobs(80, 3, 2, 1.5, RngStream(42))
+    holdout = gaussian_blobs(40, 3, 2, 1.5, RngStream(43))
+    return GridSpec(problem=mlp_make(2, 16, 3, train, batch_size=32),
+                    methods=[Method.ADAM, Method.AVAGRAD],
+                    alphas=[1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0],
+                    epsilons=[1e-2, 1e-1, 1.0, 2.0, 10.0, 20.0, 100.0], seeds=[0, 1, 2],
+                    T=2000, base_seed=7, metric="holdout_ce", holdout=holdout)
+
+
+_CRITERION10_INI = (
+    "[problem]\nkind = quadratic\ncurvatures = 1.0,2.0\nnoise_std = 0.1\n\n"
+    "[run]\nsteps = 100\n\n"
+    "[grid]\nalphas = 0.01,0.1\nepsilons = 0.001,0.1\nmethods = adam\nseeds = 0,1\n"
+)
+
+
+def _write_spec_sweep(spec: GridSpec, workers: int, out: Path) -> None:
+    """Run a grid and write its two CSVs as the sweep command does."""
+    cells = run_sweep(spec, workers=workers, progress=io.StringIO())
+    export_heatmap(cells, out / "heatmap.csv")
+    rows = []
+    for method in spec.methods:
+        try:
+            rows.append((method.value, separability_index(cells, method)))
+        except ValueError:
+            rows.append((method.value, ""))
+    write_csv(out / "separability.csv", ("method", "separability_index"), rows, "separability")
+
+
+def _write_cli_sweep(config: Path, seed: int, out: Path) -> None:
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+
+
+def _write_criterion10(out: Path) -> None:
+    config = out / "sweep.ini"
+    config.write_text(_CRITERION10_INI)
+    _write_cli_sweep(config, 5, out)
+    config.unlink()
+
+
+# name -> writer of heatmap.csv and separability.csv into a directory
+SWEEP_CASES = {
+    "criterion8": lambda out: _write_spec_sweep(_criterion8_spec(), 1, out),
+    "criterion9": lambda out: _write_spec_sweep(_criterion9_spec(), 2, out),
+    "criterion10": _write_criterion10,
+    "quadratic_sweep_demo": lambda out: _write_cli_sweep(
+        REPO / "demos" / "configs" / "quadratic_sweep.ini", 0, out),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_trajectory_matches_golden_bytes(name, tmp_path):
     path = tmp_path / f"{name}.csv"
@@ -76,8 +143,21 @@ def test_diverging_cases_diverge(name):
     assert 10 < rec.steps_done < 1000 and rec.steps_done % 10 != 0  # a flushed final row
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_matches_golden_bytes(name, tmp_path):
+    SWEEP_CASES[name](tmp_path)
+    for fname in SWEEP_FILES:
+        assert (tmp_path / fname).read_bytes() == \
+            (GOLDEN / f"sweep_{name}" / fname).read_bytes(), fname
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case_name, cfg in _cases().items():
         export_trajectory(run_trial(cfg), GOLDEN / f"{case_name}.csv")
         print(f"wrote {GOLDEN / case_name}.csv", file=sys.stderr)
+    for case_name, write in SWEEP_CASES.items():
+        out = GOLDEN / f"sweep_{case_name}"
+        out.mkdir(exist_ok=True)
+        write(out)
+        print(f"wrote {out}/{{{','.join(SWEEP_FILES)}}}", file=sys.stderr)

@@ -88,14 +88,20 @@ class Schedule:
         return cls("inverse_t")
 
 
-def schedule_eval(s: Schedule, t: int) -> float:
-    """Evaluate a schedule at step index t >= 1."""
+def schedule_eval(s: Schedule, t: int, base=None):
+    """Evaluate a schedule at step index t >= 1.
+
+    `base`, when given, stands in for s.base: an (n, 1) column of per-lane
+    bases gives a column of values, each equal to its own schedule's.
+    """
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
+    if base is None:
+        base = s.base
     if s.kind == "constant":
-        return s.base
+        return base
     if s.kind == "inverse_sqrt":
-        return s.base / math.sqrt(t)
+        return base / math.sqrt(t)
     return 1.0 - 1.0 / t
 
 

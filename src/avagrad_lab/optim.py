@@ -144,10 +144,11 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
     """One update of the shared recursion on lanes of shape (..., d).
 
     w, m, v, g (and v_hat, amsgrad only; None otherwise) are arrays of one
-    shape; alpha, b1, b2, eps and lam are the scalars of this step. Returns
-    (w_next, m_next, v_next, v_hat_next, eta, alpha_eff), where eta is the raw
-    rate of each coordinate and alpha_eff is alpha, or for avagrad an array
-    (..., 1) of alpha * sqrt(d) / ||eta||. Everything is coordinate-wise
+    shape; b1, b2 and lam are the scalars of this step, and alpha and eps are
+    scalars or (..., 1) columns of per-lane values. Returns (w_next, m_next,
+    v_next, v_hat_next, eta, alpha_eff), where eta is the raw rate of each
+    coordinate and alpha_eff is alpha, or for avagrad an array (..., 1) of
+    alpha * sqrt(d) / ||eta||. Everything is coordinate-wise
     except that norm, taken per lane over the last axis. The caller opens
     np.errstate and checks finiteness: overflow is a divergence signal here.
     """

@@ -3,10 +3,11 @@
 A trial drives one optimizer over one stochastic problem, accumulating prefix
 statistics (mean iterate, mean squared gradient norm, the rate-weighted mass
 Z) at full resolution while logging CSV rows at a configurable stride. One
-loop runs every trial: it advances n trials that differ only in w1 and seed
-in lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
-one-lane case; run_synth_replicas runs n seeded replicas of the scalar
-two-outcome benchmark. Each lane gets exactly the record it would get alone.
+loop runs every trial: it advances n trials that differ only in w1, seed,
+alpha and epsilon in lock-step, as the (n, d) lanes of optim.lane_update.
+run_trial is its one-lane case; run_synth_replicas runs n seeded replicas of
+the scalar two-outcome benchmark, and sweep.run_sweep runs blocks of grid
+cells. Each lane gets exactly the record it would get alone.
 
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
@@ -82,15 +83,6 @@ class TrialRecord:
 
 def run_trial(cfg: TrialConfig) -> TrialRecord:
     """Execute one trial; divergence stops early and keeps the partial statistics."""
-    if cfg.T < 1:
-        raise ValueError("T must be >= 1")
-    if cfg.record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if cfg.grad_metric not in GRAD_METRICS:
-        raise ValueError(f"grad_metric must be one of {GRAD_METRICS}")
-    w1 = np.asarray(cfg.w1, dtype=np.float64)
-    if w1.shape != (cfg.problem.dim,):
-        raise ValueError(f"w1 has shape {w1.shape}, problem dimension is {cfg.problem.dim}")
     return _run_lanes([cfg])[0]
 
 
@@ -113,8 +105,8 @@ def run_synth_replicas(
     method = Method(method)
     if not isinstance(problem, SynthProblem):
         raise ValueError("replicas only support the scalar two-outcome benchmark")
-    if T < 1 or n_replicas < 1 or record_every < 1:
-        raise ValueError("T, n_replicas and record_every must all be >= 1")
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
     if capture_trace is None:
         capture_trace = record_every == 1
     return _run_lanes([TrialConfig(
@@ -123,9 +115,19 @@ def run_synth_replicas(
         capture_trace=capture_trace, grad_metric="full") for i in range(n_replicas)])
 
 
+def _shared_settings(cfg: TrialConfig) -> tuple:
+    """What every lane of one batch must share: all of a config but w1, seed,
+    the alpha schedule's base and epsilon."""
+    hp = cfg.hp
+    return (Method(cfg.method), cfg.problem, cfg.T, cfg.record_every, cfg.capture_trace,
+            cfg.grad_metric, cfg.converge_tol, hp.alpha.kind, hp.beta1, hp.beta2,
+            hp.weight_decay, hp.decay_mode)
+
+
 def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
-    """Run trials that differ only in w1 and seed in lock-step, as the (n, d)
-    lanes of optim.lane_update, and give each the record it would get alone.
+    """Run trials that differ only in w1, seed, alpha base and epsilon in
+    lock-step, as the (n, d) lanes of optim.lane_update, and give each the
+    record it would get alone.
 
     Each lane draws its tokens from its own stream, in chunks: Philox is
     counter-based, so a chunk of k draws equals k single draws. A lane whose
@@ -135,15 +137,29 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
     method, d = Method(cfg.method), problem.dim
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if every < 1:
+        raise ValueError("record_every must be >= 1")
+    if cfg.grad_metric not in GRAD_METRICS:
+        raise ValueError(f"grad_metric must be one of {GRAD_METRICS}")
+    shared = _shared_settings(cfg)
+    for c in cfgs:
+        if np.shape(c.w1) != (d,):
+            raise ValueError(f"w1 has shape {np.shape(c.w1)}, problem dimension is {d}")
+        if _shared_settings(c) != shared:
+            raise ValueError("lanes may differ only in w1, seed, alpha base and epsilon")
     w = np.array([c.w1 for c in cfgs], dtype=np.float64)
     grad_metric = cfg.grad_metric
     if grad_metric == "full" and problem.full_grad(w[0]) is None:
         grad_metric = "batch"  # no exact expectation available; fall back, flag it
     want_trace = cfg.capture_trace or every == 1
-    eps, lam = hp.epsilon, hp.weight_decay
-    schedules = (hp.alpha, hp.beta1, hp.beta2)
-    varying = any(s.kind != "constant" for s in schedules)  # else evaluated once, here
-    alpha, b1, b2 = [s.base for s in schedules]
+    lam = hp.weight_decay
+    # alpha's base and epsilon may differ per lane; the rest of hp is shared
+    alpha_base = np.array([[c.hp.alpha.base] for c in cfgs], dtype=np.float64)
+    eps = np.array([[c.hp.epsilon] for c in cfgs], dtype=np.float64)
+    varying = any(s.kind != "constant" for s in (hp.alpha, hp.beta1, hp.beta2))
+    alpha, b1, b2 = alpha_base, hp.beta1.base, hp.beta2.base  # if varying, set per step
 
     # Lane state. Per-lane scalars are (n, 1) columns, like avagrad's alpha_eff;
     # the lane axis is 0, except in tokens (1) and the row and trace buffers (2).
@@ -175,15 +191,20 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             trace=TrialTrace(*tr[:, :done, p, 0]) if want_trace else None,
         )
 
-    span = max(1, 65536 // problem.draw_size)  # steps of tokens drawn ahead, <= 65536 scalars
+    span = max(1, 65536 // (n * problem.draw_size))  # steps drawn ahead, <= 65536 scalars
     k = span
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            if k == span:
+            if k == span:  # tokens[k, p] is lane p's draw for the k-th step of the chunk
                 span, k = min(span, T - t + 1), 0
-                tokens = np.array([problem.sample(rng, span) for rng in streams]).swapaxes(0, 1)
+                for p, rng in enumerate(streams):
+                    chunk = problem.sample(rng, span)
+                    if p == 0:
+                        tokens = np.empty((span, len(streams)) + chunk.shape[1:], chunk.dtype)
+                    tokens[:, p] = chunk
             if varying:
-                alpha, b1, b2 = [schedule_eval(s, t) for s in schedules]
+                alpha = schedule_eval(hp.alpha, t, alpha_base)
+                b1, b2 = schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t)
             while True:  # once, unless a lane diverges: then again without it
                 g = problem.grad(w, tokens[k])
                 if grad_metric != "none":
@@ -206,7 +227,8 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     flushed = no_rows
                     if done % every:  # the final row is always flushed, whatever the stride
                         flushed = np.array([[done, w_sum[p, 0] / done, gs_sum[p, 0] / done,
-                                             schedule_eval(hp.alpha, done), eta_min[p, 0],
+                                             schedule_eval(cfgs[ids[p]].hp.alpha, done),
+                                             eta_min[p, 0],
                                              np.sqrt(np.sum(eta[p] * eta[p])),
                                              np.broadcast_to(alpha_eff, (len(ids), 1))[p, 0]]])
                     records[ids[p]] = record(p, STATUS_DIVERGED, done, flushed)
@@ -214,9 +236,9 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                 streams = [streams[p] for p in keep]
                 tokens, rows = tokens[:, keep], rows[:, :, keep]
                 tr = tr[:, :, keep] if want_trace else None
-                lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum)
-                ids, w, m, v, v_hat, w_sum, gs_sum, z_sum = [
-                    None if a is None else a[keep] for a in lane_state]
+                lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps)
+                ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps = [
+                    a[keep] if isinstance(a, np.ndarray) else a for a in lane_state]
                 if not len(ids):
                     return records  # else the step is redone: the kept lanes were finite
             k += 1

@@ -2,10 +2,11 @@
 
 A sweep enumerates (method, alpha, epsilon, seed) cells, runs one trial per
 cell with a seed mixed purely from the cell's identity, and scores the final
-iterate with a problem-level metric. Diverged cells are kept and ranked worst
-so per-column argmins stay defined. The separability index summarises how
-much the best alpha moves as epsilon changes: 1.0 means one alpha wins every
-epsilon column.
+iterate with a problem-level metric. The cells of one method run in blocks,
+each block as the lock-step lanes of one runner batch. Diverged cells are
+kept and ranked worst so per-column argmins stay defined. The separability
+index summarises how much the best alpha moves as epsilon changes: 1.0 means
+one alpha wins every epsilon column.
 """
 
 from __future__ import annotations
@@ -20,9 +21,14 @@ import numpy as np
 from .core import RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
 from .problems import LabeledSet, MlpProblem, StochasticProblem
-from .runner import STATUS_DIVERGED, TrialConfig, run_trial
+from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, _run_lanes, run_trial
 
 METRICS = ("full_objective", "holdout_ce", "holdout_error")
+
+#: scalars of per-lane state one block may hold: lanes x (dim + draw_size).
+#: Peak memory grows with the block width, and a few dozen lanes already
+#: take most of the per-step overhead off each cell.
+BLOCK_SCALARS = 2048
 
 HEATMAP_COLUMNS = ("method", "alpha", "epsilon", "seed", "final_metric", "status")
 
@@ -127,20 +133,16 @@ def _cell_metric(spec: GridSpec, w_final: np.ndarray) -> float:
     return spec.problem.dataset_error(w_final, spec.holdout)
 
 
-def _run_cell(spec: GridSpec, task: tuple[int, int, int, int]) -> HeatmapCell:
+def _cell_config(spec: GridSpec, task: tuple[int, int, int, int]) -> TrialConfig:
     mi, ai, ei, si = task
-    method = spec.methods[mi]
-    alpha = spec.alphas[ai]
-    epsilon = spec.epsilons[ei]
-    seed_label = spec.seeds[si]
     cell_seed = mix_seed(spec.base_seed, mi, ai, ei, si)
     if spec.w1 is not None:
         w1 = np.array(spec.w1, dtype=np.float64)
     else:
         w1 = spec.init_scale * RngStream(mix_seed(cell_seed, 0)).normal(spec.problem.dim)
-    cfg = TrialConfig(
-        method=method,
-        hp=spec.hyper_params(alpha, epsilon),
+    return TrialConfig(
+        method=spec.methods[mi],
+        hp=spec.hyper_params(spec.alphas[ai], spec.epsilons[ei]),
         problem=spec.problem,
         T=spec.T,
         w1=w1,
@@ -148,16 +150,57 @@ def _run_cell(spec: GridSpec, task: tuple[int, int, int, int]) -> HeatmapCell:
         record_every=spec.T,
         grad_metric="none",
     )
-    # numeric failure only: a programming error must surface, not become a cell
-    try:
-        record = run_trial(cfg)
-        diverged = record.status == STATUS_DIVERGED
-        metric = math.inf if diverged else _cell_metric(spec, record.w_final)
-    except ArithmeticError:
-        return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, "failed")
+
+
+def _cell(spec: GridSpec, task: tuple[int, int, int, int], status: str,
+          metric: float = math.inf) -> HeatmapCell:
+    mi, ai, ei, si = task
+    return HeatmapCell(spec.methods[mi].value, spec.alphas[ai], spec.epsilons[ei],
+                       spec.seeds[si], metric, status)
+
+
+def _scored_cell(spec: GridSpec, task: tuple[int, int, int, int],
+                 record: TrialRecord) -> HeatmapCell:
+    metric = math.inf if record.status == STATUS_DIVERGED else _cell_metric(spec, record.w_final)
     if not math.isfinite(metric):
-        return HeatmapCell(method.value, alpha, epsilon, seed_label, math.inf, STATUS_DIVERGED)
-    return HeatmapCell(method.value, alpha, epsilon, seed_label, metric, record.status)
+        return _cell(spec, task, STATUS_DIVERGED)
+    return _cell(spec, task, record.status, metric)
+
+
+def _run_block(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[HeatmapCell]:
+    """Run one block of cells of one method as the lanes of one batch.
+
+    Only a numeric failure is caught; a programming error must surface, not
+    become a cell. A block that fails is run again one cell at a time, so
+    that only the cells that fail are marked failed.
+    """
+    cfgs = [_cell_config(spec, task) for task in block]
+    try:
+        return [_scored_cell(spec, task, record)
+                for task, record in zip(block, _run_lanes(cfgs))]
+    except ArithmeticError:
+        pass
+    cells = []
+    for task, cfg in zip(block, cfgs):
+        try:
+            cells.append(_scored_cell(spec, task, run_trial(cfg)))
+        except ArithmeticError:
+            cells.append(_cell(spec, task, "failed"))
+    return cells
+
+
+def _blocks(spec: GridSpec) -> list[list[tuple[int, int, int, int]]]:
+    """Each method's cells in task order, cut into blocks of at most
+    BLOCK_SCALARS // (dim + draw_size) lanes."""
+    width = max(1, BLOCK_SCALARS // (spec.problem.dim + spec.problem.draw_size))
+    blocks = []
+    for mi in range(len(spec.methods)):
+        tasks = [(mi, ai, ei, si)
+                 for ai in range(len(spec.alphas))
+                 for ei in range(len(spec.epsilons))
+                 for si in range(len(spec.seeds))]
+        blocks += [tasks[i:i + width] for i in range(0, len(tasks), width)]
+    return blocks
 
 
 _WORKER_SPEC: GridSpec | None = None
@@ -168,41 +211,37 @@ def _init_worker(spec: GridSpec) -> None:
     _WORKER_SPEC = spec
 
 
-def _run_cell_worker(task: tuple[int, int, int, int]) -> HeatmapCell:
-    return _run_cell(_WORKER_SPEC, task)
+def _run_block_worker(block: list[tuple[int, int, int, int]]) -> list[HeatmapCell]:
+    return _run_block(_WORKER_SPEC, block)
 
 
 def run_sweep(spec: GridSpec, workers: int = 1, progress=None) -> list[HeatmapCell]:
     """Run every grid cell exactly once and return cells sorted by identity.
 
-    The per-cell seed depends only on (method index, alpha index, epsilon
-    index, seed index), so the output is identical for any worker count.
-    Progress is written to `progress` (defaults to stderr) as done/total lines.
+    Cells run in blocks of one method, each block as the lock-step lanes of
+    one batch, and workers take whole blocks. The per-cell seed depends only
+    on (method index, alpha index, epsilon index, seed index), and a lane
+    gets the record it would get alone, so the output is identical for any
+    worker count and block width. Progress is written to `progress`
+    (defaults to stderr) as one done/total line per block, counted in cells.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if progress is None:
         progress = sys.stderr
-    tasks = [
-        (mi, ai, ei, si)
-        for mi in range(len(spec.methods))
-        for ai in range(len(spec.alphas))
-        for ei in range(len(spec.epsilons))
-        for si in range(len(spec.seeds))
-    ]
-    total = len(tasks)
+    blocks = _blocks(spec)
+    total = sum(len(block) for block in blocks)
     cells: list[HeatmapCell] = []
     if workers == 1:
-        for done, task in enumerate(tasks, start=1):
-            cells.append(_run_cell(spec, task))
-            print(f"{done}/{total}", file=progress)
+        for block in blocks:
+            cells += _run_block(spec, block)
+            print(f"{len(cells)}/{total}", file=progress)
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(spec,)) as pool:
-            chunk = max(1, total // (workers * 8))
-            for done, cell in enumerate(pool.map(_run_cell_worker, tasks, chunksize=chunk), 1):
-                cells.append(cell)
-                print(f"{done}/{total}", file=progress)
+            for block_cells in pool.map(_run_block_worker, blocks):
+                cells += block_cells
+                print(f"{len(cells)}/{total}", file=progress)
     cells.sort(key=lambda c: c.sort_key)
     return cells
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -257,6 +258,34 @@ class TestReplicaEngineParity:
         for cfg, rec in zip(cfgs, records):
             assert_same_record(rec, run_trial(cfg))
 
+    @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt"])
+    def test_lanes_with_their_own_alpha_diverge_at_their_own_steps(self, kind):
+        """The flushed final row of a diverged lane carries that lane's alpha."""
+        problem = quadratic_make([1.0, 2.0], 0.1)
+        rates = ((0.1, 1e-8), (3.0, 1e-3), (30.0, 1e-1), (3000.0, 10.0))
+        cfgs = [TrialConfig(method=Method.SGD, hp=HyperParams(alpha=Schedule(kind, alpha),
+                                                              epsilon=eps),
+                            problem=problem, T=400, w1=np.ones(2), seed=i, record_every=4)
+                for i, (alpha, eps) in enumerate(rates)]
+        records = _run_lanes(cfgs)
+        diverged = [rec.steps_done for rec in records if rec.status == STATUS_DIVERGED]
+        assert len(set(diverged)) == len(diverged) >= 2 and all(s % 4 for s in diverged)
+        for cfg, rec in zip(cfgs, records):
+            assert_same_record(rec, run_trial(cfg))
+
+    def test_lane_leaves_a_batch_whose_alpha_is_one_value(self):
+        # an inverse_t alpha ignores its base, so the batch holds one alpha, not a column
+        problem = quadratic_make([1.0, 2.0], 0.0)
+        hp = HyperParams(alpha=Schedule.inverse_t(), epsilon=1e-8)
+        cfgs = [TrialConfig(method=Method.ADAM, hp=hp, problem=problem, T=20, w1=np.array(w1),
+                            seed=i, record_every=3)
+                for i, w1 in enumerate(([1.0, 1.0], [1e200, 1.0], [-1.0, 2.0]))]
+        records = _run_lanes(cfgs)
+        assert [rec.status for rec in records] == [STATUS_FINISHED, STATUS_DIVERGED,
+                                                   STATUS_FINISHED]
+        for cfg, rec in zip(cfgs, records):
+            assert_same_record(rec, run_trial(cfg))
+
     def test_mlp_lanes_match_run_trial(self):
         problem = mlp_make(2, 8, 3, gaussian_blobs(20, 3, 2, 1.5, RngStream(2)), batch_size=8)
         cfgs = [TrialConfig(method=Method.AVAGRAD, hp=make_hp(alpha=1e-2, beta1=0.9),
@@ -272,18 +301,21 @@ class TestReplicaEngineParity:
         quadratic_d=st.integers(0, 12),  # 0: the synth problem
         n=st.integers(1, 6),
         log_alpha=st.floats(-4.0, 8.0),
-        alpha_kind=st.sampled_from(["constant", "inverse_sqrt"]),
+        alpha_kind=st.sampled_from(["constant", "inverse_sqrt", "inverse_t"]),
         log_scale=st.floats(0.0, 170.0),
         grad_metric=st.sampled_from(["full", "batch", "none"]),
         T=st.integers(1, 40),
         record_every=st.integers(1, 7),
+        per_lane_rates=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_n_lanes_equal_n_single_trials(self, method, quadratic_d, n, log_alpha, alpha_kind,
-                                           log_scale, grad_metric, T, record_every, seed):
+                                           log_scale, grad_metric, T, record_every,
+                                           per_lane_rates, seed):
         """Axis and compaction bugs show here: lanes start at very different
         scales, so at a large alpha they diverge at different steps (in about
-        a third of the examples)."""
+        a third of the examples). With per_lane_rates each lane also has its
+        own alpha base and epsilon, which the batch carries as columns."""
         rng = np.random.default_rng(seed)
         if quadratic_d:
             problem = quadratic_make(1.0 + 3.0 * rng.random(quadratic_d), 0.1)
@@ -291,9 +323,13 @@ class TestReplicaEngineParity:
         else:
             problem = synth_make(999.0, 1.0)
             starts = rng.random((n, 1))
-        hp = HyperParams(alpha=Schedule(alpha_kind, 10.0 ** log_alpha), epsilon=1e-6,
-                         beta1=Schedule.constant(0.9), beta2=Schedule.constant(0.99))
-        cfgs = [TrialConfig(method=method, hp=hp, problem=problem, T=T, w1=w1,
+        def lane_hp():
+            spread = per_lane_rates * rng.normal(size=2)
+            return HyperParams(alpha=Schedule(alpha_kind, 10.0 ** (log_alpha + 2.0 * spread[0])),
+                               epsilon=10.0 ** (-6.0 + 3.0 * spread[1]),
+                               beta1=Schedule.constant(0.9), beta2=Schedule.constant(0.99))
+
+        cfgs = [TrialConfig(method=method, hp=lane_hp(), problem=problem, T=T, w1=w1,
                             seed=int(rng.integers(2**63)), record_every=record_every,
                             grad_metric=grad_metric) for w1 in starts]
         for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
@@ -315,6 +351,33 @@ class TestReplicaEngineParity:
         whole = run_trial(cfg)
         problem.draw_size = 65536 // 3
         assert_same_record(run_trial(cfg), whole)
+
+    @pytest.mark.parametrize("change", [
+        dict(method=Method.AVAGRAD), dict(T=51), dict(record_every=5), dict(capture_trace=True),
+        dict(grad_metric="batch"), dict(converge_tol=1e-3),
+        dict(problem=quadratic_make([1.0, 4.0], 0.1)),
+        dict(hp=HyperParams(alpha=Schedule.inverse_sqrt(1e-3), epsilon=1e-8)),
+        dict(hp=HyperParams(alpha=Schedule.constant(1e-3), epsilon=1e-8,
+                            beta1=Schedule.constant(0.5))),
+        dict(hp=HyperParams(alpha=Schedule.constant(1e-3), epsilon=1e-8, weight_decay=1e-2)),
+        dict(hp=HyperParams(alpha=Schedule.constant(1e-3), epsilon=1e-8,
+                            decay_mode=DecayMode.COUPLED_L2)),
+    ])
+    def test_lanes_must_share_all_but_start_seed_alpha_and_epsilon(self, change):
+        problem = quadratic_make([1.0, 4.0], 0.1)
+        base = TrialConfig(method=Method.ADAM, hp=HyperParams(
+            alpha=Schedule.constant(1e-3), epsilon=1e-8), problem=problem, T=50,
+            w1=np.ones(2), seed=0)
+        free = dataclasses.replace(base, hp=HyperParams(
+            alpha=Schedule.constant(0.5), epsilon=1.0), w1=np.zeros(2), seed=1)
+        assert len(_run_lanes([base, free])) == 2
+        with pytest.raises(ValueError, match="lanes may differ only"):
+            _run_lanes([base, free, dataclasses.replace(base, **change)])
+
+    def test_lane_with_wrong_start_shape_rejected(self):
+        cfg = synth_cfg()
+        with pytest.raises(ValueError, match="problem dimension"):
+            _run_lanes([cfg, dataclasses.replace(cfg, w1=np.array([0.5, 0.5]))])
 
     def test_unsupported_problem_rejected(self):
         problem = quadratic_make([1.0], 0.0)

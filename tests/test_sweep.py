@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avagrad_lab import sweep
 from avagrad_lab.optim import Method
 from avagrad_lab.problems import QuadraticProblem, quadratic_make
+from avagrad_lab.runner import run_trial
 from avagrad_lab.sweep import (
+    BLOCK_SCALARS,
     GridSpec,
     HeatmapCell,
     default_grid,
@@ -116,6 +121,45 @@ class TestRunSweep:
                              methods=(Method.SGD,)), progress=out)
         assert out.getvalue() == "1/1\n"
 
+    def test_progress_is_one_line_per_block_counted_in_cells(self, monkeypatch):
+        spec = small_spec(methods=(Method.SGD, Method.ADAM), alphas=(0.01, 0.1, 1.0),
+                          epsilons=(1e-2,), seeds=(0,))
+        monkeypatch.setattr(sweep, "BLOCK_SCALARS", 2 * (2 + 2))  # two lanes at d = 2
+        out = io.StringIO()
+        run_sweep(spec, progress=out)
+        assert out.getvalue() == "2/6\n3/6\n5/6\n6/6\n"  # blocks never span two methods
+
+    def test_failing_cell_is_marked_alone(self, monkeypatch):
+        """A numeric failure in one cell of a block marks that cell failed;
+        its block is rerun one cell at a time, so the others keep their result."""
+        class FlakyProblem(QuadraticProblem):
+            seen, bad = [], None
+
+            def objective(self, w):
+                if w.tobytes() == self.bad:
+                    raise FloatingPointError("overflow in the metric")
+                self.seen.append(w.tobytes())
+                return super().objective(w)
+
+        spec = small_spec(methods=(Method.ADAM,), T=20)
+        spec.problem = FlakyProblem([1.0, 4.0], 0.1, [0.3, -0.2])
+        monkeypatch.setattr(sweep, "BLOCK_SCALARS", 10**6)  # every cell in one block
+        clean = run_sweep(spec, progress=io.StringIO())
+        FlakyProblem.bad = FlakyProblem.seen[5]  # the sixth cell's final iterate
+        reruns = []
+
+        def counted_run_trial(cfg):
+            reruns.append(cfg)
+            return run_trial(cfg)
+
+        monkeypatch.setattr(sweep, "run_trial", counted_run_trial)
+        cells = run_sweep(spec, progress=io.StringIO())
+        assert len(reruns) == len(cells)
+        failed = [c for c in cells if c.status == "failed"]
+        assert len(failed) == 1 and math.isinf(failed[0].final_metric)
+        assert [c for c in cells if c.status != "failed"] == \
+            [c for c in clean if c.sort_key != failed[0].sort_key]
+
     def test_seed_mixing_independent_of_method_list_order(self):
         # same cell identity -> same result, regardless of other methods present
         a = run_sweep(small_spec(methods=(Method.SGD,)), progress=io.StringIO())
@@ -123,6 +167,39 @@ class TestRunSweep:
         sgd_b = [c for c in b if c.method == "sgd"]
         assert [(c.sort_key, c.final_metric) for c in a] == \
                [(c.sort_key, c.final_metric) for c in sgd_b]
+
+
+AXIS_ALPHAS = (1e-3, 1e-1, 1.0, 10.0, 1e150)  # SGD and momentum diverge at 10 and up
+AXIS_EPSILONS = (1e-8, 1e-4, 1e-1, 10.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    methods=st.lists(st.sampled_from(list(Method)), min_size=1, max_size=2, unique=True),
+    alphas=st.sets(st.sampled_from(AXIS_ALPHAS), min_size=1),
+    epsilons=st.sets(st.sampled_from(AXIS_EPSILONS), min_size=1),
+    n_seeds=st.integers(1, 2),
+    d=st.integers(1, 3),
+    fixed_w1=st.booleans(),
+    T=st.integers(1, 60),
+    width=st.integers(1, 12),
+    base_seed=st.integers(0, 2**32 - 1),
+)
+def test_cells_independent_of_workers_and_block_width(methods, alphas, epsilons, n_seeds, d,
+                                                     fixed_w1, T, width, base_seed):
+    spec = GridSpec(problem=quadratic_make(np.linspace(1.0, 4.0, d), 0.1), methods=methods,
+                    alphas=sorted(alphas), epsilons=sorted(epsilons),
+                    seeds=list(range(n_seeds)), T=T, base_seed=base_seed,
+                    w1=np.full(d, 2.0) if fixed_w1 else None, init_scale=1.0)
+    per_lane = spec.problem.dim + spec.problem.draw_size
+    runs = []
+    for lanes, workers in ((1, 1), (width, 1), (width, 2)):
+        sweep.BLOCK_SCALARS = lanes * per_lane
+        try:
+            runs.append(run_sweep(spec, workers=workers, progress=io.StringIO()))
+        finally:
+            sweep.BLOCK_SCALARS = BLOCK_SCALARS
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def cell(method, alpha, eps, seed=0, metric=1.0, status="finished"):

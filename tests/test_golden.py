@@ -1,8 +1,9 @@
-"""Byte-for-byte trajectory and sweep fixtures.
+"""Byte-for-byte trajectory, sweep and synthfig fixtures.
 
 Each trajectory case runs one trial and writes its rows with
 export_trajectory; each sweep case runs one grid and writes heatmap.csv and
-separability.csv as the sweep command does. The bytes must equal the CSVs
+separability.csv as the sweep command does; each synthfig case runs the
+synthfig command and writes fig1_left.csv and fig1_right.csv. The bytes must equal the CSVs
 stored under tests/golden/. The fixtures were recorded with Python 3.11.7 and
 numpy 2.4.6; a different numpy or BLAS build may round differently.
 Re-record them only on purpose, with
@@ -12,6 +13,7 @@ Re-record them only on purpose, with
 
 from __future__ import annotations
 
+import contextlib
 import io
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from avagrad_lab.sweep import GridSpec, default_grid, export_heatmap, run_sweep,
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPO = GOLDEN.parent.parent
 SWEEP_FILES = ("heatmap.csv", "separability.csv")
+FIG1_FILES = ("fig1_left.csv", "fig1_right.csv")
 
 
 def _hp(alpha, epsilon=1e-8, beta1=0.9, beta2=0.999):
@@ -129,6 +132,18 @@ SWEEP_CASES = {
 }
 
 
+# name -> synthfig flags; 2999 steps give stride 2 and a final partial row
+SYNTHFIG_CASES = {
+    "steps2000": ("--steps", "2000", "--num-seeds", "10", "--seed", "0"),
+    "steps2999": ("--steps", "2999", "--num-seeds", "3", "--seed", "4"),
+}
+
+
+def _write_synthfig(name: str, out: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synthfig", *SYNTHFIG_CASES[name], "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_trajectory_matches_golden_bytes(name, tmp_path):
     path = tmp_path / f"{name}.csv"
@@ -151,6 +166,14 @@ def test_sweep_matches_golden_bytes(name, tmp_path):
             (GOLDEN / f"sweep_{name}" / fname).read_bytes(), fname
 
 
+@pytest.mark.parametrize("name", sorted(SYNTHFIG_CASES))
+def test_synthfig_matches_golden_bytes(name, tmp_path):
+    _write_synthfig(name, tmp_path)
+    for fname in FIG1_FILES:
+        assert (tmp_path / fname).read_bytes() == \
+            (GOLDEN / f"synthfig_{name}" / fname).read_bytes(), fname
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case_name, cfg in _cases().items():
@@ -161,3 +184,8 @@ if __name__ == "__main__":
         out.mkdir(exist_ok=True)
         write(out)
         print(f"wrote {out}/{{{','.join(SWEEP_FILES)}}}", file=sys.stderr)
+    for case_name in SYNTHFIG_CASES:
+        out = GOLDEN / f"synthfig_{case_name}"
+        out.mkdir(exist_ok=True)
+        _write_synthfig(case_name, out)
+        print(f"wrote {out}/{{{','.join(FIG1_FILES)}}}", file=sys.stderr)

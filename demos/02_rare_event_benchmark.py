@@ -38,11 +38,14 @@ hp = HyperParams(
 T, seeds, w1 = 400_000, 5, 1.0
 print(f"\nrunning {seeds} replicas of {T} steps per method from w1 = {w1}")
 print(f"{'method':13s} {'mean iterate':>12s} {'mean grad^2':>12s} {'final w':>9s}")
-for method in (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM):
-    records = run_synth_replicas(
-        problem, method, hp, w1=w1, T=T, base_seed=11,
-        n_replicas=seeds, record_every=T // 20,
-    )
+methods = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
+# one lock-step batch: the replicas of each method in turn, each with its own seed
+all_records = run_synth_replicas(
+    problem, methods, hp, w1=w1, T=T, base_seed=11,
+    n_replicas=seeds, record_every=T // 20,
+)
+for j, method in enumerate(methods):
+    records = all_records[j * seeds:(j + 1) * seeds]
     prefix_w = np.mean([r.w_mean for r in records])
     prefix_gs = np.mean([r.grad_norm_sq_mean for r in records])
     final_w = np.mean([r.w_final[0] for r in records])

@@ -302,23 +302,18 @@ def cmd_synthfig(args) -> int:
         beta1=Schedule.constant(0.0),
         beta2=Schedule.constant(0.99),
     )
-    t_grid = None
-    w_curves, gs_curves = {}, {}
-    for method in SYNTHFIG_METHODS:
-        records = run_synth_replicas(
-            problem, method, hp, w1=0.5, T=steps, base_seed=base_seed,
-            n_replicas=n_seeds, record_every=stride, capture_trace=False,
-        )
-        stack = np.stack([r.rows for r in records])  # (seeds, rows, cols)
-        if t_grid is None:
-            t_grid = stack[0, :, 0]
-        w_curves[method.value] = stack[:, :, 1].mean(axis=0)
-        gs_curves[method.value] = stack[:, :, 2].mean(axis=0)
-
+    records = run_synth_replicas(  # one batch: the replicas of each method in turn
+        problem, SYNTHFIG_METHODS, hp, w1=0.5, T=steps, base_seed=base_seed,
+        n_replicas=n_seeds, record_every=stride, capture_trace=False,
+    )
+    t_grid = records[0].rows[:, 0].astype(np.int64).tolist()
+    groups = [records[j * n_seeds:(j + 1) * n_seeds] for j in range(len(SYNTHFIG_METHODS))]
     names = [m.value for m in SYNTHFIG_METHODS]
-    for fname, curves in (("fig1_left.csv", w_curves), ("fig1_right.csv", gs_curves)):
-        rows = zip(t_grid.astype(np.int64).tolist(), *(curves[n].tolist() for n in names))
-        write_csv(out_dir / fname, ["t", *names], rows, "synthfig curves")
+    for fname, col in (("fig1_left.csv", 1), ("fig1_right.csv", 2)):
+        # the seed mean of one row column per method: iterate, then grad-norm-sq
+        curves = [np.stack([r.rows[:, col] for r in group]).mean(axis=0).tolist()
+                  for group in groups]
+        write_csv(out_dir / fname, ["t", *names], zip(t_grid, *curves), "synthfig curves")
     print(f"# synthfig steps={steps} seeds={n_seeds} base_seed={base_seed} out={out_dir}")
     return 0
 

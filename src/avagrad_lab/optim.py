@@ -13,6 +13,11 @@ The delayed variants make eta_t independent of the sample drawn at step t,
 which removes the correlation between the rate and the current gradient.
 No bias correction is applied to m or v anywhere: the state machine follows
 the plain recursions with m_0 = v_0 = 0.
+
+adam, amsgrad and delayed_adam share every recursion but the buffer eta is
+read from, so lanes of all three can advance in one lane_update call: a rate
+source (rate_source) holds boolean (n, 1) masks of the lanes that read
+max(vhat, v_t) and v_{t-1}, and np.where picks each lane's buffer.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ class DecayMode(str, Enum):
 
 #: methods whose eta_t is computed from v_{t-1}, before v absorbs g_t
 DELAYED_METHODS = frozenset({Method.DELAYED_ADAM, Method.AVAGRAD, Method.AVAGRADW})
+
+#: methods whose lanes can share one batch, each reading eta from its own buffer
+RATE_SOURCE_METHODS = frozenset({Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM})
 
 #: methods that always apply decoupled weight decay, whatever hp.decay_mode says
 _FORCED_DECOUPLED = frozenset({Method.ADAMW, Method.AVAGRADW})
@@ -139,18 +147,37 @@ def _scaled_norm(eta: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(eta * eta, axis=-1, keepdims=True)) / math.sqrt(eta.shape[-1])
 
 
+def rate_source(methods) -> tuple | None:
+    """The rate source of a batch whose lane i runs methods[i]: None when every
+    lane runs one method, else a pair (delayed, amsgrad) of boolean (n, 1)
+    masks of the lanes that read v_{t-1} and max(vhat, v_t), each None when no
+    lane does; the other lanes read v_t. A mixed batch may hold only
+    RATE_SOURCE_METHODS."""
+    methods = [Method(m) for m in methods]
+    if len(set(methods)) == 1:
+        return None
+    if not RATE_SOURCE_METHODS.issuperset(methods):
+        raise ValueError("only adam, amsgrad and delayed_adam lanes can share a batch")
+    masks = (np.array([[m is kind] for m in methods])
+             for kind in (Method.DELAYED_ADAM, Method.AMSGRAD))
+    return tuple(mask if mask.any() else None for mask in masks)
+
+
 def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
-                alpha, b1, b2, eps, lam):
+                alpha, b1, b2, eps, lam, source=None):
     """One update of the shared recursion on lanes of shape (..., d).
 
-    w, m, v, g (and v_hat, amsgrad only; None otherwise) are arrays of one
-    shape; b1, b2 and lam are the scalars of this step, and alpha and eps are
-    scalars or (..., 1) columns of per-lane values. Returns (w_next, m_next,
-    v_next, v_hat_next, eta, alpha_eff), where eta is the raw rate of each
-    coordinate and alpha_eff is alpha, or for avagrad an array (..., 1) of
-    alpha * sqrt(d) / ||eta||. Everything is coordinate-wise
-    except that norm, taken per lane over the last axis. The caller opens
-    np.errstate and checks finiteness: overflow is a divergence signal here.
+    w, m, v, g (and v_hat, when a lane is amsgrad; None otherwise) are arrays
+    of one shape; b1, b2 and lam are the scalars of this step, and alpha and
+    eps are scalars or (..., 1) columns of per-lane values. source is None, or
+    for a batch of mixed adam, amsgrad and delayed_adam lanes the rate_source
+    that picks each lane's eta, whichever of the three method names; its
+    amsgrad lanes need v_hat. Returns (w_next, m_next, v_next, v_hat_next,
+    eta, alpha_eff), where eta is the raw rate of each coordinate and
+    alpha_eff is alpha, or for avagrad an array (..., 1) of
+    alpha * sqrt(d) / ||eta||. Everything is coordinate-wise except that
+    norm, taken per lane over the last axis. The caller opens np.errstate and
+    checks finiteness: overflow is a divergence signal here.
     """
     if method in _FORCED_DECOUPLED:
         decay_mode = _DECOUPLED
@@ -169,7 +196,16 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
     else:
         m_next = b1 * m + (1.0 - b1) * g
         v_next = b2 * v + (1.0 - b2) * (g * g)
-        if method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
+        if source is not None:  # each lane's own buffer: v_t, max(vhat, v_t) or v_{t-1}
+            delayed, amsgrad = source
+            rate_v = v_next
+            if amsgrad is not None:
+                v_hat_next = np.maximum(v_hat, v_next)
+                rate_v = np.where(amsgrad, v_hat_next, v_next)
+            if delayed is not None:
+                rate_v = np.where(delayed, v, rate_v)
+            eta = 1.0 / (np.sqrt(rate_v) + eps)
+        elif method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
             eta = 1.0 / (np.sqrt(v) + eps)
         elif method is _AMSGRAD:
             v_hat_next = np.maximum(v_hat, v_next)

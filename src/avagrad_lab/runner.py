@@ -4,10 +4,11 @@ A trial drives one optimizer over one stochastic problem, accumulating prefix
 statistics (mean iterate, mean squared gradient norm, the rate-weighted mass
 Z) at full resolution while logging CSV rows at a configurable stride. One
 loop runs every trial: it advances n trials that differ only in w1, seed,
-alpha and epsilon in lock-step, as the (n, d) lanes of optim.lane_update.
-run_trial is its one-lane case; run_synth_replicas runs n seeded replicas of
-the scalar two-outcome benchmark, and sweep.run_sweep runs blocks of grid
-cells. Each lane gets exactly the record it would get alone.
+alpha, epsilon and, among adam, amsgrad and delayed_adam, the method in
+lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
+one-lane case; run_synth_replicas runs n seeded replicas of the scalar
+two-outcome benchmark for one method or several, and sweep.run_sweep runs
+blocks of grid cells. Each lane gets exactly the record it would get alone.
 
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
@@ -19,12 +20,14 @@ delayed rates on finite-outcome problems).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
-from .optim import HyperParams, Method, OptimizerState, lane_update
+from .optim import (RATE_SOURCE_METHODS, HyperParams, Method, OptimizerState, lane_update,
+                    rate_source)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
@@ -88,7 +91,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
 
 def run_synth_replicas(
     problem: SynthProblem,
-    method: Method,
+    method: Method | Sequence[Method],
     hp: HyperParams,
     w1: float,
     T: int,
@@ -100,9 +103,11 @@ def run_synth_replicas(
     """Run n independent replicas of the scalar benchmark in lock-step.
 
     Replica i is the trial run_trial would run with seed mix_seed(base_seed, i),
-    and it gets exactly that trial's record, divergence included.
+    and it gets exactly that trial's record, divergence included. Given a
+    sequence of methods (of adam, amsgrad and delayed_adam), all n replicas
+    of each run as one batch, and the records come method by method.
     """
-    method = Method(method)
+    methods = [method] if isinstance(method, str) else method
     if not isinstance(problem, SynthProblem):
         raise ValueError("replicas only support the scalar two-outcome benchmark")
     if n_replicas < 1:
@@ -110,24 +115,27 @@ def run_synth_replicas(
     if capture_trace is None:
         capture_trace = record_every == 1
     return _run_lanes([TrialConfig(
-        method=method, hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
+        method=Method(m), hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
         seed=mix_seed(base_seed, i), record_every=record_every,
-        capture_trace=capture_trace, grad_metric="full") for i in range(n_replicas)])
+        capture_trace=capture_trace, grad_metric="full")
+        for m in methods for i in range(n_replicas)])
 
 
 def _shared_settings(cfg: TrialConfig) -> tuple:
     """What every lane of one batch must share: all of a config but w1, seed,
-    the alpha schedule's base and epsilon."""
-    hp = cfg.hp
-    return (Method(cfg.method), cfg.problem, cfg.T, cfg.record_every, cfg.capture_trace,
-            cfg.grad_metric, cfg.converge_tol, hp.alpha.kind, hp.beta1, hp.beta2,
-            hp.weight_decay, hp.decay_mode)
+    the alpha schedule's base, epsilon and a method of RATE_SOURCE_METHODS."""
+    hp, method = cfg.hp, Method(cfg.method)
+    return (Method.ADAM if method in RATE_SOURCE_METHODS else method, cfg.problem, cfg.T,
+            cfg.record_every, cfg.capture_trace, cfg.grad_metric, cfg.converge_tol,
+            hp.alpha.kind, hp.beta1, hp.beta2, hp.weight_decay, hp.decay_mode)
 
 
 def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
-    """Run trials that differ only in w1, seed, alpha base and epsilon in
-    lock-step, as the (n, d) lanes of optim.lane_update, and give each the
-    record it would get alone.
+    """Run trials that differ only in w1, seed, alpha base, epsilon and a
+    method among adam, amsgrad and delayed_adam in lock-step, as the (n, d)
+    lanes of optim.lane_update, and give each the record it would get alone.
+    A batch of mixed methods passes lane_update a rate source whose masks
+    pick each lane's eta; a batch of one method runs without one.
 
     Each lane draws its tokens from its own stream, in chunks: Philox is
     counter-based, so a chunk of k draws equals k single draws. A lane whose
@@ -148,7 +156,8 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
         if np.shape(c.w1) != (d,):
             raise ValueError(f"w1 has shape {np.shape(c.w1)}, problem dimension is {d}")
         if _shared_settings(c) != shared:
-            raise ValueError("lanes may differ only in w1, seed, alpha base and epsilon")
+            raise ValueError("lanes may differ only in w1, seed, alpha base, epsilon and a "
+                             "method among adam, amsgrad and delayed_adam")
     w = np.array([c.w1 for c in cfgs], dtype=np.float64)
     grad_metric = cfg.grad_metric
     if grad_metric == "full" and problem.full_grad(w[0]) is None:
@@ -168,7 +177,8 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     ids = np.arange(n)
     streams = [RngStream(c.seed) for c in cfgs]
     m, v = np.zeros((n, d)), np.zeros((n, d))
-    v_hat = np.zeros((n, d)) if method is Method.AMSGRAD else None
+    source = rate_source([c.method for c in cfgs])  # the (n, 1) masks of a mixed batch
+    v_hat = np.zeros((n, d)) if any(c.method == Method.AMSGRAD for c in cfgs) else None
     w_sum, gs_sum, z_sum = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1))
     rows, n_rows = np.empty((T // every + (T % every > 0), len(ROW_COLUMNS), n, 1)), 0
     tr = np.empty((6, T, n, 1)) if want_trace else None  # the TrialTrace fields, in order
@@ -177,7 +187,11 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     records: list[TrialRecord | None] = [None] * n
     no_rows = np.empty((0, len(ROW_COLUMNS)))
 
-    def record(p: int, status: str, done: int, flushed=no_rows) -> TrialRecord:
+    def record(p: int, status: str, done: int, flushed=None) -> TrialRecord:
+        # The rows of a lane that ran all T steps are a view of the final row
+        # buffer, like its trace. A diverged lane's rows are copied out with its
+        # flushed final row, so it does not keep alive the buffer compaction replaces.
+        lane_rows = rows[:n_rows, :, p, 0]
         return TrialRecord(
             config=cfgs[ids[p]],
             status=status,
@@ -187,7 +201,7 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             z_weight_sum=float(z_sum[p, 0]),
             grad_metric_exact=(grad_metric == "full"),
             w_final=w[p].copy(),
-            rows=np.concatenate((rows[:n_rows, :, p, 0], flushed)),
+            rows=lane_rows if flushed is None else np.concatenate((lane_rows, flushed)),
             trace=TrialTrace(*tr[:, :done, p, 0]) if want_trace else None,
         )
 
@@ -211,7 +225,7 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     x = problem.full_grad(w) if grad_metric == "full" else g
                     gs = x * x if d == 1 else np.vecdot(x, x)[:, None]  # x @ x, bit for bit
                 w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(
-                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam)
+                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam, source)
                 # A sum of products is finite only if every factor is. A non-finite
                 # g or m_next makes w_next non-finite (1 - b1 and 1 - b2 are > 0),
                 # and v_hat_next is finite when v_next is, so this screen is sound.
@@ -239,6 +253,8 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                 lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps)
                 ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps = [
                     a[keep] if isinstance(a, np.ndarray) else a for a in lane_state]
+                if source is not None:
+                    source = tuple(a if a is None else a[keep] for a in source)
                 if not len(ids):
                     return records  # else the step is redone: the kept lanes were finite
             k += 1

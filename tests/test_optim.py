@@ -16,6 +16,7 @@ from avagrad_lab.optim import (
     init_state,
     lane_update,
     normalized_eta,
+    rate_source,
     step,
 )
 
@@ -255,6 +256,49 @@ class TestLaneKernel:
             assert alpha_eff[i, 0] == rep.alpha_eff
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 16),
+        n=st.integers(1, 9),
+        epsilon=st.floats(1e-10, 10.0),
+        beta1=st.floats(0.0, 0.999),
+        beta2=st.floats(0.0, 0.9999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rate_source_lanes_match_their_own_method(self, d, n, epsilon, beta1, beta2, seed):
+        """A batch of adam, amsgrad and delayed_adam lanes, each reading eta
+        through the rate source, equals each method's own lane_update."""
+        rng = np.random.default_rng(seed)
+        methods = [(Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)[i]
+                   for i in rng.integers(3, size=n)]
+        w, m, g = rng.normal(size=(3, n, d))
+        v = 10.0 * rng.random((n, d))
+        v_hat = v + rng.random((n, d))
+        alpha = 10.0 ** rng.uniform(-6.0, 1.0, size=(n, 1))
+        source = rate_source(methods)
+        mixed = lane_update(methods[0], DecayMode.NONE, w, m, v, v_hat, g, alpha, beta1,
+                            beta2, epsilon, 0.0, source)
+        for i, method in enumerate(methods):
+            alone = lane_update(method, DecayMode.NONE, w[i:i + 1], m[i:i + 1], v[i:i + 1],
+                                v_hat[i:i + 1] if method is Method.AMSGRAD else None,
+                                g[i:i + 1], alpha[i:i + 1], beta1, beta2, epsilon, 0.0)
+            for name, a, b in zip(("w", "m", "v", "v_hat", "eta"), mixed, alone):
+                if b is not None:
+                    assert a[i].tobytes() == b[0].tobytes(), (method.value, name)
+
+    @pytest.mark.parametrize("methods", [(Method.ADAM, Method.AVAGRAD),
+                                         (Method.SGD, Method.MOMENTUM_SGD),
+                                         (Method.AMSGRAD, Method.ADAMW)])
+    def test_rate_source_holds_only_adam_amsgrad_and_delayed_adam(self, methods):
+        with pytest.raises(ValueError, match="share a batch"):
+            rate_source(methods)
+
+    def test_one_method_needs_no_rate_source(self):
+        assert rate_source([Method.AVAGRAD] * 3) is None
+        delayed, amsgrad = rate_source(["adam", "delayed_adam", "adam"])
+        assert delayed.tolist() == [[False], [True], [False]] and amsgrad is None
+
+
 class TestDelayProperty:
     @pytest.mark.parametrize("method", [Method.DELAYED_ADAM, Method.AVAGRAD])
     def test_eta_independent_of_current_gradient(self, method):
@@ -373,6 +417,40 @@ class TestNormalizedEta:
         base = normalized_eta(eta)
         for c in (1e-6, 1.0, 1e6):
             np.testing.assert_allclose(normalized_eta(c * eta), base, rtol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        method=st.sampled_from([Method.AVAGRAD, Method.AVAGRADW]),
+        d=st.integers(1, 32),
+        log2_scale=st.integers(-30, 30),
+        mantissa=st.floats(1.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_avagrad_rates_invariant_under_gradient_rescale(self, method, d, log2_scale,
+                                                             mantissa, seed):
+        """Scaling every gradient by c scales v by c^2 and the raw rates by 1/c,
+        so AvaGrad's normalized rates alpha_eff * eta do not move, and the
+        iterates scale by c. With epsilon far below sqrt(v), a power-of-two c
+        keeps every rounding, so the match is bit for bit."""
+        c = mantissa * 2.0 ** log2_scale
+        hp = hp_of(1e-2, 1e-150, beta1=0.9, beta2=0.99, weight_decay=1e-2)
+        rng = np.random.default_rng(seed)
+        w0, grads = rng.normal(size=d), rng.normal(size=(20, d))
+        runs = []
+        for scale in (1.0, c):
+            state, w, rates, ws = init_state(method, d), scale * w0, [], []
+            for g in grads:
+                w, state, rep = step(state, hp, w, scale * g)
+                rates.append(rep.alpha_eff * rep.eta)
+                ws.append(w)
+            runs.append((np.array(rates), np.array(ws)))
+        (rates, ws), (rates_c, ws_c) = runs
+        if mantissa == 1.0:
+            assert rates_c.tobytes() == rates.tobytes()
+            assert ws_c.tobytes() == (c * ws).tobytes()
+        else:
+            np.testing.assert_allclose(rates_c, rates, rtol=1e-12)
+            np.testing.assert_allclose(ws_c, c * ws, rtol=1e-12, atol=1e-12 * c)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,10 @@ def assert_same_record(fast, slow):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+# the methods that differ only in the buffer eta is read from, and can share a batch
+METHODS_WITH_A_RATE_SOURCE = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
+
+
 def _engine_cases():
     # the plain case keeps the bare method id; decay and schedule variants extend it
     cases = []
@@ -286,6 +290,40 @@ class TestReplicaEngineParity:
         for cfg, rec in zip(cfgs, records):
             assert_same_record(rec, run_trial(cfg))
 
+    @pytest.mark.parametrize("kind", ["synth", "quadratic"])
+    def test_mixed_method_lanes_match_run_trial(self, kind):
+        """Interleaved adam, amsgrad and delayed_adam lanes, each with its own
+        alpha and epsilon, share one batch and keep their own records."""
+        if kind == "synth":
+            problem, w1 = synth_make(999.0, 1.0), np.array([0.5])
+        else:
+            problem, w1 = quadratic_make(np.linspace(1.0, 4.0, 5), 0.1), np.ones(5)
+        cfgs = [TrialConfig(method=METHODS_WITH_A_RATE_SOURCE[i % 3],
+                            hp=make_hp(alpha=10.0 ** (-4 + i % 4), epsilon=10.0 ** (-8 + i),
+                                       beta1=0.9),
+                            problem=problem, T=60, w1=w1, seed=i, record_every=1)
+                for i in range(7)]
+        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+            assert rec.status == STATUS_FINISHED
+            assert_same_record(rec, run_trial(cfg))
+
+    def test_mixed_batch_keeps_running_when_the_delayed_lanes_diverge(self):
+        # delayed adam's first rate is 1/epsilon, so its first step overflows;
+        # adam's and amsgrad's first rates see the drawn gradient and stay finite
+        problem = synth_make(999.0, 1.0)
+        hp = make_hp(alpha=1e301)
+        records = run_synth_replicas(problem, METHODS_WITH_A_RATE_SOURCE, hp, w1=0.5, T=50,
+                                     base_seed=3, n_replicas=3, record_every=10)
+        assert [(r.config.method, r.status, r.steps_done) for r in records] == [
+            (method, STATUS_DIVERGED if method is Method.DELAYED_ADAM else STATUS_FINISHED,
+             0 if method is Method.DELAYED_ADAM else 50)
+            for method in METHODS_WITH_A_RATE_SOURCE for _ in range(3)]
+        for j, method in enumerate(METHODS_WITH_A_RATE_SOURCE):
+            for i in range(3):
+                assert_same_record(records[3 * j + i], run_trial(TrialConfig(
+                    method=method, hp=hp, problem=problem, T=50, w1=np.array([0.5]),
+                    seed=mix_seed(3, i), record_every=10, grad_metric="full")))
+
     def test_mlp_lanes_match_run_trial(self):
         problem = mlp_make(2, 8, 3, gaussian_blobs(20, 3, 2, 1.5, RngStream(2)), batch_size=8)
         cfgs = [TrialConfig(method=Method.AVAGRAD, hp=make_hp(alpha=1e-2, beta1=0.9),
@@ -307,15 +345,18 @@ class TestReplicaEngineParity:
         T=st.integers(1, 40),
         record_every=st.integers(1, 7),
         per_lane_rates=st.booleans(),
+        mixed_methods=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_n_lanes_equal_n_single_trials(self, method, quadratic_d, n, log_alpha, alpha_kind,
                                            log_scale, grad_metric, T, record_every,
-                                           per_lane_rates, seed):
+                                           per_lane_rates, mixed_methods, seed):
         """Axis and compaction bugs show here: lanes start at very different
         scales, so at a large alpha they diverge at different steps (in about
         a third of the examples). With per_lane_rates each lane also has its
-        own alpha base and epsilon, which the batch carries as columns."""
+        own alpha base and epsilon, which the batch carries as columns. With
+        mixed_methods each lane draws its method from adam, amsgrad and
+        delayed_adam, and the batch carries their rate-source masks."""
         rng = np.random.default_rng(seed)
         if quadratic_d:
             problem = quadratic_make(1.0 + 3.0 * rng.random(quadratic_d), 0.1)
@@ -329,7 +370,10 @@ class TestReplicaEngineParity:
                                epsilon=10.0 ** (-6.0 + 3.0 * spread[1]),
                                beta1=Schedule.constant(0.9), beta2=Schedule.constant(0.99))
 
-        cfgs = [TrialConfig(method=method, hp=lane_hp(), problem=problem, T=T, w1=w1,
+        def lane_method():
+            return METHODS_WITH_A_RATE_SOURCE[rng.integers(3)] if mixed_methods else method
+
+        cfgs = [TrialConfig(method=lane_method(), hp=lane_hp(), problem=problem, T=T, w1=w1,
                             seed=int(rng.integers(2**63)), record_every=record_every,
                             grad_metric=grad_metric) for w1 in starts]
         for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
@@ -353,7 +397,8 @@ class TestReplicaEngineParity:
         assert_same_record(run_trial(cfg), whole)
 
     @pytest.mark.parametrize("change", [
-        dict(method=Method.AVAGRAD), dict(T=51), dict(record_every=5), dict(capture_trace=True),
+        dict(method=Method.AVAGRAD), dict(method=Method.SGD), dict(method=Method.ADAMW),
+        dict(T=51), dict(record_every=5), dict(capture_trace=True),
         dict(grad_metric="batch"), dict(converge_tol=1e-3),
         dict(problem=quadratic_make([1.0, 4.0], 0.1)),
         dict(hp=HyperParams(alpha=Schedule.inverse_sqrt(1e-3), epsilon=1e-8)),
@@ -368,7 +413,7 @@ class TestReplicaEngineParity:
         base = TrialConfig(method=Method.ADAM, hp=HyperParams(
             alpha=Schedule.constant(1e-3), epsilon=1e-8), problem=problem, T=50,
             w1=np.ones(2), seed=0)
-        free = dataclasses.replace(base, hp=HyperParams(
+        free = dataclasses.replace(base, method=Method.AMSGRAD, hp=HyperParams(
             alpha=Schedule.constant(0.5), epsilon=1.0), w1=np.zeros(2), seed=1)
         assert len(_run_lanes([base, free])) == 2
         with pytest.raises(ValueError, match="lanes may differ only"):
@@ -513,6 +558,27 @@ class TestBiasGap:
             w, state = self.random_state(i)
             gap = bias_gap(w, state, self.hp, self.problem, "delayed")
             assert gap[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        big_c=st.floats(1.5, 1e4),
+        delta_share=st.floats(1e-3, 0.999),
+        w=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1e8),
+        t=st.integers(0, 10**6),
+        beta2=st.floats(0.0, 0.9999),
+        epsilon=st.floats(1e-12, 10.0),
+    )
+    def test_delayed_mode_exactly_zero_on_random_problems(self, big_c, delta_share, w, v, t,
+                                                          beta2, epsilon):
+        """The delayed rate is read before the draw, so eta_s - eta_ref is 0 for
+        every outcome s: the gap is the zero vector, not a small number."""
+        problem = synth_make(big_c, delta_share * big_c)
+        state = init_state(Method.DELAYED_ADAM, 1)
+        state.v, state.t = np.array([v]), t
+        hp = make_hp(alpha=1e-5, epsilon=epsilon, beta1=0.0, beta2=beta2)
+        gap = bias_gap(np.array([w]), state, hp, problem, "delayed")
+        assert gap.shape == (1,) and gap[0] == 0.0
 
     def test_adam_mode_nonzero_50_states(self):
         for i in range(50):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -144,6 +145,56 @@ def _write_synthfig(name: str, out: Path) -> None:
         assert main(["synthfig", *SYNTHFIG_CASES[name], "--out", str(out)]) == 0
 
 
+def _blobs_csv(data) -> str:
+    return "".join(f"{float(x0)!r},{float(x1)!r},{label}\n"
+                   for (x0, x1), label in zip(data.features, data.labels))
+
+
+_RUN_OPTIMIZER = "[optimizer]\nmethod = {}\nalpha = {}\nbeta1 = 0.0\nbeta2 = 0.99\n\n"
+
+# name -> the files a run case writes before `run --config run.ini --out .`
+RUN_CASES = {
+    # the trial_record workload's shape: a row and a trace entry every step
+    "synth_3seeds": {"run.ini": (
+        "[problem]\nkind = synth\nc = 999\ndelta = 1\n\n"
+        + _RUN_OPTIMIZER.format("delayed_adam", "1e-5")
+        + "[run]\nsteps = 300\nseeds = 4,5,6\nrecord_every = 1\ngrad_metric = full\n"
+          "w1 = 0.5\n")},
+    # each seed draws its own w1
+    "mlp_2seeds": {"run.ini": (
+        "[problem]\nkind = mlp\nn_in = 2\nn_hidden = 8\nn_classes = 3\n"
+        "dataset = train.csv\nbatch_size = 8\n\n"
+        + _RUN_OPTIMIZER.format("adam", "1e-2")
+        + "[run]\nsteps = 80\nseeds = 3,8\nrecord_every = 4\ngrad_metric = batch\n"),
+        "train.csv": _blobs_csv(gaussian_blobs(20, 3, 2, 1.5, RngStream(9)))},
+    # seed 1 overflows its squared batch gradient at step 17 (exit 2); 0 and 2 finish,
+    # with finite squares whose running sum overflows
+    "quadratic_sgd_1diverges": {"run.ini": (
+        "[problem]\nkind = quadratic\ncurvatures = 1.0\nnoise_std = 5e153\n\n"
+        "[optimizer]\nmethod = sgd\nalpha = 1e-3\n\n"
+        "[run]\nsteps = 60\nseeds = 0,1,2\nrecord_every = 7\ngrad_metric = batch\n"
+        "w1 = 1.0\n")},
+}
+
+
+def _write_run(name: str, out: Path) -> None:
+    """Run a run case in `out`; keep its stdout, exit code and trajectories there."""
+    inputs = RUN_CASES[name]
+    for fname, text in inputs.items():
+        (out / fname).write_text(text)
+    cwd, stdout = os.getcwd(), io.StringIO()
+    os.chdir(out)  # the echoed paths are relative, so stdout does not name the directory
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(["run", "--config", "run.ini", "--out", "."])
+    finally:
+        os.chdir(cwd)
+    (out / "stdout.txt").write_text(stdout.getvalue())
+    (out / "exit_code.txt").write_text(f"{code}\n")
+    for fname in inputs:
+        (out / fname).unlink()
+
+
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_trajectory_matches_golden_bytes(name, tmp_path):
     path = tmp_path / f"{name}.csv"
@@ -174,6 +225,15 @@ def test_synthfig_matches_golden_bytes(name, tmp_path):
             (GOLDEN / f"synthfig_{name}" / fname).read_bytes(), fname
 
 
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_matches_golden_bytes(name, tmp_path):
+    _write_run(name, tmp_path)
+    golden = GOLDEN / f"run_{name}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case_name, cfg in _cases().items():
@@ -189,3 +249,8 @@ if __name__ == "__main__":
         out.mkdir(exist_ok=True)
         _write_synthfig(case_name, out)
         print(f"wrote {out}/{{{','.join(FIG1_FILES)}}}", file=sys.stderr)
+    for case_name in RUN_CASES:
+        out = GOLDEN / f"run_{case_name}"
+        out.mkdir(exist_ok=True)
+        _write_run(case_name, out)
+        print(f"wrote {out}", file=sys.stderr)

@@ -48,6 +48,7 @@ from .runner import (
     iterate_distribution,
     run_synth_replicas,
     run_trial,
+    run_trials,
     summary_line,
 )
 from .sweep import (
@@ -71,7 +72,7 @@ __all__ = [
     "load_csv_dataset", "mlp_make", "quadratic_make", "synth_make",
     "BoundReport", "TrialConfig", "TrialRecord", "TrialTrace", "bias_gap",
     "eval_bound", "export_trajectory", "iterate_distribution",
-    "run_synth_replicas", "run_trial", "summary_line",
+    "run_synth_replicas", "run_trial", "run_trials", "summary_line",
     "GridSpec", "HeatmapCell", "default_grid", "export_heatmap", "run_sweep",
     "separability_index",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  run       execute the configured trial(s), write trajectory CSVs
+  run       execute the configured trial per seed, write trajectory CSVs
   synthfig  run the scalar benchmark comparison and emit plot-ready CSVs
   sweep     run an alpha x epsilon grid and emit heatmap + separability CSVs
   check     gradient, bias-gap and bound diagnostics for a configuration
@@ -48,6 +48,7 @@ from .runner import (
     export_trajectory,
     run_synth_replicas,
     run_trial,
+    run_trials,
     summary_line,
 )
 from .sweep import METRICS, GridSpec, default_grid, export_heatmap, run_sweep, separability_index
@@ -260,21 +261,18 @@ def cmd_run(args) -> int:
         f" seeds={','.join(str(s) for s in seeds)} record_every={record_every}"
         f" out={out_dir}"
     )
-    any_diverged = False
-    for seed in seeds:
-        w1 = _default_w1(problem, seed, init_scale) if fixed_w1 is None else np.array(fixed_w1)
-        cfg = TrialConfig(
-            method=method, hp=hp, problem=problem, T=steps, w1=w1, seed=seed,
-            record_every=record_every, grad_metric=run.get("grad_metric", "full"),
-            converge_tol=run.get("converge_tol"),
-        )
-        record = run_trial(cfg)
+    records = run_trials([TrialConfig(  # the seeds as one lock-step batch
+        method=method, hp=hp, problem=problem, T=steps, seed=seed,
+        w1=_default_w1(problem, seed, init_scale) if fixed_w1 is None else np.array(fixed_w1),
+        record_every=record_every, grad_metric=run.get("grad_metric", "full"),
+        converge_tol=run.get("converge_tol"),
+    ) for seed in seeds])
+    for seed, record in zip(seeds, records):
         traj_path = out_dir / f"trajectory_seed{seed}.csv"
         export_trajectory(record, traj_path)
         print(f"# trial seed={seed} trajectory={traj_path}")
         print(summary_line(record))
-        any_diverged = any_diverged or record.status == STATUS_DIVERGED
-    return 2 if any_diverged else 0
+    return 2 if any(record.status == STATUS_DIVERGED for record in records) else 0
 
 
 def schedule_repr(s: Schedule) -> str:

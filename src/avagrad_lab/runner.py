@@ -3,12 +3,13 @@
 A trial drives one optimizer over one stochastic problem, accumulating prefix
 statistics (mean iterate, mean squared gradient norm, the rate-weighted mass
 Z) at full resolution while logging CSV rows at a configurable stride. One
-loop runs every trial: it advances n trials that differ only in w1, seed,
-alpha, epsilon and, among adam, amsgrad and delayed_adam, the method in
-lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
+loop, run_trials, runs every trial: it advances n trials that differ only in
+w1, seed, alpha, epsilon and, among adam, amsgrad and delayed_adam, the method
+in lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
 one-lane case; run_synth_replicas runs n seeded replicas of the scalar
-two-outcome benchmark for one method or several, and sweep.run_sweep runs
-blocks of grid cells. Each lane gets exactly the record it would get alone.
+two-outcome benchmark for one method or several, sweep.run_sweep runs blocks
+of grid cells, and cli.cmd_run runs the seeds of one configuration. Each lane
+gets exactly the record it would get alone.
 
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
@@ -86,7 +87,7 @@ class TrialRecord:
 
 def run_trial(cfg: TrialConfig) -> TrialRecord:
     """Execute one trial; divergence stops early and keeps the partial statistics."""
-    return _run_lanes([cfg])[0]
+    return run_trials([cfg])[0]
 
 
 def run_synth_replicas(
@@ -114,7 +115,7 @@ def run_synth_replicas(
         raise ValueError("n_replicas must be >= 1")
     if capture_trace is None:
         capture_trace = record_every == 1
-    return _run_lanes([TrialConfig(
+    return run_trials([TrialConfig(
         method=Method(m), hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
         seed=mix_seed(base_seed, i), record_every=record_every,
         capture_trace=capture_trace, grad_metric="full")
@@ -130,7 +131,7 @@ def _shared_settings(cfg: TrialConfig) -> tuple:
             hp.alpha.kind, hp.beta1, hp.beta2, hp.weight_decay, hp.decay_mode)
 
 
-def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
+def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     """Run trials that differ only in w1, seed, alpha base, epsilon and a
     method among adam, amsgrad and delayed_adam in lock-step, as the (n, d)
     lanes of optim.lane_update, and give each the record it would get alone.
@@ -188,10 +189,14 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     no_rows = np.empty((0, len(ROW_COLUMNS)))
 
     def record(p: int, status: str, done: int, flushed=None) -> TrialRecord:
-        # The rows of a lane that ran all T steps are a view of the final row
-        # buffer, like its trace. A diverged lane's rows are copied out with its
-        # flushed final row, so it does not keep alive the buffer compaction replaces.
+        # The rows and trace of a lane that ran all T steps are views of the final
+        # buffers. A diverged lane's are copied out, its rows with its flushed final
+        # row, so that it does not keep alive the buffers compaction replaces.
         lane_rows = rows[:n_rows, :, p, 0]
+        lane_trace = tr[:, :done, p, 0] if want_trace else None
+        if flushed is not None:
+            lane_rows = np.concatenate((lane_rows, flushed))
+            lane_trace = lane_trace.copy() if want_trace else None
         return TrialRecord(
             config=cfgs[ids[p]],
             status=status,
@@ -201,8 +206,8 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             z_weight_sum=float(z_sum[p, 0]),
             grad_metric_exact=(grad_metric == "full"),
             w_final=w[p].copy(),
-            rows=lane_rows if flushed is None else np.concatenate((lane_rows, flushed)),
-            trace=TrialTrace(*tr[:, :done, p, 0]) if want_trace else None,
+            rows=lane_rows,
+            trace=TrialTrace(*lane_trace) if want_trace else None,
         )
 
     span = max(1, 65536 // (n * problem.draw_size))  # steps drawn ahead, <= 65536 scalars
@@ -268,10 +273,11 @@ def _run_lanes(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             gs_sum += gs
             z_sum += alpha * eta_min
             row_due = t % every == 0 or t == T
-            if want_trace or row_due:
-                eta_l2 = np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
+            if want_trace or row_due:  # the sum of one square is that square
+                eta_l2 = np.sqrt(eta * eta if d == 1 else
+                                 np.add.reduce(eta * eta, axis=-1, keepdims=True))
             if want_trace:
-                eta_max = np.maximum.reduce(eta, axis=-1, keepdims=True)
+                eta_max = eta if d == 1 else np.maximum.reduce(eta, axis=-1, keepdims=True)
                 for j, val in enumerate((alpha, eta_min, eta_max, eta_l2, alpha_eff, gs)):
                     tr[j, t - 1] = val
             if row_due:

@@ -21,7 +21,7 @@ import numpy as np
 from .core import RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
 from .problems import LabeledSet, MlpProblem, StochasticProblem
-from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, _run_lanes, run_trial
+from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
 
 METRICS = ("full_objective", "holdout_ce", "holdout_error")
 
@@ -177,7 +177,7 @@ def _run_block(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[H
     cfgs = [_cell_config(spec, task) for task in block]
     try:
         return [_scored_cell(spec, task, record)
-                for task, record in zip(block, _run_lanes(cfgs))]
+                for task, record in zip(block, run_trials(cfgs))]
     except ArithmeticError:
         pass
     cells = []

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avagrad_lab import cli
 from avagrad_lab.cli import _FLOAT, _KEYS, main
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import gaussian_blobs
+from avagrad_lab.runner import run_trials
 
 
 SYNTH_CONFIG = """\
@@ -26,6 +28,25 @@ beta2 = 0.99
 steps = 200
 seeds = 0,1
 record_every = 50
+"""
+
+
+QUADRATIC_NOISY_SGD_CONFIG = """\
+[problem]
+kind = quadratic
+curvatures = 1.0
+noise_std = 5e153
+
+[optimizer]
+method = sgd
+alpha = 1e-3
+
+[run]
+steps = 60
+seeds = 0,1,2
+record_every = 7
+grad_metric = batch
+w1 = 1.0
 """
 
 
@@ -177,6 +198,38 @@ steps = 5
         head = capsys.readouterr().out.splitlines()[0]
         assert "seeds=11" in head
         assert (tmp_path / "o" / "trajectory_seed11.csv").exists()
+
+    def test_seeds_run_as_one_batch(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted_run_trials(cfgs):
+            calls.append(len(cfgs))
+            return run_trials(cfgs)
+
+        monkeypatch.setattr(cli, "run_trials", counted_run_trials)
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [3]
+
+    @pytest.mark.parametrize("text, seeds, diverged", [
+        (SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 4,5,6"), [4, 5, 6], []),
+        # seed 1 overflows its squared batch gradient at step 17; seeds 0 and 2 finish
+        (QUADRATIC_NOISY_SGD_CONFIG, [0, 1, 2], [1]),
+    ], ids=["synth", "one_diverges"])
+    def test_each_seed_matches_its_own_run(self, tmp_path, capsys, text, seeds, diverged):
+        cfg = write_config(tmp_path, text)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "all")])
+        assert code == (2 if diverged else 0)
+        batch = capsys.readouterr().out.splitlines()
+        for i, seed in enumerate(seeds):
+            alone = tmp_path / f"seed{seed}"
+            code = main(["run", "--config", cfg, "--out", str(alone), "--seed", str(seed)])
+            assert code == (2 if seed in diverged else 0)
+            summary = capsys.readouterr().out.splitlines()[2]
+            assert batch[2 + 2 * i] == summary
+            assert summary.startswith("status=diverged" if seed in diverged else "status=finished")
+            name = f"trajectory_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
 
 
 class TestCmdSynthfig:

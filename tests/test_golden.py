@@ -150,22 +150,19 @@ def _blobs_csv(data) -> str:
                    for (x0, x1), label in zip(data.features, data.labels))
 
 
-_RUN_OPTIMIZER = "[optimizer]\nmethod = {}\nalpha = {}\nbeta1 = 0.0\nbeta2 = 0.99\n\n"
-
 # name -> the files a run case writes before `run --config run.ini --out .`
 RUN_CASES = {
     # the trial_record workload's shape: a row and a trace entry every step
     "synth_3seeds": {"run.ini": (
         "[problem]\nkind = synth\nc = 999\ndelta = 1\n\n"
-        + _RUN_OPTIMIZER.format("delayed_adam", "1e-5")
-        + "[run]\nsteps = 300\nseeds = 4,5,6\nrecord_every = 1\ngrad_metric = full\n"
-          "w1 = 0.5\n")},
+        "[optimizer]\nmethod = delayed_adam\nalpha = 1e-5\nbeta1 = 0.0\nbeta2 = 0.99\n\n"
+        "[run]\nsteps = 300\nseeds = 4,5,6\nrecord_every = 1\ngrad_metric = full\nw1 = 0.5\n")},
     # each seed draws its own w1
     "mlp_2seeds": {"run.ini": (
         "[problem]\nkind = mlp\nn_in = 2\nn_hidden = 8\nn_classes = 3\n"
         "dataset = train.csv\nbatch_size = 8\n\n"
-        + _RUN_OPTIMIZER.format("adam", "1e-2")
-        + "[run]\nsteps = 80\nseeds = 3,8\nrecord_every = 4\ngrad_metric = batch\n"),
+        "[optimizer]\nmethod = adam\nalpha = 1e-2\nbeta1 = 0.0\nbeta2 = 0.99\n\n"
+        "[run]\nsteps = 80\nseeds = 3,8\nrecord_every = 4\ngrad_metric = batch\n"),
         "train.csv": _blobs_csv(gaussian_blobs(20, 3, 2, 1.5, RngStream(9)))},
     # seed 1 overflows its squared batch gradient at step 17 (exit 2); 0 and 2 finish,
     # with finite squares whose running sum overflows

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +17,13 @@ from avagrad_lab.runner import (
     STATUS_FINISHED,
     TrialConfig,
     TrialTrace,
-    _run_lanes,
     bias_gap,
     eval_bound,
     export_trajectory,
     iterate_distribution,
     run_synth_replicas,
     run_trial,
+    run_trials,
     summary_line,
 )
 
@@ -248,13 +250,33 @@ class TestReplicaEngineParity:
             assert np.array_equal(fast.w_mean, slow.w_mean, equal_nan=True)
             assert_same_record(fast, slow)
 
+    def test_diverged_lanes_hold_only_their_own_arrays(self):
+        # Seven divergence steps compact the batch seven times; a diverged lane's
+        # rows and trace must not keep alive the buffers that compaction replaced.
+        problem = quadratic_make([1.0])
+        alphas = [2.6, 3.0, 4.0, 6.0, 20.0, 1e3, 1e10] * 2 + [0.5, 1.5]
+        cfgs = [TrialConfig(method=Method.SGD, hp=make_hp(alpha=a), problem=problem, T=2000,
+                            w1=np.ones(1), seed=i, record_every=1) for i, a in enumerate(alphas)]
+        run_trials(cfgs)  # an untraced run first imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            records = run_trials(cfgs)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len({rec.steps_done for rec in records}) == 8  # seven divergences and T
+        own = sum(a.nbytes for rec in records
+                  for a in (rec.rows, rec.w_final, *vars(rec.trace).values()))
+        assert held <= 2 * own, (held, own)
+
     def test_quadratic_lanes_diverge_at_their_own_steps(self):
         problem = quadratic_make([1.0, 2.0], 0.0)
         starts = ([1.0, -1.0], [1e-200, 0.0], [0.0, 0.0], [1e100, 1.0])
         cfgs = [TrialConfig(method=Method.SGD, hp=make_hp(alpha=5000.0), problem=problem,
                             T=200, w1=np.array(w1), seed=i, record_every=4)
                 for i, w1 in enumerate(starts)]
-        records = _run_lanes(cfgs)
+        records = run_trials(cfgs)
         steps = [rec.steps_done for rec in records]
         assert steps[2] == 200 and records[2].status == STATUS_FINISHED  # w1 = w* stays put
         assert len(set(steps)) == 4
@@ -271,7 +293,7 @@ class TestReplicaEngineParity:
                                                               epsilon=eps),
                             problem=problem, T=400, w1=np.ones(2), seed=i, record_every=4)
                 for i, (alpha, eps) in enumerate(rates)]
-        records = _run_lanes(cfgs)
+        records = run_trials(cfgs)
         diverged = [rec.steps_done for rec in records if rec.status == STATUS_DIVERGED]
         assert len(set(diverged)) == len(diverged) >= 2 and all(s % 4 for s in diverged)
         for cfg, rec in zip(cfgs, records):
@@ -284,7 +306,7 @@ class TestReplicaEngineParity:
         cfgs = [TrialConfig(method=Method.ADAM, hp=hp, problem=problem, T=20, w1=np.array(w1),
                             seed=i, record_every=3)
                 for i, w1 in enumerate(([1.0, 1.0], [1e200, 1.0], [-1.0, 2.0]))]
-        records = _run_lanes(cfgs)
+        records = run_trials(cfgs)
         assert [rec.status for rec in records] == [STATUS_FINISHED, STATUS_DIVERGED,
                                                    STATUS_FINISHED]
         for cfg, rec in zip(cfgs, records):
@@ -303,7 +325,7 @@ class TestReplicaEngineParity:
                                        beta1=0.9),
                             problem=problem, T=60, w1=w1, seed=i, record_every=1)
                 for i in range(7)]
-        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+        for cfg, rec in zip(cfgs, run_trials(cfgs)):
             assert rec.status == STATUS_FINISHED
             assert_same_record(rec, run_trial(cfg))
 
@@ -330,7 +352,7 @@ class TestReplicaEngineParity:
                             problem=problem, T=12, w1=0.1 * RngStream(i).normal(problem.dim),
                             seed=i, record_every=5)
                 for i in range(3)]
-        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+        for cfg, rec in zip(cfgs, run_trials(cfgs)):
             assert_same_record(rec, run_trial(cfg))
 
     @settings(max_examples=60, deadline=None)
@@ -376,7 +398,7 @@ class TestReplicaEngineParity:
         cfgs = [TrialConfig(method=lane_method(), hp=lane_hp(), problem=problem, T=T, w1=w1,
                             seed=int(rng.integers(2**63)), record_every=record_every,
                             grad_metric=grad_metric) for w1 in starts]
-        for cfg, rec in zip(cfgs, _run_lanes(cfgs)):
+        for cfg, rec in zip(cfgs, run_trials(cfgs)):
             assert_same_record(rec, run_trial(cfg))
 
     @pytest.mark.parametrize("kind", ["synth", "quadratic", "mlp"])
@@ -415,14 +437,14 @@ class TestReplicaEngineParity:
             w1=np.ones(2), seed=0)
         free = dataclasses.replace(base, method=Method.AMSGRAD, hp=HyperParams(
             alpha=Schedule.constant(0.5), epsilon=1.0), w1=np.zeros(2), seed=1)
-        assert len(_run_lanes([base, free])) == 2
+        assert len(run_trials([base, free])) == 2
         with pytest.raises(ValueError, match="lanes may differ only"):
-            _run_lanes([base, free, dataclasses.replace(base, **change)])
+            run_trials([base, free, dataclasses.replace(base, **change)])
 
     def test_lane_with_wrong_start_shape_rejected(self):
         cfg = synth_cfg()
         with pytest.raises(ValueError, match="problem dimension"):
-            _run_lanes([cfg, dataclasses.replace(cfg, w1=np.array([0.5, 0.5]))])
+            run_trials([cfg, dataclasses.replace(cfg, w1=np.array([0.5, 0.5]))])
 
     def test_unsupported_problem_rejected(self):
         problem = quadratic_make([1.0], 0.0)

@@ -164,13 +164,13 @@ RUN_CASES = {
         "[optimizer]\nmethod = adam\nalpha = 1e-2\nbeta1 = 0.0\nbeta2 = 0.99\n\n"
         "[run]\nsteps = 80\nseeds = 3,8\nrecord_every = 4\ngrad_metric = batch\n"),
         "train.csv": _blobs_csv(gaussian_blobs(20, 3, 2, 1.5, RngStream(9)))},
-    # seed 1 overflows its squared batch gradient at step 17 (exit 2); 0 and 2 finish,
-    # with finite squares whose running sum overflows
+    # the iterate doubles each step (|1 - alpha c| = 2): seed 20's squared batch gradient
+    # overflows at step 46 (exit 2), while seeds 1 and 19 finish with finite rows
     "quadratic_sgd_1diverges": {"run.ini": (
-        "[problem]\nkind = quadratic\ncurvatures = 1.0\nnoise_std = 5e153\n\n"
-        "[optimizer]\nmethod = sgd\nalpha = 1e-3\n\n"
-        "[run]\nsteps = 60\nseeds = 0,1,2\nrecord_every = 7\ngrad_metric = batch\n"
-        "w1 = 1.0\n")},
+        "[problem]\nkind = quadratic\ncurvatures = 1.0\nnoise_std = 1e140\n\n"
+        "[optimizer]\nmethod = sgd\nalpha = 3.0\n\n"
+        "[run]\nsteps = 46\nseeds = 1,20,19\nrecord_every = 7\ngrad_metric = batch\n"
+        "w1 = 0.0\n")},
 }
 
 

@@ -273,11 +273,10 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             gs_sum += gs
             z_sum += alpha * eta_min
             row_due = t % every == 0 or t == T
-            if want_trace or row_due:  # the sum of one square is that square
-                eta_l2 = np.sqrt(eta * eta if d == 1 else
-                                 np.add.reduce(eta * eta, axis=-1, keepdims=True))
+            if want_trace or row_due:
+                eta_l2 = np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
             if want_trace:
-                eta_max = eta if d == 1 else np.maximum.reduce(eta, axis=-1, keepdims=True)
+                eta_max = np.maximum.reduce(eta, axis=-1, keepdims=True)
                 for j, val in enumerate((alpha, eta_min, eta_max, eta_l2, alpha_eff, gs)):
                     tr[j, t - 1] = val
             if row_due:

@@ -264,8 +264,8 @@ def cmd_run(args) -> int:
     records = run_trials([TrialConfig(  # the seeds as one lock-step batch
         method=method, hp=hp, problem=problem, T=steps, seed=seed,
         w1=_default_w1(problem, seed, init_scale) if fixed_w1 is None else np.array(fixed_w1),
-        record_every=record_every, grad_metric=run.get("grad_metric", "full"),
-        converge_tol=run.get("converge_tol"),
+        record_every=record_every, capture_trace=False,  # only the rows are written
+        grad_metric=run.get("grad_metric", "full"), converge_tol=run.get("converge_tol"),
     ) for seed in seeds])
     for seed, record in zip(seeds, records):
         traj_path = out_dir / f"trajectory_seed{seed}.csv"

@@ -5,9 +5,19 @@ Each problem exposes the same contract: sample(rng) draws an opaque token
 (sample(rng, k) the next k tokens, stacked), grad(w, token) and loss(w, token)
 are deterministic given the token, and full_grad(w) / objective(w) give the
 exact expectation where one exists. grad and full_grad also take lanes: w of
-shape (n, d) with one stacked token per lane gives one gradient per lane.
-Problems are immutable after construction; all randomness flows through the
-caller-provided RngStream.
+shape (n, d) with one stacked token per lane gives one gradient per lane, and
+sample_lanes(streams, k) draws the next k tokens of n lanes' streams as one
+(k, n, ...) block. Problems are immutable after construction; all randomness
+flows through the caller-provided RngStream.
+
+The MLP's minibatch is numpy's Generator.choice without replacement, which
+draws with Floyd's algorithm and then shuffles (Bentley & Floyd, "A sample
+of brilliance", CACM 1987). One draw of b of n indices consumes 2b - 1
+bounded integers with fixed bounds, n - b ... n - 1 for the picks and b - 1
+... 1 for the swaps, so MlpProblem.sample_lanes draws each lane's k batches
+with one Generator.integers call and replays the picks and the swaps on all
+draws at once: the same indices, and the streams left in the same state, as
+k single choice calls per lane.
 """
 
 from __future__ import annotations
@@ -54,6 +64,11 @@ class StochasticProblem:
 
     def sample(self, rng: RngStream, size: int | None = None):
         raise NotImplementedError
+
+    def sample_lanes(self, streams: list[RngStream], k: int) -> np.ndarray:
+        """The next k tokens of each stream: tokens[i, p] is sample(streams[p])
+        the i-th time it would be called."""
+        return np.stack([self.sample(rng, k) for rng in streams], axis=1)
 
     def grad(self, w: np.ndarray, token) -> np.ndarray:
         raise NotImplementedError
@@ -176,16 +191,18 @@ class QuadraticProblem(StochasticProblem):
         return self.curvatures * (w - token)
 
     def loss(self, w, token):
-        diff = w - token
-        return float(0.5 * np.sum(self.curvatures * diff * diff))
+        with np.errstate(over="ignore"):  # a huge finite iterate has an infinite loss
+            diff = w - token
+            return float(0.5 * np.sum(self.curvatures * diff * diff))
 
     def full_grad(self, w):
         return self.curvatures * (w - self.w_star)
 
     def objective(self, w):
-        diff = w - self.w_star
         spread = self.noise_std * self.noise_std
-        return float(0.5 * np.sum(self.curvatures * (diff * diff + spread)))
+        with np.errstate(over="ignore"):  # a huge finite iterate has an infinite objective
+            diff = w - self.w_star
+            return float(0.5 * np.sum(self.curvatures * (diff * diff + spread)))
 
     def constants(self, w1):
         w1 = ensure_vector(w1, "w1")
@@ -217,6 +234,39 @@ class LabeledSet:
 
     def __len__(self):
         return self.labels.shape[0]
+
+
+#: bytes one slice of the minibatch replay may hold: its membership table, a
+#: byte per draw and index, and about 32 a draw for the temporaries of a pass
+REPLAY_BYTES = 1 << 22
+
+
+def _replay_choice(draws: np.ndarray, n: int, b: int) -> None:
+    """Replay Generator.choice(n, b, replace=False) in place on the columns of
+    `draws` (2b - 1, R), the bounded integers each draw consumes: its first b
+    rows become the drawn indices. Columns go in slices, so the membership
+    table stays bounded."""
+    size = draws.shape[1]
+    step = REPLAY_BYTES // (n + 32)
+    flat = draws.reshape(-1)
+    seen = np.zeros(min(step, size) * n, bool)  # one table, cleared after each slice
+    for s in range(0, size, step):
+        picks, swaps = draws[:b, s:s + step], draws[b:, s:s + step]
+        base = np.arange(0, picks.shape[1] * n, n)  # each draw's offset into the table
+        picks += base
+        for i in range(b):  # Floyd: the drawn index, or n - b + i if already taken
+            pick = picks[i]
+            np.copyto(pick, base + (n - b + i), where=seen[pick])
+            seen[pick] = True
+        seen[picks] = False
+        picks -= base
+        swaps *= size  # swaps[b - 1 - i]: the flat position slot i trades with
+        swaps += np.arange(s, s + picks.shape[1])
+        for i in range(b - 1, 0, -1):  # Fisher-Yates, from the last slot down
+            j = swaps[b - 1 - i]
+            held = flat[j]
+            flat[j] = picks[i]
+            picks[i] = held
 
 
 def gaussian_blobs(
@@ -294,7 +344,25 @@ class MlpProblem(StochasticProblem):
     def sample(self, rng: RngStream, size: int | None = None):
         if size is None:
             return rng.choice(len(self.dataset), size=self.batch_size, replace=False)
-        return np.stack([self.sample(rng) for _ in range(size)])
+        return self.sample_lanes([rng], size)[:, 0]
+
+    def sample_lanes(self, streams, k):
+        """k single draws per stream, made as one bulk draw and a replay of
+        numpy's Floyd branch over all draws (see the module docstring)."""
+        n, b = len(self.dataset), self.batch_size
+        # Single draws where the replay cannot run or would not pay: a table
+        # row larger than a slice, a shape numpy draws by a tail shuffle and
+        # not by Floyd's algorithm, or fewer draws than b (one single draw
+        # costs about as much as two of the replay's 2b - 1 passes).
+        if (REPLAY_BYTES < n + 32 or (n > 10000 and b > n // 50)
+                or k * len(streams) < b):
+            return np.array([[self.sample(rng) for rng in streams] for _ in range(k)])
+        bounds = np.concatenate((np.arange(n - b, n), np.arange(b - 1, 0, -1))) + 1
+        draws = np.empty((2 * b - 1, k, len(streams)), np.int64)
+        for p, rng in enumerate(streams):
+            draws[:, :, p] = rng.integers(0, bounds, size=(k, 2 * b - 1)).T
+        _replay_choice(draws.reshape(2 * b - 1, -1), n, b)
+        return draws[:b].transpose(1, 2, 0).copy()
 
     def loss(self, w, token):
         x = self.dataset.features[token]

@@ -52,7 +52,7 @@ class TrialConfig:
     w1: np.ndarray
     seed: int
     record_every: int = 1
-    capture_trace: bool = False
+    capture_trace: bool | None = None  # None: keep a trace when record_every == 1
     grad_metric: str = "full"  # full | batch | none
     converge_tol: float | None = None
 
@@ -113,8 +113,6 @@ def run_synth_replicas(
         raise ValueError("replicas only support the scalar two-outcome benchmark")
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    if capture_trace is None:
-        capture_trace = record_every == 1
     return run_trials([TrialConfig(
         method=Method(m), hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
         seed=mix_seed(base_seed, i), record_every=record_every,
@@ -138,10 +136,11 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     A batch of mixed methods passes lane_update a rate source whose masks
     pick each lane's eta; a batch of one method runs without one.
 
-    Each lane draws its tokens from its own stream, in chunks: Philox is
-    counter-based, so a chunk of k draws equals k single draws. A lane whose
-    gradient metric, gradient, iterate or buffers turn non-finite at step t
-    leaves the batch there, diverged, with the statistics of the steps before.
+    Each lane draws its tokens from its own stream, in chunks that one
+    problem.sample_lanes call draws for all lanes: Philox is counter-based,
+    so a chunk of k draws equals k single draws. A lane whose gradient
+    metric, gradient, iterate or buffers turn non-finite at step t leaves the
+    batch there, diverged, with the statistics of the steps before.
     """
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
@@ -163,7 +162,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     grad_metric = cfg.grad_metric
     if grad_metric == "full" and problem.full_grad(w[0]) is None:
         grad_metric = "batch"  # no exact expectation available; fall back, flag it
-    want_trace = cfg.capture_trace or every == 1
+    want_trace = every == 1 if cfg.capture_trace is None else cfg.capture_trace
     lam = hp.weight_decay
     # alpha's base and epsilon may differ per lane; the rest of hp is shared
     alpha_base = np.array([[c.hp.alpha.base] for c in cfgs], dtype=np.float64)
@@ -216,11 +215,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
         for t in range(1, T + 1):
             if k == span:  # tokens[k, p] is lane p's draw for the k-th step of the chunk
                 span, k = min(span, T - t + 1), 0
-                for p, rng in enumerate(streams):
-                    chunk = problem.sample(rng, span)
-                    if p == 0:
-                        tokens = np.empty((span, len(streams)) + chunk.shape[1:], chunk.dtype)
-                    tokens[:, p] = chunk
+                tokens = problem.sample_lanes(streams, span)
             if varying:
                 alpha = schedule_eval(hp.alpha, t, alpha_base)
                 b1, b2 = schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +236,8 @@ def run_sweep(spec: GridSpec, workers: int = 1, progress=None) -> list[HeatmapCe
             cells += _run_block(spec, block)
             print(f"{len(cells)}/{total}", file=progress)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so the CLI starts without it
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(spec,)) as pool:
             for block_cells in pool.map(_run_block_worker, blocks):

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +195,42 @@ steps = 5
         cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [3]
+
+    def test_run_keeps_no_trace(self, tmp_path, capsys, monkeypatch):
+        # A trace would hold 48 bytes per seed and step beside the 56 of the rows.
+        records = []
+
+        def kept_run_trials(cfgs):
+            records[:] = run_trials(cfgs)
+            return records
+
+        monkeypatch.setattr(cli, "run_trials", kept_run_trials)
+        text = (SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2")
+                .replace("steps = 200", "steps = 2000")
+                .replace("record_every = 50", "record_every = 1"))
+        argv = ["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path)]
+        assert main(argv) == 0  # a first run imports what numpy loads lazily
+        records.clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 3 and all(rec.trace is None for rec in records)
+        rows = 3 * 2000 * 7 * 8
+        assert held < rows + 3 * 2000 * 6 * 8 // 4, (held, rows)
+
+    def test_import_loads_no_process_pool(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys, avagrad_lab.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,

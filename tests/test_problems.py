@@ -1,11 +1,18 @@
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avagrad_lab import problems
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import (
     COMMON,
+    REPLAY_BYTES,
     RARE,
     LabeledSet,
     fd_check,
@@ -125,6 +132,21 @@ class TestQuadraticProblem:
         consts = prob.constants(np.array([1.0, 1.0]))
         assert consts.d_gap == pytest.approx(0.5 * (2.0 + 1.0), rel=1e-12)
 
+    def test_huge_finite_iterate_gives_inf_without_a_warning(self):
+        prob = quadratic_make([1.0, 2.0], 0.1, [0.0, -1.0])
+        w = np.array([1e200, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prob.objective(w) == math.inf
+            assert prob.loss(w, prob.sample(RngStream(0))) == math.inf
+
+    def test_sample_lanes_equals_each_streams_chunk(self):
+        prob = quadratic_make([1.0, 2.0, 3.0], 0.5)
+        tokens = prob.sample_lanes([RngStream(s) for s in (4, 5)], 6)
+        assert tokens.shape == (6, 2, 3)
+        for p, seed in enumerate((4, 5)):
+            assert np.array_equal(tokens[:, p], prob.sample(RngStream(seed), 6))
+
 
 class TestGaussianBlobs:
     def test_two_far_blobs(self):
@@ -214,6 +236,90 @@ class TestMlpProblem:
         data = gaussian_blobs(2, 2, 2, 1.0, RngStream(0))
         with pytest.raises(ValueError):
             mlp_make(2, 4, 2, data, batch_size=5)
+
+
+def index_mlp(n, batch_size):
+    """An MLP over n rows of one feature: all its sampling sees is n and the batch size."""
+    return mlp_make(1, 1, 1, LabeledSet(np.zeros((n, 1)), np.zeros(n, dtype=np.int64)),
+                    batch_size)
+
+
+def lane_streams(seeds, odd):
+    """One stream per seed; where `odd` is true, a 32-bit draw first leaves the
+    other half of a Philox output buffered in the stream."""
+    streams = [RngStream(s) for s in seeds]
+    for rng, skew in zip(streams, odd):
+        if skew:
+            rng.integers(0, 1000)
+            assert rng._gen.bit_generator.state["has_uint32"] == 1
+    return streams
+
+
+def assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd, replayed=True):
+    """sample_lanes equals k Generator.choice draws per stream, stacked, leaves
+    every stream where those draws leave it, and replays them or not as told."""
+    bulk, single = lane_streams(seeds, odd), lane_streams(seeds, odd)
+    with mock.patch.object(problems, "_replay_choice", wraps=problems._replay_choice) as replay:
+        got = index_mlp(n, b).sample_lanes(bulk, k)
+    assert replay.called == replayed
+    want = np.stack([np.stack([rng.choice(n, b) for _ in range(k)]) for rng in single], axis=1)
+    assert got.shape == want.shape == (k, len(seeds), b) and got.dtype == want.dtype
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+    for a, c in zip(bulk, single):  # the 32-bit half first, then whole outputs
+        assert np.array_equal(a.integers(0, 1000, size=3), c.integers(0, 1000, size=3))
+        assert np.array_equal(a.random(4), c.random(4))
+
+
+class TestMlpSampleLanes:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300), data=st.data(),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    def test_bulk_draw_equals_single_choice_draws(self, n, data, seeds):
+        b = data.draw(st.integers(1, min(n, 48)), label="batch")
+        least = -(-b // len(seeds))  # the fewest steps that give b draws to replay
+        k = data.draw(st.integers(least, least + 8), label="steps")
+        odd = data.draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds)),
+                        label="odd halves")
+        assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd)
+
+    @pytest.mark.parametrize("batch, replayed", [(200, True), (201, False)])
+    def test_tail_shuffle_boundary(self, batch, replayed):
+        # numpy draws (10001, 200) by Floyd's algorithm and (10001, 201) by a tail shuffle
+        assert_bulk_draw_equals_single_draws(10001, batch, 70, [7, 8, 9], [False, True, False],
+                                             replayed)
+
+    @pytest.mark.parametrize("replay_bytes, replayed", [(100, False), (200, True), (1000, True)])
+    def test_slices_and_rows_too_large_for_one(self, replay_bytes, replayed, monkeypatch):
+        # 100 bytes hold no draw from 90 indices, 200 one draw a slice, 1000 eight
+        monkeypatch.setattr(problems, "REPLAY_BYTES", replay_bytes)
+        assert_bulk_draw_equals_single_draws(90, 5, 4, [1, 2, 3], [False, True, True], replayed)
+
+    def test_whole_population_single_index_and_few_draws(self):
+        assert_bulk_draw_equals_single_draws(12, 12, 6, [1, 2], [True, False])
+        assert_bulk_draw_equals_single_draws(12, 1, 4, [1, 2], [True, False])
+        assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False], replayed=False)
+
+    def test_sample_k_equals_k_single_draws(self):
+        prob = small_mlp(batch_size=5)
+        bulk, single = RngStream(31), RngStream(31)
+        chunk = prob.sample(bulk, 7)
+        assert np.array_equal(chunk, np.stack([prob.sample(single) for _ in range(7)]))
+        assert np.array_equal(prob.sample(bulk), prob.sample(single))
+
+    def test_replay_memory_is_bounded_whatever_the_dataset_size(self):
+        # 64 draws' rows of a 500,000-index table would take 32 MB at once
+        n, seeds = 500_000, [3, 4, 5, 6]
+        prob = index_mlp(n, 16)
+        prob.sample_lanes(lane_streams(seeds, [False] * 4), 4)  # lazy numpy imports first
+        streams = lane_streams(seeds, [False] * 4)
+        tracemalloc.start()
+        try:
+            prob.sample_lanes(streams, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= REPLAY_BYTES + (1 << 20), peak
+        assert_bulk_draw_equals_single_draws(n, 16, 16, seeds, [True, False, True, False])
 
 
 class TestFdCheck:

@@ -113,6 +113,13 @@ class TestRunTrialBasics:
         rec = run_trial(synth_cfg(T=50, grad_metric="batch"))
         assert rec.grad_metric_exact is False
 
+    @pytest.mark.parametrize("every, capture, traced", [
+        (1, None, True), (2, None, False), (1, False, False), (2, True, True)])
+    def test_trace_kept_when_asked_or_by_default_at_stride_one(self, every, capture, traced):
+        rec = run_trial(synth_cfg(T=10, record_every=every, capture_trace=capture))
+        assert (rec.trace is not None) == traced
+        assert np.array_equal(rec.rows, run_trial(synth_cfg(T=10, record_every=every)).rows)
+
     def test_summary_line_format(self):
         rec = run_trial(synth_cfg(T=10))
         line = summary_line(rec)

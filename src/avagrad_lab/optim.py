@@ -17,7 +17,15 @@ the plain recursions with m_0 = v_0 = 0.
 adam, amsgrad and delayed_adam share every recursion but the buffer eta is
 read from, so lanes of all three can advance in one lane_update call: a rate
 source (rate_source) holds boolean (n, 1) masks of the lanes that read
-max(vhat, v_t) and v_{t-1}, and np.where picks each lane's buffer.
+max(vhat, v_t) and v_{t-1}, and np.copyto writes those lanes' buffers over
+a copy of v_t.
+
+lane_update runs once per step on small (n, d) lanes, where numpy's per-call
+overhead, not its arithmetic, sets the cost. An op between an array and a
+0-d float64 array skips the scalar conversion a Python float (or an
+np.float64) pays on every call, and gives the same bits, so the batch
+runner passes its constant coefficients, and this module holds its 1 and
+sqrt(d), as 0-d arrays. Do not turn them back into floats.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NonFiniteError, Schedule, ensure_vector, schedule_eval
+from .core import NonFiniteError, Schedule, const, ensure_vector, schedule_eval
 
 
 class Method(str, Enum):
@@ -63,6 +71,7 @@ _NORMALIZED_METHODS = frozenset({Method.AVAGRAD, Method.AVAGRADW})
 # for lane_update, once per step: Method.X costs ~100 ns on CPython 3.11, a global ~20
 _SGD, _MOMENTUM_SGD, _AMSGRAD = Method.SGD, Method.MOMENTUM_SGD, Method.AMSGRAD
 _COUPLED_L2, _DECOUPLED = DecayMode.COUPLED_L2, DecayMode.DECOUPLED
+_ONE = const(1.0)  # the numerator of eta, 0-d (see above)
 
 
 class DivergenceError(NonFiniteError):
@@ -144,7 +153,9 @@ def init_state(method: Method, d: int) -> OptimizerState:
 
 def _scaled_norm(eta: np.ndarray) -> np.ndarray:
     """||eta / sqrt(d)|| of each lane (last axis), kept as a trailing axis of length 1."""
-    return np.sqrt(np.sum(eta * eta, axis=-1, keepdims=True)) / math.sqrt(eta.shape[-1])
+    # np.add.reduce is what np.sum runs, less its Python wrapper
+    return (np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
+            / np.array(math.sqrt(eta.shape[-1])))
 
 
 def rate_source(methods) -> tuple | None:
@@ -163,13 +174,20 @@ def rate_source(methods) -> tuple | None:
     return tuple(mask if mask.any() else None for mask in masks)
 
 
+def coefficients(b1, b2) -> tuple:
+    """lane_update's coef of one step: (b1, 1 - b1, b2, 1 - b2)."""
+    return b1, 1.0 - b1, b2, 1.0 - b2
+
+
 def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
-                alpha, b1, b2, eps, lam, source=None):
+                alpha, coef, eps, lam, source=None):
     """One update of the shared recursion on lanes of shape (..., d).
 
     w, m, v, g (and v_hat, when a lane is amsgrad; None otherwise) are arrays
-    of one shape; b1, b2 and lam are the scalars of this step, and alpha and
-    eps are scalars or (..., 1) columns of per-lane values. source is None, or
+    of one shape. coef is coefficients(b1, b2) of this step and lam its
+    weight decay, scalars: Python floats or, faster, 0-d arrays (lam stays a
+    float, since most steps only test lam > 0). alpha and eps are scalars or
+    (..., 1) columns of per-lane values. source is None, or
     for a batch of mixed adam, amsgrad and delayed_adam lanes the rate_source
     that picks each lane's eta, whichever of the three method names; its
     amsgrad lanes need v_hat. Returns (w_next, m_next, v_next, v_hat_next,
@@ -179,6 +197,7 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
     norm, taken per lane over the last axis. The caller opens np.errstate and
     checks finiteness: overflow is a divergence signal here.
     """
+    b1, c1, b2, c2 = coef
     if method in _FORCED_DECOUPLED:
         decay_mode = _DECOUPLED
     if lam > 0.0 and decay_mode is _COUPLED_L2:
@@ -190,28 +209,28 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
         eta = np.ones(w.shape)
         w_next = w - alpha * g
     elif method is _MOMENTUM_SGD:
-        m_next = b1 * m + (1.0 - b1) * g
+        m_next = b1 * m + c1 * g
         eta = np.ones(w.shape)
         w_next = w - alpha * m_next
     else:
-        m_next = b1 * m + (1.0 - b1) * g
-        v_next = b2 * v + (1.0 - b2) * (g * g)
+        m_next = b1 * m + c1 * g
+        v_next = b2 * v + c2 * (g * g)
         if source is not None:  # each lane's own buffer: v_t, max(vhat, v_t) or v_{t-1}
             delayed, amsgrad = source
-            rate_v = v_next
+            rate_v = v_next.copy()
             if amsgrad is not None:
                 v_hat_next = np.maximum(v_hat, v_next)
-                rate_v = np.where(amsgrad, v_hat_next, v_next)
+                np.copyto(rate_v, v_hat_next, where=amsgrad)
             if delayed is not None:
-                rate_v = np.where(delayed, v, rate_v)
-            eta = 1.0 / (np.sqrt(rate_v) + eps)
+                np.copyto(rate_v, v, where=delayed)
+            eta = _ONE / (np.sqrt(rate_v) + eps)
         elif method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
-            eta = 1.0 / (np.sqrt(v) + eps)
+            eta = _ONE / (np.sqrt(v) + eps)
         elif method is _AMSGRAD:
             v_hat_next = np.maximum(v_hat, v_next)
-            eta = 1.0 / (np.sqrt(v_hat_next) + eps)
+            eta = _ONE / (np.sqrt(v_hat_next) + eps)
         else:
-            eta = 1.0 / (np.sqrt(v_next) + eps)
+            eta = _ONE / (np.sqrt(v_next) + eps)
         if method in _NORMALIZED_METHODS:
             scaled_norm = _scaled_norm(eta)
             w_next = w - alpha * ((eta / scaled_norm) * m_next)
@@ -247,7 +266,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         w_next, m_next, v_next, v_hat_next, eta, alpha_eff = lane_update(
             method, hp.decay_mode, w, state.m, state.v, state.v_hat, g,
-            alpha, b1, b2, hp.epsilon, hp.weight_decay)
+            alpha, coefficients(b1, b2), hp.epsilon, hp.weight_decay)
 
     ok = np.all(np.isfinite(w_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(v_next))
     if ok and v_hat_next is not None:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
-from .optim import (RATE_SOURCE_METHODS, HyperParams, Method, OptimizerState, lane_update,
-                    rate_source)
+from .core import RngStream, clamp_box, const, mix_seed, schedule_eval, write_csv
+from .optim import (RATE_SOURCE_METHODS, HyperParams, Method, OptimizerState, coefficients,
+                    lane_update, rate_source)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
@@ -139,8 +139,16 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     Each lane draws its tokens from its own stream, in chunks that one
     problem.sample_lanes call draws for all lanes: Philox is counter-based,
     so a chunk of k draws equals k single draws. A lane whose gradient
-    metric, gradient, iterate or buffers turn non-finite at step t leaves the
-    batch there, diverged, with the statistics of the steps before.
+    metric, gradient, iterate, buffers or running sums turn non-finite at
+    step t leaves the batch there, diverged, with the statistics of the steps
+    before.
+
+    Each step makes a few dozen numpy calls on small (n, d) arrays, where the
+    per-call overhead sets the cost. So what is constant across the batch,
+    the coefficients of constant schedules and the box bounds, is built
+    once as a 0-d array (core.const): an op with one skips the scalar
+    conversion a Python float pays on every call, and gives the same bits.
+    Keep them 0-d. A varying schedule's coefficients are floats of each step.
     """
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
@@ -168,7 +176,9 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     alpha_base = np.array([[c.hp.alpha.base] for c in cfgs], dtype=np.float64)
     eps = np.array([[c.hp.epsilon] for c in cfgs], dtype=np.float64)
     varying = any(s.kind != "constant" for s in (hp.alpha, hp.beta1, hp.beta2))
-    alpha, b1, b2 = alpha_base, hp.beta1.base, hp.beta2.base  # if varying, set per step
+    alpha = alpha_base  # alpha and coef: if varying, set per step
+    coef = tuple(const(x) for x in coefficients(hp.beta1.base, hp.beta2.base))
+    box = None if problem.box is None else tuple(const(x) for x in problem.box)
 
     # Lane state. Per-lane scalars are (n, 1) columns, like avagrad's alpha_eff;
     # the lane axis is 0, except in tokens (1) and the row and trace buffers (2).
@@ -179,7 +189,9 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     m, v = np.zeros((n, d)), np.zeros((n, d))
     source = rate_source([c.method for c in cfgs])  # the (n, 1) masks of a mixed batch
     v_hat = np.zeros((n, d)) if any(c.method == Method.AMSGRAD for c in cfgs) else None
-    w_sum, gs_sum, z_sum = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1))
+    w_sum, z_sum = np.zeros((n, 1)), np.zeros((n, 1))
+    gs_sum = np.full((n, 1), math.nan if grad_metric == "none" else 0.0)  # no metric, no mean
+    gs_sum_t = None  # gs_sum with this step's term; stays None without a metric
     rows, n_rows = np.empty((T // every + (T % every > 0), len(ROW_COLUMNS), n, 1)), 0
     tr = np.empty((6, T, n, 1)) if want_trace else None  # the TrialTrace fields, in order
     eta = eta_min = alpha_eff = None  # of the last completed step
@@ -218,22 +230,30 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                 tokens = problem.sample_lanes(streams, span)
             if varying:
                 alpha = schedule_eval(hp.alpha, t, alpha_base)
-                b1, b2 = schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t)
+                coef = coefficients(schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t))
             while True:  # once, unless a lane diverges: then again without it
                 g = problem.grad(w, tokens[k])
+                # the running sums with this step's terms, screened with the step; the
+                # mean of one coordinate is that coordinate, else np.mean, bit for bit
+                w_mean = w if d == 1 else np.add.reduce(w, axis=-1, keepdims=True) / d
+                w_sum_t = sums = w_sum + w_mean
                 if grad_metric != "none":
                     x = problem.full_grad(w) if grad_metric == "full" else g
                     gs = x * x if d == 1 else np.vecdot(x, x)[:, None]  # x @ x, bit for bit
+                    gs_sum_t = gs_sum + gs
+                    sums = w_sum_t * gs_sum_t
                 w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(
-                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam, source)
-                # A sum of products is finite only if every factor is. A non-finite
-                # g or m_next makes w_next non-finite (1 - b1 and 1 - b2 are > 0),
-                # and v_hat_next is finite when v_next is, so this screen is sound.
-                screen = np.vdot(w_next if grad_metric == "none" else w_next * gs, v_next)
+                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, coef, eps, lam, source)
+                # A sum of products is finite only if every factor is, and a finite
+                # running sum plus a term only if the term is. A non-finite g or
+                # m_next makes w_next non-finite (1 - b1 and 1 - b2 are > 0), and
+                # v_hat_next is finite when v_next is, so this screen is sound.
+                screen = np.vdot(w_next * sums, v_next)
                 if math.isfinite(screen):
                     break
                 ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in (
-                    gs, g, w_next, m_next, v_next, v_hat_next) if isinstance(a, np.ndarray)])
+                    w_sum_t, gs_sum_t, g, w_next, m_next, v_next, v_hat_next)
+                    if isinstance(a, np.ndarray)])
                 if ok.all():
                     break
                 done = t - 1
@@ -259,13 +279,9 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     return records  # else the step is redone: the kept lanes were finite
             k += 1
             m, v, v_hat, eta, alpha_eff = m_next, v_next, v_hat_next, eta_t, alpha_eff_t
-            if d == 1:  # the mean and the min of one coordinate are that coordinate
-                w_mean, eta_min = w, eta
-            else:
-                w_mean = np.add.reduce(w, axis=-1, keepdims=True) / d  # np.mean, bit for bit
-                eta_min = np.minimum.reduce(eta, axis=-1, keepdims=True)
-            w_sum += w_mean
-            gs_sum += gs
+            w_sum, gs_sum = w_sum_t, gs_sum if gs_sum_t is None else gs_sum_t
+            # the min of one coordinate is that coordinate
+            eta_min = eta if d == 1 else np.minimum.reduce(eta, axis=-1, keepdims=True)
             z_sum += alpha * eta_min
             row_due = t % every == 0 or t == T
             if want_trace or row_due:
@@ -279,7 +295,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                                          alpha_eff)):
                     rows[n_rows, j] = val
                 n_rows += 1
-            w = clamp_box(w_next, *problem.box) if problem.box is not None else w_next
+            w = clamp_box(w_next, *box) if box is not None else w_next
 
     tol = cfg.converge_tol
     for p, i in enumerate(ids):  # the lanes that ran all T steps

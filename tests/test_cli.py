@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -113,6 +114,31 @@ w1 = 1.0
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "status=diverged" in capsys.readouterr().out
+
+    def test_overflowed_gradient_sum_exits_two(self, tmp_path, capsys):
+        text = """\
+[problem]
+kind = quadratic
+curvatures = 1.0
+noise_std = 5e153
+
+[optimizer]
+method = sgd
+alpha = 1e-3
+
+[run]
+steps = 60
+seeds = 0,1,2
+grad_metric = batch
+w1 = 1.0
+"""
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        summaries = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("status=")]
+        for seed in (0, 2):
+            status, mean, _ = (field.split("=")[1] for field in summaries[seed].split())
+            assert status == "diverged" and math.isfinite(float(mean))
 
     def test_non_finite_w1_rejected(self, tmp_path, capsys):
         text = SYNTH_CONFIG.replace("kind = synth\nc = 999\ndelta = 1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from avagrad_lab.core import (
     RngStream,
     Schedule,
     clamp_box,
+    const,
     mix_seed,
     schedule_eval,
 )
@@ -23,6 +26,22 @@ class TestClampBox:
     def test_bounds_out_of_order(self):
         with pytest.raises(ValueError):
             clamp_box([0.5], 1.0, 0.0)
+
+    def test_bounds_out_of_order_as_zero_d(self):
+        with pytest.raises(ValueError, match="out of order"):
+            clamp_box(np.array([0.5]), const(1.0), const(0.0))
+
+    def test_zero_d_bounds_match_float_clip(self):
+        """0-d bounds, as the trial loop passes them, keep the bits, NaN and the
+        sign of zero that clip(0.0, 1.0) gives."""
+        a = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                      1.0, 1.0 + 2**-52, -1e300, 0.5, 2.0])
+        for lanes in (a, a.reshape(-1, 1), a.reshape(3, 4)):
+            want = lanes.clip(0.0, 1.0)
+            got = clamp_box(lanes, const(0.0), const(1.0))
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(clamp_box(np.array([-0.0]), const(0.0), const(1.0)))[0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)

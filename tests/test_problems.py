@@ -85,6 +85,20 @@ class TestSynthProblem:
         with pytest.raises(ValueError):
             synth_make(2.0, 5.0)  # p = 2 outside (0, 1)
 
+    def test_zero_d_constants_match_float_formulas(self):
+        """grad and full_grad hold C, -1, the slope and the offset as 0-d arrays;
+        they give the bits of the float formulas, on lanes and single vectors."""
+        prob = synth_make(999.0, 1.0)
+        rng = np.random.default_rng(8)
+        for w in (np.zeros((5, 1)), np.ones((5, 1)), rng.random((5, 1)), rng.random(1),
+                  np.array([0.0]), np.array([1.0])):
+            token = rng.random(w.shape) < 0.5
+            want = np.where(token, prob.big_c * w, -1.0)
+            assert prob.grad(w, token).tobytes() == want.tobytes()
+            want = prob.mean_slope * w - prob.mean_offset
+            assert prob.full_grad(w).tobytes() == want.tobytes()
+        assert isinstance(prob.big_c, float) and isinstance(prob.mean_slope, float)
+
     def test_grad_deterministic_given_token(self):
         prob = synth_make(999.0, 1.0)
         w = np.array([0.25])

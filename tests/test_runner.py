@@ -96,6 +96,32 @@ class TestRunTrialBasics:
         assert math.isfinite(rec.grad_norm_sq_mean)
         assert "status=diverged" in summary_line(rec)
 
+    def test_overflowed_gradient_sum_diverges(self):
+        """Each squared batch gradient is finite (about 1e307), but seeds 0 and 2
+        overflow their running sum: they leave the batch at that step, with the
+        finite statistics of the steps before."""
+        problem = quadratic_make([1.0], 5e153, [0.0])
+        cfgs = [TrialConfig(method=Method.SGD, hp=make_hp(alpha=1e-3), problem=problem, T=60,
+                            w1=np.array([1.0]), seed=seed, grad_metric="batch")
+                for seed in (0, 1, 2)]
+        for rec in run_trials(cfgs):
+            assert rec.status == STATUS_DIVERGED
+            assert 0 < rec.steps_done < 60
+            assert math.isfinite(rec.grad_norm_sq_mean) and np.all(np.isfinite(rec.rows))
+            assert rec.rows[-1, 0] == rec.steps_done
+            assert rec.rows[-1, 2] == rec.grad_norm_sq_mean
+            alone = run_trial(rec.config)
+            assert (alone.steps_done, alone.grad_norm_sq_mean) == (
+                rec.steps_done, rec.grad_norm_sq_mean)
+
+    @pytest.mark.parametrize("grad_metric", ["full", "none"])
+    def test_overflowed_iterate_sum_diverges(self, grad_metric):
+        problem = quadratic_make([1e-300], 0.0, [0.0])
+        rec = run_trial(TrialConfig(method=Method.SGD, hp=make_hp(), problem=problem, T=5,
+                                    w1=np.array([1e308]), seed=0, grad_metric=grad_metric))
+        assert (rec.status, rec.steps_done, rec.w_mean) == (STATUS_DIVERGED, 1, 1e308)
+        assert math.isnan(rec.grad_norm_sq_mean) == (grad_metric == "none")
+
     def test_converged_label(self):
         problem = quadratic_make([1.0], 0.0, [0.0])
         cfg = TrialConfig(

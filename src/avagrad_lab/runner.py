@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, clamp_box, const, mix_seed, schedule_eval, write_csv
-from .optim import (RATE_SOURCE_METHODS, HyperParams, Method, OptimizerState, coefficients,
-                    lane_update, rate_source)
+from . import _lanes
+from .optim import (RATE_SOURCE_METHODS, DecayMode, HyperParams, Method, OptimizerState,
+                    coefficients, lane_update, rate_source)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
@@ -129,6 +130,33 @@ def _shared_settings(cfg: TrialConfig) -> tuple:
             hp.alpha.kind, hp.beta1, hp.beta2, hp.weight_decay, hp.decay_mode)
 
 
+# the buffer _lanes.c reads each lane's eta from: v_t (the default), vhat or v_{t-1}
+_KERNEL_RATE = {Method.AMSGRAD: 1, Method.DELAYED_ADAM: 2, Method.AVAGRAD: 2, Method.AVAGRADW: 2}
+_KERNEL_STATE = 12  # rows of its state block: alpha, eps, w, m, v, v_hat, the sums, eta, ...
+
+
+def _kernel_settings(cfgs: list[TrialConfig], grad_metric: str, want_trace: bool,
+                     has_v_hat: bool) -> tuple[np.ndarray, int]:
+    """The par array and flags of a _lanes.c call: lane_update's branches at d = 1."""
+    cfg = cfgs[0]
+    hp, method, problem = cfg.hp, Method(cfg.method), cfg.problem
+    mode = DecayMode.DECOUPLED if method in (Method.ADAMW, Method.AVAGRADW) else hp.decay_mode
+    decay = hp.weight_decay > 0.0
+    flags = sum(bit for bit, on in (
+        (1, method is not Method.SGD),
+        (2, method not in (Method.SGD, Method.MOMENTUM_SGD)),
+        (4, method in (Method.AVAGRAD, Method.AVAGRADW)),
+        (8, decay and mode is DecayMode.COUPLED_L2),
+        (16, decay and mode is DecayMode.DECOUPLED),
+        (32, has_v_hat),
+        (64, grad_metric == "full"),
+        (128, grad_metric == "batch"),
+        (256, want_trace)) if on)
+    par = np.array([problem.big_c, problem.mean_slope, problem.mean_offset, *problem.box,
+                    *coefficients(hp.beta1.base, hp.beta2.base), hp.weight_decay])
+    return par, flags
+
+
 def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     """Run trials that differ only in w1, seed, alpha base, epsilon and a
     method among adam, amsgrad and delayed_adam in lock-step, as the (n, d)
@@ -221,13 +249,35 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             trace=TrialTrace(*lane_trace) if want_trace else None,
         )
 
+    kernel = _lanes.kernel() if d == 1 and type(problem) is SynthProblem and not varying else None
+    if kernel is not None:
+        rates = np.array([_KERNEL_RATE.get(Method(c.method), 0) for c in cfgs], dtype=np.uint8)
+        par, flags = _kernel_settings(cfgs, grad_metric, want_trace, v_hat is not None)
     span = max(1, 65536 // (n * problem.draw_size))  # steps drawn ahead, <= 65536 scalars
-    k = span
+    t, k = 1, span
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
+        while t <= T:
             if k == span:  # tokens[k, p] is lane p's draw for the k-th step of the chunk
                 span, k = min(span, T - t + 1), 0
                 tokens = problem.sample_lanes(streams, span)
+            if kernel is not None:  # the rest of the chunk, up to a step where a lane fails
+                st = np.empty((_KERNEL_STATE, len(ids), 1))
+                for row, val in zip(st, (alpha, eps, w, m, v, v_hat, w_sum, gs_sum, z_sum, eta,
+                                         alpha_eff, gs)):
+                    row[...] = math.nan if val is None else val
+                # (the arrays are named: the call gets bare addresses)
+                scratch, lane_rates = np.empty(st.shape), rates[ids]
+                clock = np.array([t, T, every, n_rows])
+                ran = kernel(len(ids), span - k, tokens[k:].ctypes.data, st.ctypes.data,
+                             scratch.ctypes.data, lane_rates.ctypes.data,
+                             par.ctypes.data, flags, clock.ctypes.data, rows.ctypes.data,
+                             None if tr is None else tr.ctypes.data)
+                w, m, v, vh, w_sum, gs_sum, z_sum, eta, alpha_eff, gs_k = st[2:]
+                v_hat, eta_min = None if v_hat is None else vh, eta
+                gs = gs if grad_metric == "none" else gs_k
+                t, k, n_rows = t + ran, k + ran, int(clock[3])
+                if k == span:
+                    continue
             if varying:
                 alpha = schedule_eval(hp.alpha, t, alpha_base)
                 coef = coefficients(schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t))
@@ -244,15 +294,18 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     sums = w_sum_t * gs_sum_t
                 w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(
                     method, hp.decay_mode, w, m, v, v_hat, g, alpha, coef, eps, lam, source)
+                # the min of one coordinate is that coordinate
+                eta_min_t = eta_t if d == 1 else np.minimum.reduce(eta_t, axis=-1, keepdims=True)
+                z_sum_t = z_sum + alpha * eta_min_t
                 # A sum of products is finite only if every factor is, and a finite
                 # running sum plus a term only if the term is. A non-finite g or
                 # m_next makes w_next non-finite (1 - b1 and 1 - b2 are > 0), and
                 # v_hat_next is finite when v_next is, so this screen is sound.
-                screen = np.vdot(w_next * sums, v_next)
+                screen = np.vdot(w_next * (sums * z_sum_t), v_next)
                 if math.isfinite(screen):
                     break
                 ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in (
-                    w_sum_t, gs_sum_t, g, w_next, m_next, v_next, v_hat_next)
+                    w_sum_t, gs_sum_t, z_sum_t, g, w_next, m_next, v_next, v_hat_next)
                     if isinstance(a, np.ndarray)])
                 if ok.all():
                     break
@@ -268,8 +321,9 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     records[ids[p]] = record(p, STATUS_DIVERGED, done, flushed)
                 keep = np.flatnonzero(ok)
                 streams = [streams[p] for p in keep]
-                tokens, rows = tokens[:, keep], rows[:, :, keep]
-                tr = tr[:, :, keep] if want_trace else None
+                # np.take keeps them C-contiguous (a[:, keep] may not), as _lanes.c needs
+                tokens, rows = np.take(tokens, keep, axis=1), np.take(rows, keep, axis=2)
+                tr = np.take(tr, keep, axis=2) if want_trace else None
                 lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps)
                 ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps = [
                     a[keep] if isinstance(a, np.ndarray) else a for a in lane_state]
@@ -280,9 +334,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             k += 1
             m, v, v_hat, eta, alpha_eff = m_next, v_next, v_hat_next, eta_t, alpha_eff_t
             w_sum, gs_sum = w_sum_t, gs_sum if gs_sum_t is None else gs_sum_t
-            # the min of one coordinate is that coordinate
-            eta_min = eta if d == 1 else np.minimum.reduce(eta, axis=-1, keepdims=True)
-            z_sum += alpha * eta_min
+            z_sum, eta_min = z_sum_t, eta_min_t
             row_due = t % every == 0 or t == T
             if want_trace or row_due:
                 eta_l2 = np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
@@ -296,6 +348,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     rows[n_rows, j] = val
                 n_rows += 1
             w = clamp_box(w_next, *box) if box is not None else w_next
+            t += 1
 
     tol = cfg.converge_tol
     for p, i in enumerate(ids):  # the lanes that ran all T steps

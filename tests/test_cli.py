@@ -140,6 +140,34 @@ w1 = 1.0
             status, mean, _ = (field.split("=")[1] for field in summaries[seed].split())
             assert status == "diverged" and math.isfinite(float(mean))
 
+    def test_overflowed_weight_sum_exits_two(self, tmp_path, capsys):
+        # sgd at alpha = 1e307 sits at the box's edge, where eta = 1, so Z, the
+        # sum of alpha * eta, overflows before any other statistic does
+        text = """\
+[problem]
+kind = synth
+c = 999
+delta = 1
+
+[optimizer]
+method = sgd
+alpha = 1e307
+
+[run]
+steps = 30
+seeds = 0,1,2
+w1 = 0.5
+"""
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        summaries = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("status=")]
+        assert len(summaries) == 3
+        for line in summaries:
+            status, mean, z = (field.split("=")[1] for field in line.split())
+            assert status == "diverged" and math.isfinite(float(mean))
+            assert math.isfinite(float(z))
+
     def test_non_finite_w1_rejected(self, tmp_path, capsys):
         text = SYNTH_CONFIG.replace("kind = synth\nc = 999\ndelta = 1",
                                     "kind = quadratic\ncurvatures = 1,2")

@@ -4,7 +4,8 @@ Each trajectory case runs one trial and writes its rows with
 export_trajectory; each sweep case runs one grid and writes heatmap.csv and
 separability.csv as the sweep command does; each synthfig case runs the
 synthfig command and writes fig1_left.csv and fig1_right.csv. The bytes must equal the CSVs
-stored under tests/golden/. The fixtures were recorded with Python 3.11.7 and
+stored under tests/golden/, under the numpy engine and under the compiled
+loop that runs d = 1 synth trials. The fixtures were recorded with Python 3.11.7 and
 numpy 2.4.6; a different numpy or BLAS build may round differently.
 Re-record them only on purpose, with
 
@@ -193,6 +194,7 @@ def _write_run(name: str, out: Path) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(_cases()))
+@pytest.mark.usefixtures("engine")  # d = 1 synth cases run compiled
 def test_trajectory_matches_golden_bytes(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     export_trajectory(run_trial(_cases()[name]), path)
@@ -215,6 +217,7 @@ def test_sweep_matches_golden_bytes(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHFIG_CASES))
+@pytest.mark.usefixtures("engine")  # d = 1 synth cases run compiled
 def test_synthfig_matches_golden_bytes(name, tmp_path):
     _write_synthfig(name, tmp_path)
     for fname in FIG1_FILES:
@@ -223,6 +226,7 @@ def test_synthfig_matches_golden_bytes(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
+@pytest.mark.usefixtures("engine")  # d = 1 synth cases run compiled
 def test_run_matches_golden_bytes(name, tmp_path):
     _write_run(name, tmp_path)
     golden = GOLDEN / f"run_{name}"

@@ -1,13 +1,19 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from avagrad_lab import _lanes
 from avagrad_lab.core import RngStream, Schedule, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
 from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
@@ -27,6 +33,7 @@ from avagrad_lab.runner import (
     summary_line,
 )
 
+from engines import counted_kernel, numpy_engine
 from reference_impl import RefOptimizer
 
 
@@ -219,6 +226,7 @@ def _engine_cases():
 
 class TestReplicaEngineParity:
     @pytest.mark.parametrize("method,decay,schedule", _engine_cases())
+    @pytest.mark.usefixtures("engine")
     def test_engine_matches_run_trial_bitwise(self, method, decay, schedule):
         problem = synth_make(999.0, 1.0)
         hp = HyperParams(
@@ -245,6 +253,7 @@ class TestReplicaEngineParity:
             assert fast.z_weight_sum == slow.z_weight_sum
             assert np.array_equal(fast.w_final, slow.w_final)
 
+    @pytest.mark.usefixtures("engine")
     def test_engine_trace_matches_run_trial(self):
         problem = synth_make(999.0, 1.0)
         hp = make_hp(alpha=1e-4, beta1=0.0, beta2=0.99)
@@ -266,6 +275,7 @@ class TestReplicaEngineParity:
                                   base_seed=0, n_replicas=1, record_every=10)
         assert list(recs[0].rows[:, 0]) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
 
+    @pytest.mark.usefixtures("engine")
     def test_diverging_replicas_match_run_trial(self):
         # the first delayed step overflows to inf, which a box clip would hide
         problem = synth_make(999.0, 1.0)
@@ -346,6 +356,7 @@ class TestReplicaEngineParity:
             assert_same_record(rec, run_trial(cfg))
 
     @pytest.mark.parametrize("kind", ["synth", "quadratic"])
+    @pytest.mark.usefixtures("engine")
     def test_mixed_method_lanes_match_run_trial(self, kind):
         """Interleaved adam, amsgrad and delayed_adam lanes, each with its own
         alpha and epsilon, share one batch and keep their own records."""
@@ -362,6 +373,7 @@ class TestReplicaEngineParity:
             assert rec.status == STATUS_FINISHED
             assert_same_record(rec, run_trial(cfg))
 
+    @pytest.mark.usefixtures("engine")
     def test_mixed_batch_keeps_running_when_the_delayed_lanes_diverge(self):
         # delayed adam's first rate is 1/epsilon, so its first step overflows;
         # adam's and amsgrad's first rates see the drawn gradient and stay finite
@@ -388,7 +400,9 @@ class TestReplicaEngineParity:
         for cfg, rec in zip(cfgs, run_trials(cfgs)):
             assert_same_record(rec, run_trial(cfg))
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.usefixtures("engine")
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         method=st.sampled_from(list(Method)),
         quadratic_d=st.integers(0, 12),  # 0: the synth problem
@@ -435,6 +449,7 @@ class TestReplicaEngineParity:
             assert_same_record(rec, run_trial(cfg))
 
     @pytest.mark.parametrize("kind", ["synth", "quadratic", "mlp"])
+    @pytest.mark.usefixtures("engine")
     def test_chunk_size_does_not_change_the_record(self, kind):
         """Tokens are drawn ahead in chunks; chunks of 3 steps (the last one
         short) must give the record of one chunk for the whole trial."""
@@ -483,6 +498,125 @@ class TestReplicaEngineParity:
         problem = quadratic_make([1.0], 0.0)
         with pytest.raises(ValueError):
             run_synth_replicas(problem, Method.ADAM, make_hp(), 0.5, 10, 0, 1)
+
+
+KERNEL_SOURCE = (Path(_lanes.__file__).resolve().parents[1], "avagrad_lab._lanes")
+
+
+class TestCompiledLanes:
+    """The compiled loop of avagrad_lab._lanes against the numpy loop, its spec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        method=st.sampled_from(list(Method)),
+        mixed_methods=st.booleans(),
+        decay=st.sampled_from(list(DecayMode)),
+        log_decay=st.floats(-6.0, 1.0),
+        grad_metric=st.sampled_from(["full", "batch", "none"]),
+        big_c=st.sampled_from([20.0, 999.0]),
+        n=st.integers(1, 6),
+        T=st.integers(1, 60),
+        chunk=st.integers(1, 70),
+        record_every=st.integers(1, 9),
+        capture_trace=st.sampled_from([None, True, False]),
+        beta1=st.sampled_from([0.0, 0.5, 0.9]),
+        beta2=st.sampled_from([0.0, 0.9, 0.999]),
+        converge_tol=st.sampled_from([None, 1e-2, 10.0]),
+        lanes=st.lists(st.tuples(st.floats(-6.0, 300.0), st.floats(-12.0, 1.0),
+                                 st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.5, 3.0])
+                                 | st.floats(0.0, 1.0)),
+                       min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_numpy_engine(self, method, mixed_methods, decay, log_decay,
+                                         grad_metric, big_c, n, T, chunk, record_every,
+                                         capture_trace, beta1, beta2, converge_tol, lanes, seed):
+        """Every record field equal bit for bit. Each lane has its own alpha (up
+        to 1e300) and epsilon, so lanes diverge at their own steps, mid-chunk
+        and at step 1; chunks of a few steps make the kernel resume often."""
+        problem = synth_make(big_c, 1.0)
+        problem.draw_size = max(1, 65536 // (n * chunk))  # chunks of about `chunk` steps
+        rng = np.random.default_rng(seed)
+        cfgs = [TrialConfig(
+            method=METHODS_WITH_A_RATE_SOURCE[rng.integers(3)] if mixed_methods else method,
+            hp=HyperParams(alpha=Schedule.constant(10.0 ** log_alpha), epsilon=10.0 ** log_eps,
+                           beta1=Schedule.constant(beta1), beta2=Schedule.constant(beta2),
+                           weight_decay=0.0 if decay is DecayMode.NONE else 10.0 ** log_decay,
+                           decay_mode=decay),
+            problem=problem, T=T, w1=np.array([w1]), seed=int(rng.integers(2**63)),
+            record_every=record_every, capture_trace=capture_trace, grad_metric=grad_metric,
+            converge_tol=converge_tol) for log_alpha, log_eps, w1 in lanes[:n]]
+        with counted_kernel() as calls:
+            compiled = run_trials(cfgs)
+        assert calls
+        with numpy_engine():
+            spec = run_trials(cfgs)
+        for rec, want in zip(compiled, spec):
+            assert_same_record(rec, want)
+
+    def test_synth_batches_take_the_kernel_path(self):
+        cfg = synth_cfg(T=300, record_every=7)
+        with counted_kernel() as calls:
+            run_trials([cfg, dataclasses.replace(cfg, seed=1)])
+            assert calls == [300]
+            quadratic = quadratic_make([1.0])  # d = 1, but not the synth problem
+            run_trial(dataclasses.replace(cfg, problem=quadratic, w1=np.ones(1)))
+            run_trial(dataclasses.replace(cfg, hp=dataclasses.replace(
+                cfg.hp, alpha=Schedule.inverse_sqrt(1e-3))))
+            assert calls == [300]
+
+    @pytest.mark.parametrize("broken", ["compiler", "read_only_cache", "cache_under_a_file"])
+    def test_failed_build_falls_back_to_numpy(self, broken, tmp_path, monkeypatch, capfd):
+        cfg = synth_cfg(T=300, record_every=7, grad_metric="batch")
+        cfgs = [dataclasses.replace(cfg, method=m, seed=i)
+                for i, m in enumerate(METHODS_WITH_A_RATE_SOURCE)]
+        with numpy_engine():
+            want = run_trials(cfgs)
+        cache = tmp_path / "cache"
+        if broken == "compiler":
+            monkeypatch.setattr(_lanes, "CC", "false")
+        elif broken == "read_only_cache":
+            cache.mkdir(mode=0o500)
+            if os.access(cache, os.W_OK):
+                pytest.skip("this user writes to read-only directories")
+        else:  # no directory can be made under a file, whoever runs
+            cache.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        assert _lanes.kernel() is None
+        for rec, ref in zip(run_trials(cfgs), want):
+            assert_same_record(rec, ref)
+        assert capfd.readouterr() == ("", "")
+
+    def test_racing_builds_load_one_library(self, tmp_path):
+        """Two processes that build into one empty cache at once load one file."""
+        if _lanes.kernel() is None:
+            pytest.skip("no C compiler: the kernel cannot be built")
+        src, module = KERNEL_SOURCE
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [
+                   os.environ.get("PYTHONPATH")])])}
+        go = tmp_path / "go"
+        code = (f"import os, sys, time, {module} as lanes\n"
+                "open(sys.argv[1], 'w').close()\n"
+                "while not os.path.exists(sys.argv[2]):\n"
+                "    time.sleep(0.001)\n"
+                "lib = lanes.library()\n"
+                "print(None if lib is None else lib._name)\n")
+        ready = [tmp_path / f"ready{i}" for i in range(2)]
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(r), str(go)], env=env,
+                                  stdout=subprocess.PIPE, text=True) for r in ready]
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(r.exists() for r in ready) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            go.touch()
+            names = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert names[0] == names[1] != "None"
+        assert [p.name for p in (tmp_path / "cache" / "avagrad_lab").iterdir()] == [
+            Path(names[0]).name]
 
 
 class TestIterateDistribution:

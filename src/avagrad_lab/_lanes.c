@@ -15,8 +15,8 @@
 #include <math.h>
 #include <stdint.h>
 
-/* rows of the state block st (each n lanes long), as runner._kernel_state
- * lays them out */
+/* rows of the state block st (each n lanes long), as runner.run_trials lays
+ * them out */
 enum { ALPHA, EPS, W, M, V, VHAT, WSUM, GSSUM, ZSUM, ETA, AEFF, GS, NSTATE };
 /* rows of the scratch block nx: one step's proposal */
 enum { NW, NM, NV, NVHAT, NWSUM, NGSSUM, NZSUM, NETA, NAEFF, NGS, NNEXT };

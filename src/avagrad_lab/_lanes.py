@@ -16,9 +16,9 @@ import ctypes
 import os
 import platform
 import shutil
-import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_lanes.c")
@@ -38,18 +38,22 @@ def cache_dir() -> Path:
 
 
 def _build(cc: str, directory: Path) -> Path:
-    import hashlib  # only here: it costs a few ms to import
-
-    key = hashlib.sha256(b"\0".join(
-        [SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS),
-         sys.implementation.cache_tag.encode(), platform.machine().encode()])).hexdigest()
-    lib = directory / f"_lanes-{key[:20]}.so"
+    # CRC-32 and Adler-32 of the inputs, 64 bits: plenty to tell a few versions
+    # of one file apart, and zlib is loaded with numpy, while hashlib would
+    # cost a synth run more to import than all the rest of the load
+    key = b"\0".join([SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS),
+                      sys.implementation.cache_tag.encode(), platform.machine().encode()])
+    lib = directory / f"_lanes-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     if not lib.is_file():
+        import subprocess
+
         directory.mkdir(parents=True, exist_ok=True)
         tmp = tempfile.mkdtemp(dir=directory, prefix=".build-")
         try:
-            subprocess.run([cc, *FLAGS, "-o", os.path.join(tmp, "_lanes.so"), str(SOURCE), "-lm"],
-                           check=True, capture_output=True)
+            built = subprocess.run([cc, *FLAGS, "-o", os.path.join(tmp, "_lanes.so"),
+                                    str(SOURCE), "-lm"], capture_output=True)
+            if built.returncode:
+                raise OSError(f"{cc} exited with status {built.returncode}")
             os.replace(os.path.join(tmp, "_lanes.so"), lib)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -65,7 +69,7 @@ def library() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(str(_build(*where)))
             lib.lanes_run.argtypes = _ARGTYPES
             lib.lanes_run.restype = _I64
-        except (OSError, subprocess.SubprocessError):
+        except OSError:  # no compiler, a failed build, an unwritable cache
             lib = None
         _loaded[where] = lib
     return _loaded[where]

@@ -136,20 +136,17 @@ def mix_seed(base_seed: int, *indices: int) -> int:
 
 
 class RngStream:
-    """Deterministic random stream with reproducible child derivation.
+    """Deterministic random stream.
 
     Backed by the counter-based Philox generator keyed directly by the
     64-bit seed: the same seed replays the identical draw sequence on any
-    platform. Child streams come from ``derive`` via :func:`mix_seed`.
+    platform. Independent streams take seeds from :func:`mix_seed`.
     Instances are single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-
-    def derive(self, *indices: int) -> "RngStream":
-        return RngStream(mix_seed(self.seed, *indices))
 
     def random(self, size=None):
         return self._gen.random(size)

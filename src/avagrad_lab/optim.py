@@ -14,6 +14,12 @@ which removes the correlation between the rate and the current gradient.
 No bias correction is applied to m or v anywhere: the state machine follows
 the plain recursions with m_0 = v_0 = 0.
 
+lane_update is the one definition of the update rules. The single exception
+is _lanes.c, the runner's compiled loop for d = 1 synth batches: a copy of
+lane_update at d = 1, operation for operation, which the tests check bit for
+bit against it, and which runs the heavy rare-event trials over ten times
+faster.
+
 adam, amsgrad and delayed_adam share every recursion but the buffer eta is
 read from, so lanes of all three can advance in one lane_update call: a rate
 source (rate_source) holds boolean (n, 1) masks of the lanes that read

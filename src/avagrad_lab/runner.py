@@ -11,6 +11,12 @@ two-outcome benchmark for one method or several, sweep.run_sweep runs blocks
 of grid cells, and cli.cmd_run runs the seeds of one configuration. Each lane
 gets exactly the record it would get alone.
 
+A d = 1 SynthProblem batch with constant schedules, the shape of the
+rare-event benchmark, runs its steps in _lanes.c instead, when a C compiler
+is at hand (_lanes.kernel): a compiled copy of this loop and of
+optim.lane_update at d = 1, checked bit for bit against them, which stay
+the spec. The numpy loop still runs each step at which a lane diverges.
+
 On top of the records sit the diagnostics: iterate_distribution (step weights
 proportional to alpha_t * min_i eta_{t,i}), eval_bound (empirical check of the
 square-root-rate guarantee in its conditional, momentum, and unconditional
@@ -142,7 +148,7 @@ def _kernel_settings(cfgs: list[TrialConfig], grad_metric: str, want_trace: bool
     hp, method, problem = cfg.hp, Method(cfg.method), cfg.problem
     mode = DecayMode.DECOUPLED if method in (Method.ADAMW, Method.AVAGRADW) else hp.decay_mode
     decay = hp.weight_decay > 0.0
-    flags = sum(bit for bit, on in (
+    flags = sum(bit for bit, on in (  # the F_ bits of _lanes.c, in order
         (1, method is not Method.SGD),
         (2, method not in (Method.SGD, Method.MOMENTUM_SGD)),
         (4, method in (Method.AVAGRAD, Method.AVAGRADW)),
@@ -177,6 +183,11 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     once as a 0-d array (core.const): an op with one skips the scalar
     conversion a Python float pays on every call, and gives the same bits.
     Keep them 0-d. A varying schedule's coefficients are floats of each step.
+
+    A d = 1 SynthProblem batch with constant schedules hands each chunk to
+    _lanes.c, which works in the same state, row and trace arrays and stops
+    before a step at which some lane's check below fails. This loop then
+    runs that one step, so divergence is handled here alone, and hands back.
     """
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every

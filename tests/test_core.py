@@ -82,17 +82,6 @@ class TestRngStream:
         b = RngStream(987654321).integers(0, 2**63, size=256)
         assert np.array_equal(a, b)
 
-    def test_derived_streams_differ(self):
-        base = RngStream(5)
-        u0 = base.derive(0).random(32)
-        u1 = base.derive(1).random(32)
-        assert not np.array_equal(u0, u1)
-
-    def test_derivation_matches_mix_seed(self):
-        base = RngStream(5)
-        assert base.derive(3).seed == mix_seed(5, 3)
-        assert np.array_equal(base.derive(3).random(8), RngStream(mix_seed(5, 3)).random(8))
-
     def test_scalar_and_array_draws_agree(self):
         # the replica fast path draws in blocks while run_trial draws one at a time
         s1, s2 = RngStream(42), RngStream(42)

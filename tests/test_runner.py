@@ -522,7 +522,8 @@ class TestCompiledLanes:
         beta1=st.sampled_from([0.0, 0.5, 0.9]),
         beta2=st.sampled_from([0.0, 0.9, 0.999]),
         converge_tol=st.sampled_from([None, 1e-2, 10.0]),
-        lanes=st.lists(st.tuples(st.floats(-6.0, 300.0), st.floats(-12.0, 1.0),
+        lanes=st.lists(st.tuples(st.floats(-6.0, 8.0) | st.floats(296.0, 307.5),
+                                 st.floats(-12.0, 1.0),
                                  st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.5, 3.0])
                                  | st.floats(0.0, 1.0)),
                        min_size=6, max_size=6),
@@ -531,9 +532,10 @@ class TestCompiledLanes:
     def test_kernel_matches_numpy_engine(self, method, mixed_methods, decay, log_decay,
                                          grad_metric, big_c, n, T, chunk, record_every,
                                          capture_trace, beta1, beta2, converge_tol, lanes, seed):
-        """Every record field equal bit for bit. Each lane has its own alpha (up
-        to 1e300) and epsilon, so lanes diverge at their own steps, mid-chunk
-        and at step 1; chunks of a few steps make the kernel resume often."""
+        """Every record field equal bit for bit. Each lane has its own epsilon
+        and alpha, half of them from 1e296 to 3e307, where Z alone can
+        overflow, so lanes diverge at their own steps, mid-chunk and at step
+        1; chunks of a few steps make the kernel resume often."""
         problem = synth_make(big_c, 1.0)
         problem.draw_size = max(1, 65536 // (n * chunk))  # chunks of about `chunk` steps
         rng = np.random.default_rng(seed)
@@ -551,6 +553,22 @@ class TestCompiledLanes:
         assert calls
         with numpy_engine():
             spec = run_trials(cfgs)
+        for rec, want in zip(compiled, spec):
+            assert_same_record(rec, want)
+
+    def test_signed_zero_start_stays_in_the_box(self):
+        # w1 = -0.0 and a rare first draw give g = -0.0 and m = +0.0, so the
+        # step leaves -0.0, which ndarray.clip keeps inside [0, 1]
+        problem = synth_make(20.0, 1.0)
+        cfg = TrialConfig(method=Method.ADAM, hp=make_hp(), problem=problem, T=1,
+                          w1=np.array([-0.0]), seed=0)
+        cfgs = [dataclasses.replace(cfg, seed=i) for i in range(40)]
+        with counted_kernel() as calls:
+            compiled = run_trials(cfgs)
+        assert calls
+        with numpy_engine():
+            spec = run_trials(cfgs)
+        assert any(np.signbit(rec.w_final[0]) for rec in spec)
         for rec, want in zip(compiled, spec):
             assert_same_record(rec, want)
 

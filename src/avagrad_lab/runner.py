@@ -278,7 +278,10 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     row[...] = math.nan if val is None else val
                 # (the arrays are named: the call gets bare addresses)
                 scratch, lane_rates = np.empty(st.shape), rates[ids]
-                clock = np.array([t, T, every, n_rows])
+                clock = np.array([t, T, every, n_rows], dtype=np.int64)
+                if not (tokens.dtype == np.bool_ and tokens.shape[1:] == (len(ids), 1) and all(
+                        a is None or a.flags.c_contiguous for a in (tokens, rows, tr))):
+                    raise RuntimeError("_lanes.c needs C-contiguous buffers of n lanes")
                 ran = kernel(len(ids), span - k, tokens[k:].ctypes.data, st.ctypes.data,
                              scratch.ctypes.data, lane_rates.ctypes.data,
                              par.ctypes.data, flags, clock.ctypes.data, rows.ctypes.data,

@@ -138,7 +138,7 @@ def _shared_settings(cfg: TrialConfig) -> tuple:
 
 # the buffer _lanes.c reads each lane's eta from: v_t (the default), vhat or v_{t-1}
 _KERNEL_RATE = {Method.AMSGRAD: 1, Method.DELAYED_ADAM: 2, Method.AVAGRAD: 2, Method.AVAGRADW: 2}
-_KERNEL_STATE = 12  # rows of its state block: alpha, eps, w, m, v, v_hat, the sums, eta, ...
+_KERNEL_STATE = 12  # NSTATE of _lanes.c: alpha, eps, w, m, v, v_hat, the sums, eta, ...
 
 
 def _kernel_settings(cfgs: list[TrialConfig], grad_metric: str, want_trace: bool,

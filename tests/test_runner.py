@@ -500,9 +500,6 @@ class TestReplicaEngineParity:
             run_synth_replicas(problem, Method.ADAM, make_hp(), 0.5, 10, 0, 1)
 
 
-KERNEL_SOURCE = (Path(_lanes.__file__).resolve().parents[1], "avagrad_lab._lanes")
-
-
 class TestCompiledLanes:
     """The compiled loop of avagrad_lab._lanes against the numpy loop, its spec."""
 
@@ -609,12 +606,12 @@ class TestCompiledLanes:
         """Two processes that build into one empty cache at once load one file."""
         if _lanes.kernel() is None:
             pytest.skip("no C compiler: the kernel cannot be built")
-        src, module = KERNEL_SOURCE
+        src = Path(_lanes.__file__).resolve().parents[1]
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
                "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [
                    os.environ.get("PYTHONPATH")])])}
         go = tmp_path / "go"
-        code = (f"import os, sys, time, {module} as lanes\n"
+        code = ("import os, sys, time, avagrad_lab._lanes as lanes\n"
                 "open(sys.argv[1], 'w').close()\n"
                 "while not os.path.exists(sys.argv[2]):\n"
                 "    time.sleep(0.001)\n"

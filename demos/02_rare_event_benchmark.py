@@ -39,7 +39,7 @@ T, seeds, w1 = 400_000, 5, 1.0
 print(f"\nrunning {seeds} replicas of {T} steps per method from w1 = {w1}")
 print(f"{'method':13s} {'mean iterate':>12s} {'mean grad^2':>12s} {'final w':>9s}")
 methods = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
-# one lock-step batch: the replicas of each method in turn, each with its own seed
+# one lock-step batch per method, of its replicas, each with its own seed
 all_records = run_synth_replicas(
     problem, methods, hp, w1=w1, T=T, base_seed=11,
     n_replicas=seeds, record_every=T // 20,

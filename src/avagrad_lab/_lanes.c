@@ -29,13 +29,12 @@ enum {
     F_NORMALIZED = 4,  /* avagrad: eta rescaled by sqrt(d) / ||eta|| */
     F_COUPLED = 8,     /* g += lam * w */
     F_DECOUPLED = 16,  /* w_next -= (alpha * lam) * w */
-    F_VHAT = 32,       /* the batch keeps vhat = max(vhat, v_t) on every lane */
+    F_VHAT = 32,       /* amsgrad: eta is read from vhat = max(vhat, v_t) */
     F_FULL = 64,       /* gradient metric: the exact expected gradient */
     F_BATCH = 128,     /* gradient metric: the drawn gradient */
     F_TRACE = 256,
+    F_DELAYED = 512,   /* delayed_adam, avagrad(w): eta is read from v_{t-1} */
 };
-/* rate[p]: the buffer lane p reads eta from */
-enum { RATE_V_T, RATE_VHAT, RATE_V_PREV };
 
 /* np.maximum: NaN propagates, and of two equal values the second is kept */
 static double maximum(double a, double b)
@@ -65,8 +64,8 @@ static double clip(double x, double lo, double hi)
  * steps committed: fewer than `steps` when a lane fails the finiteness
  * check at the next one. */
 int64_t lanes_run(int64_t n, int64_t steps, const uint8_t *tok, double *st, double *nx,
-                  const uint8_t *rate, const double *par, int64_t flags, int64_t *clock,
-                  double *rows, double *trace)
+                  const double *par, int64_t flags, int64_t *clock, double *rows,
+                  double *trace)
 {
     const double big_c = par[P_C], slope = par[P_SLOPE], offset = par[P_OFFSET];
     const double lo = par[P_LO], hi = par[P_HI], lam = par[P_LAM];
@@ -103,7 +102,7 @@ int64_t lanes_run(int64_t n, int64_t steps, const uint8_t *tok, double *st, doub
                 vn = b2 * v[p] + c2 * (ge * ge);
                 if (flags & F_VHAT)
                     vhn = maximum(vhat[p], vn);
-                r = rate[p] == RATE_V_PREV ? v[p] : rate[p] == RATE_VHAT ? vhn : vn;
+                r = (flags & F_DELAYED) ? v[p] : (flags & F_VHAT) ? vhn : vn;
                 e = 1.0 / (sqrt(r) + eps[p]);
             }
             if (flags & F_NORMALIZED) {

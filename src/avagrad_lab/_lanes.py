@@ -28,7 +28,7 @@ CC = "gcc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
-_ARGTYPES = (_I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _P, _P)
+_ARGTYPES = (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P)
 
 _loaded: dict = {}  # (compiler, cache directory) -> library, or None if it failed
 

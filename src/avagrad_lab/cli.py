@@ -244,6 +244,8 @@ def cmd_run(args) -> int:
     hp, method = _build_hp(config.get("optimizer", {}), args)
     steps = _steps(run, args, 1000)
     seeds = run["seeds"] if args.seed is None and "seeds" in run else [_base_seed(args)]
+    if len(set(seeds)) != len(seeds):  # each seed writes its own trajectory file
+        raise ConfigError("[run] seeds must not repeat")
     record_every = run.get("record_every", max(1, steps // 1000))
     _require_positive(record_every, "[run] record_every")
     init_scale = run.get("init_scale", 0.1)
@@ -300,7 +302,7 @@ def cmd_synthfig(args) -> int:
         beta1=Schedule.constant(0.0),
         beta2=Schedule.constant(0.99),
     )
-    records = run_synth_replicas(  # one batch: the replicas of each method in turn
+    records = run_synth_replicas(  # one batch per method, of its replicas
         problem, SYNTHFIG_METHODS, hp, w1=0.5, T=steps, base_seed=base_seed,
         n_replicas=n_seeds, record_every=stride, capture_trace=False,
     )

@@ -33,19 +33,9 @@ def ensure_vector(data, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def const(x: float) -> np.ndarray:
-    """x as a read-only 0-d float64 array. An op between an array and a 0-d
-    array gives the bits it gives with the float, but skips numpy's scalar
-    conversion: per-step constants on small lanes are held this way."""
-    a = np.array(x, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-def clamp_box(a: np.ndarray, lo, hi) -> np.ndarray:
-    """Euclidean projection of each lane (..., d) onto the box [lo, hi]^d; lo
-    and hi are floats or, in a per-step loop, faster, const() arrays."""
-    if float(lo) > float(hi):  # a compare of 0-d arrays would cost a ufunc call
+def clamp_box(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Euclidean projection of each lane (..., d) onto the box [lo, hi]^d."""
+    if lo > hi:
         raise ValueError(f"clamp bounds out of order: lo={lo} > hi={hi}")
     return np.asarray(a).clip(lo, hi)  # np.clip, less its dispatch
 

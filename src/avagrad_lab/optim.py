@@ -19,19 +19,6 @@ is _lanes.c, the runner's compiled loop for d = 1 synth batches: a copy of
 lane_update at d = 1, operation for operation, which the tests check bit for
 bit against it, and which runs the heavy rare-event trials over ten times
 faster.
-
-adam, amsgrad and delayed_adam share every recursion but the buffer eta is
-read from, so lanes of all three can advance in one lane_update call: a rate
-source (rate_source) holds boolean (n, 1) masks of the lanes that read
-max(vhat, v_t) and v_{t-1}, and np.copyto writes those lanes' buffers over
-a copy of v_t.
-
-lane_update runs once per step on small (n, d) lanes, where numpy's per-call
-overhead, not its arithmetic, sets the cost. An op between an array and a
-0-d float64 array skips the scalar conversion a Python float (or an
-np.float64) pays on every call, and gives the same bits, so the batch
-runner passes its constant coefficients, and this module holds its 1 and
-sqrt(d), as 0-d arrays. Do not turn them back into floats.
 """
 
 from __future__ import annotations
@@ -42,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NonFiniteError, Schedule, const, ensure_vector, schedule_eval
+from .core import NonFiniteError, Schedule, ensure_vector, schedule_eval
 
 
 class Method(str, Enum):
@@ -65,19 +52,11 @@ class DecayMode(str, Enum):
 #: methods whose eta_t is computed from v_{t-1}, before v absorbs g_t
 DELAYED_METHODS = frozenset({Method.DELAYED_ADAM, Method.AVAGRAD, Method.AVAGRADW})
 
-#: methods whose lanes can share one batch, each reading eta from its own buffer
-RATE_SOURCE_METHODS = frozenset({Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM})
-
 #: methods that always apply decoupled weight decay, whatever hp.decay_mode says
 _FORCED_DECOUPLED = frozenset({Method.ADAMW, Method.AVAGRADW})
 
 #: methods that rescale the delayed rates by sqrt(d) / ||eta||
 _NORMALIZED_METHODS = frozenset({Method.AVAGRAD, Method.AVAGRADW})
-
-# for lane_update, once per step: Method.X costs ~100 ns on CPython 3.11, a global ~20
-_SGD, _MOMENTUM_SGD, _AMSGRAD = Method.SGD, Method.MOMENTUM_SGD, Method.AMSGRAD
-_COUPLED_L2, _DECOUPLED = DecayMode.COUPLED_L2, DecayMode.DECOUPLED
-_ONE = const(1.0)  # the numerator of eta, 0-d (see above)
 
 
 class DivergenceError(NonFiniteError):
@@ -160,83 +139,47 @@ def init_state(method: Method, d: int) -> OptimizerState:
 def _scaled_norm(eta: np.ndarray) -> np.ndarray:
     """||eta / sqrt(d)|| of each lane (last axis), kept as a trailing axis of length 1."""
     # np.add.reduce is what np.sum runs, less its Python wrapper
-    return (np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
-            / np.array(math.sqrt(eta.shape[-1])))
-
-
-def rate_source(methods) -> tuple | None:
-    """The rate source of a batch whose lane i runs methods[i]: None when every
-    lane runs one method, else a pair (delayed, amsgrad) of boolean (n, 1)
-    masks of the lanes that read v_{t-1} and max(vhat, v_t), each None when no
-    lane does; the other lanes read v_t. A mixed batch may hold only
-    RATE_SOURCE_METHODS."""
-    methods = [Method(m) for m in methods]
-    if len(set(methods)) == 1:
-        return None
-    if not RATE_SOURCE_METHODS.issuperset(methods):
-        raise ValueError("only adam, amsgrad and delayed_adam lanes can share a batch")
-    masks = (np.array([[m is kind] for m in methods])
-             for kind in (Method.DELAYED_ADAM, Method.AMSGRAD))
-    return tuple(mask if mask.any() else None for mask in masks)
-
-
-def coefficients(b1, b2) -> tuple:
-    """lane_update's coef of one step: (b1, 1 - b1, b2, 1 - b2)."""
-    return b1, 1.0 - b1, b2, 1.0 - b2
+    return np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True)) / math.sqrt(eta.shape[-1])
 
 
 def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
-                alpha, coef, eps, lam, source=None):
+                alpha, b1, b2, eps, lam):
     """One update of the shared recursion on lanes of shape (..., d).
 
-    w, m, v, g (and v_hat, when a lane is amsgrad; None otherwise) are arrays
-    of one shape. coef is coefficients(b1, b2) of this step and lam its
-    weight decay, scalars: Python floats or, faster, 0-d arrays (lam stays a
-    float, since most steps only test lam > 0). alpha and eps are scalars or
-    (..., 1) columns of per-lane values. source is None, or
-    for a batch of mixed adam, amsgrad and delayed_adam lanes the rate_source
-    that picks each lane's eta, whichever of the three method names; its
-    amsgrad lanes need v_hat. Returns (w_next, m_next, v_next, v_hat_next,
-    eta, alpha_eff), where eta is the raw rate of each coordinate and
-    alpha_eff is alpha, or for avagrad an array (..., 1) of
-    alpha * sqrt(d) / ||eta||. Everything is coordinate-wise except that
-    norm, taken per lane over the last axis. The caller opens np.errstate and
-    checks finiteness: overflow is a divergence signal here.
+    w, m, v, g (and v_hat for amsgrad; None otherwise) are arrays of one
+    shape. b1, b2 and lam are this step's beta1, beta2 and weight decay,
+    floats; alpha and eps are floats or (..., 1) columns of per-lane values.
+    Returns (w_next, m_next, v_next, v_hat_next, eta, alpha_eff), where eta
+    is the raw rate of each coordinate and alpha_eff is alpha, or for
+    avagrad an array (..., 1) of alpha * sqrt(d) / ||eta||. Everything is
+    coordinate-wise except that norm, taken per lane over the last axis. The
+    caller opens np.errstate and checks finiteness: overflow is a divergence
+    signal here.
     """
-    b1, c1, b2, c2 = coef
     if method in _FORCED_DECOUPLED:
-        decay_mode = _DECOUPLED
-    if lam > 0.0 and decay_mode is _COUPLED_L2:
+        decay_mode = DecayMode.DECOUPLED
+    if lam > 0.0 and decay_mode is DecayMode.COUPLED_L2:
         g = g + lam * w
     v_next, v_hat_next, alpha_eff = v, v_hat, alpha
 
-    if method is _SGD:
+    if method is Method.SGD:
         m_next = m
         eta = np.ones(w.shape)
         w_next = w - alpha * g
-    elif method is _MOMENTUM_SGD:
-        m_next = b1 * m + c1 * g
+    elif method is Method.MOMENTUM_SGD:
+        m_next = b1 * m + (1.0 - b1) * g
         eta = np.ones(w.shape)
         w_next = w - alpha * m_next
     else:
-        m_next = b1 * m + c1 * g
-        v_next = b2 * v + c2 * (g * g)
-        if source is not None:  # each lane's own buffer: v_t, max(vhat, v_t) or v_{t-1}
-            delayed, amsgrad = source
-            rate_v = v_next.copy()
-            if amsgrad is not None:
-                v_hat_next = np.maximum(v_hat, v_next)
-                np.copyto(rate_v, v_hat_next, where=amsgrad)
-            if delayed is not None:
-                np.copyto(rate_v, v, where=delayed)
-            eta = _ONE / (np.sqrt(rate_v) + eps)
-        elif method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
-            eta = _ONE / (np.sqrt(v) + eps)
-        elif method is _AMSGRAD:
+        m_next = b1 * m + (1.0 - b1) * g
+        v_next = b2 * v + (1.0 - b2) * (g * g)
+        if method in DELAYED_METHODS:  # rates from v_{t-1}, before v absorbs g_t
+            eta = 1.0 / (np.sqrt(v) + eps)
+        elif method is Method.AMSGRAD:
             v_hat_next = np.maximum(v_hat, v_next)
-            eta = _ONE / (np.sqrt(v_hat_next) + eps)
+            eta = 1.0 / (np.sqrt(v_hat_next) + eps)
         else:
-            eta = _ONE / (np.sqrt(v_next) + eps)
+            eta = 1.0 / (np.sqrt(v_next) + eps)
         if method in _NORMALIZED_METHODS:
             scaled_norm = _scaled_norm(eta)
             w_next = w - alpha * ((eta / scaled_norm) * m_next)
@@ -244,7 +187,7 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
         else:
             w_next = w - alpha * (eta * m_next)
 
-    if lam > 0.0 and decay_mode is _DECOUPLED:
+    if lam > 0.0 and decay_mode is DecayMode.DECOUPLED:
         w_next = w_next - (alpha * lam) * w
     return w_next, m_next, v_next, v_hat_next, eta, alpha_eff
 
@@ -272,7 +215,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         w_next, m_next, v_next, v_hat_next, eta, alpha_eff = lane_update(
             method, hp.decay_mode, w, state.m, state.v, state.v_hat, g,
-            alpha, coefficients(b1, b2), hp.epsilon, hp.weight_decay)
+            alpha, b1, b2, hp.epsilon, hp.weight_decay)
 
     ok = np.all(np.isfinite(w_next)) and np.all(np.isfinite(m_next)) and np.all(np.isfinite(v_next))
     if ok and v_hat_next is not None:

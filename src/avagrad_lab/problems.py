@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, const, ensure_vector
+from .core import RngStream, ensure_vector
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,12 @@ class SynthProblem(StochasticProblem):
         self.w_star = self.mean_offset / self.mean_slope
         self.dim = 1
         self.box = (0.0, 1.0)
-        # 0-d copies for grad and full_grad, which run once per step on small
-        # lanes: an op with a 0-d array is cheaper than with a float, same bits
-        self._c, self._minus_one, self._slope, self._offset = (
-            const(x) for x in (self.big_c, -1.0, self.mean_slope, self.mean_offset))
 
     def sample(self, rng: RngStream, size: int | None = None):
         return rng.random(1 if size is None else (size, 1)) < self.p
 
     def grad(self, w, token):
-        return np.where(token, self._c * w, self._minus_one)
+        return np.where(token, self.big_c * w, -1.0)
 
     def loss(self, w, token):
         if token:
@@ -143,7 +139,7 @@ class SynthProblem(StochasticProblem):
         return float(-w[0])
 
     def full_grad(self, w):
-        return self._slope * w - self._offset
+        return self.mean_slope * w - self.mean_offset
 
     def objective(self, w):
         return float(0.5 * self.mean_slope * w[0] * w[0] - self.mean_offset * w[0])

@@ -3,13 +3,13 @@
 A trial drives one optimizer over one stochastic problem, accumulating prefix
 statistics (mean iterate, mean squared gradient norm, the rate-weighted mass
 Z) at full resolution while logging CSV rows at a configurable stride. One
-loop, run_trials, runs every trial: it advances n trials that differ only in
-w1, seed, alpha, epsilon and, among adam, amsgrad and delayed_adam, the method
-in lock-step, as the (n, d) lanes of optim.lane_update. run_trial is its
-one-lane case; run_synth_replicas runs n seeded replicas of the scalar
-two-outcome benchmark for one method or several, sweep.run_sweep runs blocks
-of grid cells, and cli.cmd_run runs the seeds of one configuration. Each lane
-gets exactly the record it would get alone.
+loop, run_trials, runs every trial: it advances n trials of one method that
+differ only in w1, seed, alpha and epsilon in lock-step, as the (n, d) lanes
+of optim.lane_update. run_trial is its one-lane case; run_synth_replicas runs
+n seeded replicas of the scalar two-outcome benchmark for one method or
+several, one batch per method, sweep.run_sweep runs blocks of grid cells, and
+cli.cmd_run runs the seeds of one configuration. Each lane gets exactly the
+record it would get alone.
 
 A d = 1 SynthProblem batch with constant schedules, the shape of the
 rare-event benchmark, runs its steps in _lanes.c instead, when a C compiler
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, clamp_box, const, mix_seed, schedule_eval, write_csv
+from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from . import _lanes
-from .optim import (RATE_SOURCE_METHODS, DecayMode, HyperParams, Method, OptimizerState,
-                    coefficients, lane_update, rate_source)
+from .optim import (DELAYED_METHODS, DecayMode, HyperParams, Method, OptimizerState,
+                    lane_update)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
@@ -112,39 +112,37 @@ def run_synth_replicas(
 
     Replica i is the trial run_trial would run with seed mix_seed(base_seed, i),
     and it gets exactly that trial's record, divergence included. Given a
-    sequence of methods (of adam, amsgrad and delayed_adam), all n replicas
-    of each run as one batch, and the records come method by method.
+    sequence of methods, the n replicas of each run as one batch, and the
+    records come method by method.
     """
-    methods = [method] if isinstance(method, str) else method
+    methods = [method] if isinstance(method, str) else list(method)
     if not isinstance(problem, SynthProblem):
         raise ValueError("replicas only support the scalar two-outcome benchmark")
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    return run_trials([TrialConfig(
+    if not methods:
+        raise ValueError("replicas need at least one method")
+    return [record for m in methods for record in run_trials([TrialConfig(
         method=Method(m), hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
         seed=mix_seed(base_seed, i), record_every=record_every,
-        capture_trace=capture_trace, grad_metric="full")
-        for m in methods for i in range(n_replicas)])
+        capture_trace=capture_trace, grad_metric="full") for i in range(n_replicas)])]
 
 
 def _shared_settings(cfg: TrialConfig) -> tuple:
     """What every lane of one batch must share: all of a config but w1, seed,
-    the alpha schedule's base, epsilon and a method of RATE_SOURCE_METHODS."""
-    hp, method = cfg.hp, Method(cfg.method)
-    return (Method.ADAM if method in RATE_SOURCE_METHODS else method, cfg.problem, cfg.T,
-            cfg.record_every, cfg.capture_trace, cfg.grad_metric, cfg.converge_tol,
-            hp.alpha.kind, hp.beta1, hp.beta2, hp.weight_decay, hp.decay_mode)
+    the alpha schedule's base and epsilon."""
+    hp = cfg.hp
+    return (Method(cfg.method), cfg.problem, cfg.T, cfg.record_every, cfg.capture_trace,
+            cfg.grad_metric, cfg.converge_tol, hp.alpha.kind, hp.beta1, hp.beta2,
+            hp.weight_decay, hp.decay_mode)
 
 
-# the buffer _lanes.c reads each lane's eta from: v_t (the default), vhat or v_{t-1}
-_KERNEL_RATE = {Method.AMSGRAD: 1, Method.DELAYED_ADAM: 2, Method.AVAGRAD: 2, Method.AVAGRADW: 2}
 _KERNEL_STATE = 12  # NSTATE of _lanes.c: alpha, eps, w, m, v, v_hat, the sums, eta, ...
 
 
-def _kernel_settings(cfgs: list[TrialConfig], grad_metric: str, want_trace: bool,
-                     has_v_hat: bool) -> tuple[np.ndarray, int]:
+def _kernel_settings(cfg: TrialConfig, grad_metric: str,
+                     want_trace: bool) -> tuple[np.ndarray, int]:
     """The par array and flags of a _lanes.c call: lane_update's branches at d = 1."""
-    cfg = cfgs[0]
     hp, method, problem = cfg.hp, Method(cfg.method), cfg.problem
     mode = DecayMode.DECOUPLED if method in (Method.ADAMW, Method.AVAGRADW) else hp.decay_mode
     decay = hp.weight_decay > 0.0
@@ -154,21 +152,21 @@ def _kernel_settings(cfgs: list[TrialConfig], grad_metric: str, want_trace: bool
         (4, method in (Method.AVAGRAD, Method.AVAGRADW)),
         (8, decay and mode is DecayMode.COUPLED_L2),
         (16, decay and mode is DecayMode.DECOUPLED),
-        (32, has_v_hat),
+        (32, method is Method.AMSGRAD),
         (64, grad_metric == "full"),
         (128, grad_metric == "batch"),
-        (256, want_trace)) if on)
+        (256, want_trace),
+        (512, method in DELAYED_METHODS)) if on)
+    b1, b2 = hp.beta1.base, hp.beta2.base
     par = np.array([problem.big_c, problem.mean_slope, problem.mean_offset, *problem.box,
-                    *coefficients(hp.beta1.base, hp.beta2.base), hp.weight_decay])
+                    b1, 1.0 - b1, b2, 1.0 - b2, hp.weight_decay])
     return par, flags
 
 
 def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
-    """Run trials that differ only in w1, seed, alpha base, epsilon and a
-    method among adam, amsgrad and delayed_adam in lock-step, as the (n, d)
-    lanes of optim.lane_update, and give each the record it would get alone.
-    A batch of mixed methods passes lane_update a rate source whose masks
-    pick each lane's eta; a batch of one method runs without one.
+    """Run trials of one method that differ only in w1, seed, alpha base and
+    epsilon in lock-step, as the (n, d) lanes of optim.lane_update, and give
+    each the record it would get alone.
 
     Each lane draws its tokens from its own stream, in chunks that one
     problem.sample_lanes call draws for all lanes: Philox is counter-based,
@@ -177,18 +175,13 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     step t leaves the batch there, diverged, with the statistics of the steps
     before.
 
-    Each step makes a few dozen numpy calls on small (n, d) arrays, where the
-    per-call overhead sets the cost. So what is constant across the batch,
-    the coefficients of constant schedules and the box bounds, is built
-    once as a 0-d array (core.const): an op with one skips the scalar
-    conversion a Python float pays on every call, and gives the same bits.
-    Keep them 0-d. A varying schedule's coefficients are floats of each step.
-
     A d = 1 SynthProblem batch with constant schedules hands each chunk to
     _lanes.c, which works in the same state, row and trace arrays and stops
     before a step at which some lane's check below fails. This loop then
     runs that one step, so divergence is handled here alone, and hands back.
     """
+    if not cfgs:
+        return []
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
     method, d = Method(cfg.method), problem.dim
@@ -203,8 +196,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
         if np.shape(c.w1) != (d,):
             raise ValueError(f"w1 has shape {np.shape(c.w1)}, problem dimension is {d}")
         if _shared_settings(c) != shared:
-            raise ValueError("lanes may differ only in w1, seed, alpha base, epsilon and a "
-                             "method among adam, amsgrad and delayed_adam")
+            raise ValueError("lanes may differ only in w1, seed, alpha base and epsilon")
     w = np.array([c.w1 for c in cfgs], dtype=np.float64)
     grad_metric = cfg.grad_metric
     if grad_metric == "full" and problem.full_grad(w[0]) is None:
@@ -215,9 +207,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     alpha_base = np.array([[c.hp.alpha.base] for c in cfgs], dtype=np.float64)
     eps = np.array([[c.hp.epsilon] for c in cfgs], dtype=np.float64)
     varying = any(s.kind != "constant" for s in (hp.alpha, hp.beta1, hp.beta2))
-    alpha = alpha_base  # alpha and coef: if varying, set per step
-    coef = tuple(const(x) for x in coefficients(hp.beta1.base, hp.beta2.base))
-    box = None if problem.box is None else tuple(const(x) for x in problem.box)
+    alpha, b1, b2 = alpha_base, hp.beta1.base, hp.beta2.base  # if varying, set per step
 
     # Lane state. Per-lane scalars are (n, 1) columns, like avagrad's alpha_eff;
     # the lane axis is 0, except in tokens (1) and the row and trace buffers (2).
@@ -226,8 +216,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     ids = np.arange(n)
     streams = [RngStream(c.seed) for c in cfgs]
     m, v = np.zeros((n, d)), np.zeros((n, d))
-    source = rate_source([c.method for c in cfgs])  # the (n, 1) masks of a mixed batch
-    v_hat = np.zeros((n, d)) if any(c.method == Method.AMSGRAD for c in cfgs) else None
+    v_hat = np.zeros((n, d)) if method is Method.AMSGRAD else None
     w_sum, z_sum = np.zeros((n, 1)), np.zeros((n, 1))
     gs_sum = np.full((n, 1), math.nan if grad_metric == "none" else 0.0)  # no metric, no mean
     gs_sum_t = None  # gs_sum with this step's term; stays None without a metric
@@ -262,8 +251,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
 
     kernel = _lanes.kernel() if d == 1 and type(problem) is SynthProblem and not varying else None
     if kernel is not None:
-        rates = np.array([_KERNEL_RATE.get(Method(c.method), 0) for c in cfgs], dtype=np.uint8)
-        par, flags = _kernel_settings(cfgs, grad_metric, want_trace, v_hat is not None)
+        par, flags = _kernel_settings(cfg, grad_metric, want_trace)
     span = max(1, 65536 // (n * problem.draw_size))  # steps drawn ahead, <= 65536 scalars
     t, k = 1, span
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,15 +265,14 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                                          alpha_eff, gs)):
                     row[...] = math.nan if val is None else val
                 # (the arrays are named: the call gets bare addresses)
-                scratch, lane_rates = np.empty(st.shape), rates[ids]
+                scratch = np.empty(st.shape)
                 clock = np.array([t, T, every, n_rows], dtype=np.int64)
                 if not (tokens.dtype == np.bool_ and tokens.shape[1:] == (len(ids), 1) and all(
                         a is None or a.flags.c_contiguous for a in (tokens, rows, tr))):
                     raise RuntimeError("_lanes.c needs C-contiguous buffers of n lanes")
                 ran = kernel(len(ids), span - k, tokens[k:].ctypes.data, st.ctypes.data,
-                             scratch.ctypes.data, lane_rates.ctypes.data,
-                             par.ctypes.data, flags, clock.ctypes.data, rows.ctypes.data,
-                             None if tr is None else tr.ctypes.data)
+                             scratch.ctypes.data, par.ctypes.data, flags, clock.ctypes.data,
+                             rows.ctypes.data, None if tr is None else tr.ctypes.data)
                 w, m, v, vh, w_sum, gs_sum, z_sum, eta, alpha_eff, gs_k = st[2:]
                 v_hat, eta_min = None if v_hat is None else vh, eta
                 gs = gs if grad_metric == "none" else gs_k
@@ -294,22 +281,20 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                     continue
             if varying:
                 alpha = schedule_eval(hp.alpha, t, alpha_base)
-                coef = coefficients(schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t))
+                b1, b2 = schedule_eval(hp.beta1, t), schedule_eval(hp.beta2, t)
             while True:  # once, unless a lane diverges: then again without it
                 g = problem.grad(w, tokens[k])
                 # the running sums with this step's terms, screened with the step; the
-                # mean of one coordinate is that coordinate, else np.mean, bit for bit
-                w_mean = w if d == 1 else np.add.reduce(w, axis=-1, keepdims=True) / d
-                w_sum_t = sums = w_sum + w_mean
+                # mean is np.mean's and the squared norm x @ x's, bit for bit
+                w_sum_t = sums = w_sum + np.add.reduce(w, axis=-1, keepdims=True) / d
                 if grad_metric != "none":
                     x = problem.full_grad(w) if grad_metric == "full" else g
-                    gs = x * x if d == 1 else np.vecdot(x, x)[:, None]  # x @ x, bit for bit
+                    gs = np.vecdot(x, x)[:, None]
                     gs_sum_t = gs_sum + gs
                     sums = w_sum_t * gs_sum_t
                 w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(
-                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, coef, eps, lam, source)
-                # the min of one coordinate is that coordinate
-                eta_min_t = eta_t if d == 1 else np.minimum.reduce(eta_t, axis=-1, keepdims=True)
+                    method, hp.decay_mode, w, m, v, v_hat, g, alpha, b1, b2, eps, lam)
+                eta_min_t = np.minimum.reduce(eta_t, axis=-1, keepdims=True)
                 z_sum_t = z_sum + alpha * eta_min_t
                 # A sum of products is finite only if every factor is, and a finite
                 # running sum plus a term only if the term is. A non-finite g or
@@ -341,8 +326,6 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                 lane_state = (ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps)
                 ids, w, m, v, v_hat, w_sum, gs_sum, z_sum, alpha, alpha_base, eps = [
                     a[keep] if isinstance(a, np.ndarray) else a for a in lane_state]
-                if source is not None:
-                    source = tuple(a if a is None else a[keep] for a in source)
                 if not len(ids):
                     return records  # else the step is redone: the kept lanes were finite
             k += 1
@@ -361,7 +344,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                                          alpha_eff)):
                     rows[n_rows, j] = val
                 n_rows += 1
-            w = clamp_box(w_next, *box) if box is not None else w_next
+            w = w_next if problem.box is None else clamp_box(w_next, *problem.box)
             t += 1
 
     tol = cfg.converge_tol

@@ -72,8 +72,12 @@ class GridSpec:
 
     def __post_init__(self):
         self.methods = [Method(m) for m in self.methods]
-        if not self.methods or not self.seeds:
-            raise ValueError("methods and seeds must be non-empty")
+        for name in ("methods", "seeds"):
+            vals = getattr(self, name)
+            if not vals:
+                raise ValueError(f"{name} must be non-empty")
+            if len(set(vals)) != len(vals):  # a cell's identity would repeat
+                raise ValueError(f"{name} must not repeat")
         for name in ("alphas", "epsilons"):
             vals = getattr(self, name)
             if not vals:
@@ -147,6 +151,7 @@ def _cell_config(spec: GridSpec, task: tuple[int, int, int, int]) -> TrialConfig
         w1=w1,
         seed=mix_seed(cell_seed, 1),
         record_every=spec.T,
+        capture_trace=False,  # only the final iterate is scored
         grad_metric="none",
     )
 

@@ -238,6 +238,13 @@ steps = 5
         assert "seeds=11" in head
         assert (tmp_path / "o" / "trajectory_seed11.csv").exists()
 
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        # both would write trajectory_seed1.csv
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 1,1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "seeds")
+        assert not (tmp_path / "o").exists()
+
     def test_seeds_run_as_one_batch(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -365,6 +372,11 @@ class TestCmdSweep:
         cfg = write_config(tmp_path, SWEEP_CONFIG + "workers = 0\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert_one_error_line(capsys, "workers")
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("seeds = 0,1,2", "seeds = 0,0"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "seeds")
 
     def test_grid_section_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avagrad_lab.core import Schedule, const
+from avagrad_lab.core import Schedule
 from avagrad_lab.optim import (
     DecayMode,
     DivergenceError,
     HyperParams,
     Method,
     OptimizerState,
-    coefficients,
     eta_bounds,
     init_state,
     lane_update,
     normalized_eta,
-    rate_source,
     step,
 )
 
@@ -243,8 +241,7 @@ class TestLaneKernel:
         v_hat = v + rng.random((n, d)) if method is Method.AMSGRAD else None
         hp = hp_of(alpha, epsilon, beta1, beta2, weight_decay, decay)
         w_next, m_next, v_next, v_hat_next, eta, alpha_eff = lane_update(
-            method, decay, w, m, v, v_hat, g, alpha, coefficients(beta1, beta2), epsilon,
-            weight_decay)
+            method, decay, w, m, v, v_hat, g, alpha, beta1, beta2, epsilon, weight_decay)
         alpha_eff = np.broadcast_to(alpha_eff, (n, 1))
         for i in range(n):
             state = OptimizerState(method, m[i], v[i], None if v_hat is None else v_hat[i], 0)
@@ -256,94 +253,6 @@ class TestLaneKernel:
                 assert v_hat_next[i].tobytes() == state_i.v_hat.tobytes()
             assert eta[i].tobytes() == rep.eta.tobytes()
             assert alpha_eff[i, 0] == rep.alpha_eff
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        d=st.integers(1, 16),
-        n=st.integers(1, 9),
-        epsilon=st.floats(1e-10, 10.0),
-        beta1=st.floats(0.0, 0.999),
-        beta2=st.floats(0.0, 0.9999),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_rate_source_lanes_match_their_own_method(self, d, n, epsilon, beta1, beta2, seed):
-        """A batch of adam, amsgrad and delayed_adam lanes, each reading eta
-        through the rate source, equals each method's own lane_update."""
-        rng = np.random.default_rng(seed)
-        methods = [(Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)[i]
-                   for i in rng.integers(3, size=n)]
-        w, m, g = rng.normal(size=(3, n, d))
-        v = 10.0 * rng.random((n, d))
-        v_hat = v + rng.random((n, d))
-        alpha = 10.0 ** rng.uniform(-6.0, 1.0, size=(n, 1))
-        source = rate_source(methods)
-        coef = coefficients(beta1, beta2)
-        mixed = lane_update(methods[0], DecayMode.NONE, w, m, v, v_hat, g, alpha, coef,
-                            epsilon, 0.0, source)
-        for i, method in enumerate(methods):
-            alone = lane_update(method, DecayMode.NONE, w[i:i + 1], m[i:i + 1], v[i:i + 1],
-                                v_hat[i:i + 1] if method is Method.AMSGRAD else None,
-                                g[i:i + 1], alpha[i:i + 1], coef, epsilon, 0.0)
-            for name, a, b in zip(("w", "m", "v", "v_hat", "eta"), mixed, alone):
-                if b is not None:
-                    assert a[i].tobytes() == b[0].tobytes(), (method.value, name)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        method=st.sampled_from(list(Method)),
-        decay=st.sampled_from(list(DecayMode)),
-        lanes=st.sampled_from(["one", "mixed", "all_delayed", "all_amsgrad", "all_adam"]),
-        d=st.integers(1, 12),
-        n=st.integers(1, 9),
-        per_lane=st.booleans(),
-        beta1=st.floats(0.0, 0.999),
-        beta2=st.floats(0.0, 0.9999),
-        weight_decay=st.sampled_from([0.0, 1e-3, 0.1]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_zero_d_coefficients_match_floats(self, method, decay, lanes, d, n, per_lane,
-                                             beta1, beta2, weight_decay, seed):
-        """The 0-d coefficients a constant-schedule batch passes give the bits of
-        the Python floats step() passes. Mixed batches include one whose lanes
-        all hold one mask value, as a compacted rate source can."""
-        rng = np.random.default_rng(seed)
-        w, m, g = rng.normal(size=(3, n, d))
-        v = 10.0 * rng.random((n, d))
-        v_hat = v + rng.random((n, d))
-        source = None
-        if lanes != "one":
-            method = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)[seed % 3]
-            kinds = {"mixed": rng.integers(3, size=(n, 1)), "all_adam": np.zeros((n, 1)),
-                     "all_amsgrad": np.ones((n, 1)), "all_delayed": np.full((n, 1), 2)}[lanes]
-            source = (kinds == 2, kinds == 1)
-        elif method is not Method.AMSGRAD:
-            v_hat = None
-        alpha, eps = 1e-3, 1e-8
-        if per_lane:
-            alpha = 10.0 ** rng.uniform(-6.0, 1.0, size=(n, 1))
-            eps = 10.0 ** rng.uniform(-10.0, 1.0, size=(n, 1))
-        floats = coefficients(beta1, beta2)
-        args = (method, decay, w, m, v, v_hat, g, alpha)
-        want = lane_update(*args, floats, eps, weight_decay, source)
-        got = lane_update(*args, tuple(const(c) for c in floats), eps, weight_decay, source)
-        for name, a, b in zip(("w", "m", "v", "v_hat", "eta", "alpha_eff"), got, want):
-            if b is None:
-                assert a is None, name
-            else:
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
-
-    @pytest.mark.parametrize("methods", [(Method.ADAM, Method.AVAGRAD),
-                                         (Method.SGD, Method.MOMENTUM_SGD),
-                                         (Method.AMSGRAD, Method.ADAMW)])
-    def test_rate_source_holds_only_adam_amsgrad_and_delayed_adam(self, methods):
-        with pytest.raises(ValueError, match="share a batch"):
-            rate_source(methods)
-
-    def test_one_method_needs_no_rate_source(self):
-        assert rate_source([Method.AVAGRAD] * 3) is None
-        delayed, amsgrad = rate_source(["adam", "delayed_adam", "adam"])
-        assert delayed.tolist() == [[False], [True], [False]] and amsgrad is None
 
 
 class TestDelayProperty:

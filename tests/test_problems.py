@@ -85,9 +85,9 @@ class TestSynthProblem:
         with pytest.raises(ValueError):
             synth_make(2.0, 5.0)  # p = 2 outside (0, 1)
 
-    def test_zero_d_constants_match_float_formulas(self):
-        """grad and full_grad hold C, -1, the slope and the offset as 0-d arrays;
-        they give the bits of the float formulas, on lanes and single vectors."""
+    def test_grad_and_full_grad_match_float_formulas(self):
+        """grad and full_grad give the bits of the float formulas, on lanes and
+        single vectors."""
         prob = synth_make(999.0, 1.0)
         rng = np.random.default_rng(8)
         for w in (np.zeros((5, 1)), np.ones((5, 1)), rng.random((5, 1)), rng.random(1),

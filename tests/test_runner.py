@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from avagrad_lab import _lanes
+from avagrad_lab import _lanes, runner
 from avagrad_lab.core import RngStream, Schedule, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
 from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
@@ -208,8 +209,8 @@ def assert_same_record(fast, slow):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-# the methods that differ only in the buffer eta is read from, and can share a batch
-METHODS_WITH_A_RATE_SOURCE = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
+# the methods synthfig compares, which differ only in the buffer eta is read from
+SYNTHFIG_METHODS = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
 
 
 def _engine_cases():
@@ -355,37 +356,19 @@ class TestReplicaEngineParity:
         for cfg, rec in zip(cfgs, records):
             assert_same_record(rec, run_trial(cfg))
 
-    @pytest.mark.parametrize("kind", ["synth", "quadratic"])
     @pytest.mark.usefixtures("engine")
-    def test_mixed_method_lanes_match_run_trial(self, kind):
-        """Interleaved adam, amsgrad and delayed_adam lanes, each with its own
-        alpha and epsilon, share one batch and keep their own records."""
-        if kind == "synth":
-            problem, w1 = synth_make(999.0, 1.0), np.array([0.5])
-        else:
-            problem, w1 = quadratic_make(np.linspace(1.0, 4.0, 5), 0.1), np.ones(5)
-        cfgs = [TrialConfig(method=METHODS_WITH_A_RATE_SOURCE[i % 3],
-                            hp=make_hp(alpha=10.0 ** (-4 + i % 4), epsilon=10.0 ** (-8 + i),
-                                       beta1=0.9),
-                            problem=problem, T=60, w1=w1, seed=i, record_every=1)
-                for i in range(7)]
-        for cfg, rec in zip(cfgs, run_trials(cfgs)):
-            assert rec.status == STATUS_FINISHED
-            assert_same_record(rec, run_trial(cfg))
-
-    @pytest.mark.usefixtures("engine")
-    def test_mixed_batch_keeps_running_when_the_delayed_lanes_diverge(self):
+    def test_replicas_of_several_methods_diverge_on_their_own(self):
         # delayed adam's first rate is 1/epsilon, so its first step overflows;
         # adam's and amsgrad's first rates see the drawn gradient and stay finite
         problem = synth_make(999.0, 1.0)
         hp = make_hp(alpha=1e301)
-        records = run_synth_replicas(problem, METHODS_WITH_A_RATE_SOURCE, hp, w1=0.5, T=50,
+        records = run_synth_replicas(problem, SYNTHFIG_METHODS, hp, w1=0.5, T=50,
                                      base_seed=3, n_replicas=3, record_every=10)
         assert [(r.config.method, r.status, r.steps_done) for r in records] == [
             (method, STATUS_DIVERGED if method is Method.DELAYED_ADAM else STATUS_FINISHED,
              0 if method is Method.DELAYED_ADAM else 50)
-            for method in METHODS_WITH_A_RATE_SOURCE for _ in range(3)]
-        for j, method in enumerate(METHODS_WITH_A_RATE_SOURCE):
+            for method in SYNTHFIG_METHODS for _ in range(3)]
+        for j, method in enumerate(SYNTHFIG_METHODS):
             for i in range(3):
                 assert_same_record(records[3 * j + i], run_trial(TrialConfig(
                     method=method, hp=hp, problem=problem, T=50, w1=np.array([0.5]),
@@ -414,18 +397,15 @@ class TestReplicaEngineParity:
         T=st.integers(1, 40),
         record_every=st.integers(1, 7),
         per_lane_rates=st.booleans(),
-        mixed_methods=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_n_lanes_equal_n_single_trials(self, method, quadratic_d, n, log_alpha, alpha_kind,
                                            log_scale, grad_metric, T, record_every,
-                                           per_lane_rates, mixed_methods, seed):
+                                           per_lane_rates, seed):
         """Axis and compaction bugs show here: lanes start at very different
         scales, so at a large alpha they diverge at different steps (in about
         a third of the examples). With per_lane_rates each lane also has its
-        own alpha base and epsilon, which the batch carries as columns. With
-        mixed_methods each lane draws its method from adam, amsgrad and
-        delayed_adam, and the batch carries their rate-source masks."""
+        own alpha base and epsilon, which the batch carries as columns."""
         rng = np.random.default_rng(seed)
         if quadratic_d:
             problem = quadratic_make(1.0 + 3.0 * rng.random(quadratic_d), 0.1)
@@ -439,10 +419,7 @@ class TestReplicaEngineParity:
                                epsilon=10.0 ** (-6.0 + 3.0 * spread[1]),
                                beta1=Schedule.constant(0.9), beta2=Schedule.constant(0.99))
 
-        def lane_method():
-            return METHODS_WITH_A_RATE_SOURCE[rng.integers(3)] if mixed_methods else method
-
-        cfgs = [TrialConfig(method=lane_method(), hp=lane_hp(), problem=problem, T=T, w1=w1,
+        cfgs = [TrialConfig(method=method, hp=lane_hp(), problem=problem, T=T, w1=w1,
                             seed=int(rng.integers(2**63)), record_every=record_every,
                             grad_metric=grad_metric) for w1 in starts]
         for cfg, rec in zip(cfgs, run_trials(cfgs)):
@@ -467,6 +444,7 @@ class TestReplicaEngineParity:
         assert_same_record(run_trial(cfg), whole)
 
     @pytest.mark.parametrize("change", [
+        dict(method=Method.AMSGRAD), dict(method=Method.DELAYED_ADAM),
         dict(method=Method.AVAGRAD), dict(method=Method.SGD), dict(method=Method.ADAMW),
         dict(T=51), dict(record_every=5), dict(capture_trace=True),
         dict(grad_metric="batch"), dict(converge_tol=1e-3),
@@ -483,7 +461,7 @@ class TestReplicaEngineParity:
         base = TrialConfig(method=Method.ADAM, hp=HyperParams(
             alpha=Schedule.constant(1e-3), epsilon=1e-8), problem=problem, T=50,
             w1=np.ones(2), seed=0)
-        free = dataclasses.replace(base, method=Method.AMSGRAD, hp=HyperParams(
+        free = dataclasses.replace(base, hp=HyperParams(
             alpha=Schedule.constant(0.5), epsilon=1.0), w1=np.zeros(2), seed=1)
         assert len(run_trials([base, free])) == 2
         with pytest.raises(ValueError, match="lanes may differ only"):
@@ -499,6 +477,32 @@ class TestReplicaEngineParity:
         with pytest.raises(ValueError):
             run_synth_replicas(problem, Method.ADAM, make_hp(), 0.5, 10, 0, 1)
 
+    def test_empty_batch_gives_no_records(self):
+        assert run_trials([]) == []
+
+    def test_replicas_need_a_method(self):
+        with pytest.raises(ValueError, match="at least one method"):
+            run_synth_replicas(synth_make(999.0, 1.0), [], make_hp(), 0.5, 10, 0, 2)
+
+    def test_replicas_run_one_batch_per_method(self, monkeypatch):
+        problem, hp = synth_make(999.0, 1.0), make_hp(beta1=0.9)
+        args = dict(w1=0.5, T=40, base_seed=6, n_replicas=4, record_every=3)
+        alone = [rec for m in SYNTHFIG_METHODS
+                 for rec in run_synth_replicas(problem, m, hp, **args)]
+        batches = []
+
+        def kept_run_trials(cfgs):
+            batches.append([cfg.method for cfg in cfgs])
+            return run_trials(cfgs)
+
+        monkeypatch.setattr(runner, "run_trials", kept_run_trials)
+        records = run_synth_replicas(problem, SYNTHFIG_METHODS, hp, **args)
+        assert batches == [[m] * 4 for m in SYNTHFIG_METHODS]
+        assert len(records) == len(alone) == 12
+        for rec, want in zip(records, alone):
+            assert (rec.config.method, rec.config.seed) == (want.config.method, want.config.seed)
+            assert_same_record(rec, want)
+
 
 class TestCompiledLanes:
     """The compiled loop of avagrad_lab._lanes against the numpy loop, its spec."""
@@ -506,7 +510,6 @@ class TestCompiledLanes:
     @settings(max_examples=150, deadline=None)
     @given(
         method=st.sampled_from(list(Method)),
-        mixed_methods=st.booleans(),
         decay=st.sampled_from(list(DecayMode)),
         log_decay=st.floats(-6.0, 1.0),
         grad_metric=st.sampled_from(["full", "batch", "none"]),
@@ -526,9 +529,9 @@ class TestCompiledLanes:
                        min_size=6, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_kernel_matches_numpy_engine(self, method, mixed_methods, decay, log_decay,
-                                         grad_metric, big_c, n, T, chunk, record_every,
-                                         capture_trace, beta1, beta2, converge_tol, lanes, seed):
+    def test_kernel_matches_numpy_engine(self, method, decay, log_decay, grad_metric, big_c,
+                                         n, T, chunk, record_every, capture_trace, beta1,
+                                         beta2, converge_tol, lanes, seed):
         """Every record field equal bit for bit. Each lane has its own epsilon
         and alpha, half of them from 1e296 to 3e307, where Z alone can
         overflow, so lanes diverge at their own steps, mid-chunk and at step
@@ -537,7 +540,7 @@ class TestCompiledLanes:
         problem.draw_size = max(1, 65536 // (n * chunk))  # chunks of about `chunk` steps
         rng = np.random.default_rng(seed)
         cfgs = [TrialConfig(
-            method=METHODS_WITH_A_RATE_SOURCE[rng.integers(3)] if mixed_methods else method,
+            method=method,
             hp=HyperParams(alpha=Schedule.constant(10.0 ** log_alpha), epsilon=10.0 ** log_eps,
                            beta1=Schedule.constant(beta1), beta2=Schedule.constant(beta2),
                            weight_decay=0.0 if decay is DecayMode.NONE else 10.0 ** log_decay,
@@ -552,6 +555,14 @@ class TestCompiledLanes:
             spec = run_trials(cfgs)
         for rec, want in zip(compiled, spec):
             assert_same_record(rec, want)
+
+    def test_source_compiles_without_warnings(self):
+        """A parameter or variable that an edit of the call leaves unused fails here."""
+        if shutil.which(_lanes.CC) is None:
+            pytest.skip("no C compiler")
+        built = subprocess.run([_lanes.CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                                str(_lanes.SOURCE)], capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
 
     def test_signed_zero_start_stays_in_the_box(self):
         # w1 = -0.0 and a rare first draw give g = -0.0 and m = +0.0, so the
@@ -583,8 +594,7 @@ class TestCompiledLanes:
     @pytest.mark.parametrize("broken", ["compiler", "read_only_cache", "cache_under_a_file"])
     def test_failed_build_falls_back_to_numpy(self, broken, tmp_path, monkeypatch, capfd):
         cfg = synth_cfg(T=300, record_every=7, grad_metric="batch")
-        cfgs = [dataclasses.replace(cfg, method=m, seed=i)
-                for i, m in enumerate(METHODS_WITH_A_RATE_SOURCE)]
+        cfgs = [dataclasses.replace(cfg, seed=i) for i in range(3)]
         with numpy_engine():
             want = run_trials(cfgs)
         cache = tmp_path / "cache"

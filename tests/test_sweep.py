@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from avagrad_lab import sweep
 from avagrad_lab.optim import Method
 from avagrad_lab.problems import QuadraticProblem, quadratic_make
-from avagrad_lab.runner import run_trial
+from avagrad_lab.runner import run_trial, run_trials
 from avagrad_lab.sweep import (
     BLOCK_SCALARS,
     GridSpec,
@@ -106,6 +106,26 @@ class TestRunSweep:
         spec.problem = BrokenProblem([1.0, 4.0])
         with pytest.raises(TypeError, match="bug in grad"):
             run_sweep(spec, progress=io.StringIO())
+
+    @pytest.mark.parametrize("axis", [dict(seeds=(0, 0)),
+                                      dict(methods=(Method.ADAM, Method.SGD, Method.ADAM))])
+    def test_repeated_seeds_or_methods_rejected(self, axis):
+        # a repeat would give two cells one identity (method, alpha, epsilon, seed)
+        with pytest.raises(ValueError, match="must not repeat"):
+            small_spec(**axis)
+
+    def test_cells_keep_no_trace(self, monkeypatch):
+        # a one-step sweep records its one step, and still needs no trace
+        records = []
+
+        def kept_run_trials(cfgs):
+            records.extend(run_trials(cfgs))
+            return records[-len(cfgs):]
+
+        monkeypatch.setattr(sweep, "run_trials", kept_run_trials)
+        run_sweep(small_spec(T=1), progress=io.StringIO())
+        assert len(records) == 2 * 3 * 3 * 2
+        assert all(rec.trace is None for rec in records)
 
     def test_bad_beta_rejected_before_any_cell(self):
         with pytest.raises(ValueError, match="beta1"):

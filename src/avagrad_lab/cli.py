@@ -13,6 +13,9 @@ is read: a float must be finite and a list non-empty. Command-line flags
 override file values and every effective setting is echoed in the summary
 header. Exit codes: 0 success, 1 configuration or I/O error, 2 a trial
 diverged or a check failed.
+
+`main(argv)` runs one command in-process and returns its exit code. The
+`avagrad-lab` script and `python -m avagrad_lab.cli` go through `script()`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -504,5 +508,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def script() -> int:
+    """The process entry point: run main() on sys.argv, then freeze the heap.
+
+    After gc.freeze() the interpreter's shutdown collections skip every object
+    made so far (about 22,000 after a command, 10,000 of them numpy's), which
+    saves about 20 ms a process. Nothing else about exit changes: atexit
+    handlers, the stdio flush and module teardown still run, and the OS takes
+    the memory back. main() does not freeze, because tests and the benchmark's
+    traced passes call it in one long-lived process.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

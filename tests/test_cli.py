@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -54,8 +55,21 @@ def write_blobs_csv(tmp_path, name, n_per_class=12, seed=5):
 
 
 def assert_one_error_line(capsys, word):
-    err = capsys.readouterr().err.splitlines()
+    assert_one_error(capsys.readouterr().err, word)
+
+
+def assert_one_error(stderr, word):
+    err = stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and word in err[0], err
+
+
+def run_python(args, **kwargs):
+    """Run `python <args>` in a child process that imports this checkout's avagrad_lab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 class TestCmdRun:
@@ -283,15 +297,10 @@ steps = 5
         assert held < rows + 3 * 2000 * 6 * 8 // 4, (held, rows)
 
     def test_import_loads_no_process_pool(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         code = ("import sys, avagrad_lab.cli; "
                 "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
                 "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]"
+        assert run_python(["-c", code], check=True).stdout.strip() == "[]"
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,
@@ -493,6 +502,42 @@ FULL_CONFIG = {
 FLOAT_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items() if t is _FLOAT]
 LIST_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items()
              if t[1].startswith("comma-separated")]
+
+
+class TestEntryPoint:
+    """`python -m avagrad_lab.cli` and the `avagrad-lab` script go through
+    cli.script(), which freezes the heap after main() returns; main() itself
+    leaves the collector alone. The golden run fixtures also run through the
+    module (tests/test_golden.py)."""
+
+    def test_missing_config_exits_one_with_one_error_line(self, tmp_path):
+        out = run_python(["-m", "avagrad_lab.cli", "run", "--config",
+                          str(tmp_path / "absent.ini")])
+        assert out.returncode == 1 and out.stdout == ""
+        assert_one_error(out.stderr, "absent.ini")
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG)
+        before = gc.get_freeze_count()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--steps", "20"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_freezes_the_heap(self, tmp_path):
+        code = ("import gc, runpy, sys\n"
+                "sys.argv[1:] = ['synthfig', '--steps', '20', '--num-seeds', '1', "
+                f"'--out', {str(tmp_path)!r}]\n"
+                "try:\n"
+                "    runpy.run_module('avagrad_lab.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count())\n")
+        status, frozen = run_python(["-c", code], check=True).stdout.split()[-2:]
+        assert status == "0" and int(frozen) > 0
+
+    def test_script_entry_point_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
+                                  .read_text())
+        assert pyproject["project"]["scripts"] == {"avagrad-lab": "avagrad_lab.cli:script"}
 
 
 def run_full_config(tmp_path, command, section=None, key=None, value=None):

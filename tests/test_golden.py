@@ -5,8 +5,10 @@ export_trajectory; each sweep case runs one grid and writes heatmap.csv and
 separability.csv as the sweep command does; each synthfig case runs the
 synthfig command and writes fig1_left.csv and fig1_right.csv. The bytes must equal the CSVs
 stored under tests/golden/, under the numpy engine and under the compiled
-loop that runs d = 1 synth trials. The fixtures were recorded with Python 3.11.7 and
-numpy 2.4.6; a different numpy or BLAS build may round differently.
+loop that runs d = 1 synth trials. The run cases also go through the real
+entry point, `python -m avagrad_lab.cli` in a child process. The fixtures
+were recorded with Python 3.11.7 and numpy 2.4.6; a different numpy or BLAS
+build may round differently.
 Re-record them only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,12 +19,14 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avagrad_lab import cli
 from avagrad_lab.cli import main
 from avagrad_lab.core import RngStream, Schedule, write_csv
 from avagrad_lab.optim import HyperParams, Method
@@ -175,19 +179,41 @@ RUN_CASES = {
 }
 
 
-def _write_run(name: str, out: Path) -> None:
-    """Run a run case in `out`; keep its stdout, exit code and trajectories there."""
+def _main_in_process(argv: list[str], cwd: Path) -> int:
+    """cli.main(argv) run from `cwd`, its stdout written to cwd/stdout.txt."""
+    before, stdout = os.getcwd(), io.StringIO()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+    finally:
+        os.chdir(before)
+    (cwd / "stdout.txt").write_text(stdout.getvalue())
+    return code
+
+
+def _main_in_child(argv: list[str], cwd: Path) -> int:
+    """`python -m avagrad_lab.cli` run from `cwd`, its stdout going to cwd/stdout.txt.
+
+    Stdout is block-buffered, so its bytes are written by the flush at exit,
+    after the entry point has frozen the heap.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(cwd / "stdout.txt", "wb") as stdout:
+        return subprocess.run([sys.executable, "-m", "avagrad_lab.cli", *argv], cwd=cwd,
+                              env=env, stdout=stdout).returncode
+
+
+def _write_run(name: str, out: Path, run_main=_main_in_process) -> None:
+    """Run a run case in `out`; keep its stdout, exit code and trajectories there.
+    The echoed paths are relative, so stdout does not name the directory."""
     inputs = RUN_CASES[name]
     for fname, text in inputs.items():
         (out / fname).write_text(text)
-    cwd, stdout = os.getcwd(), io.StringIO()
-    os.chdir(out)  # the echoed paths are relative, so stdout does not name the directory
-    try:
-        with contextlib.redirect_stdout(stdout):
-            code = main(["run", "--config", "run.ini", "--out", "."])
-    finally:
-        os.chdir(cwd)
-    (out / "stdout.txt").write_text(stdout.getvalue())
+    code = run_main(["run", "--config", "run.ini", "--out", "."], out)
     (out / "exit_code.txt").write_text(f"{code}\n")
     for fname in inputs:
         (out / fname).unlink()
@@ -225,14 +251,24 @@ def test_synthfig_matches_golden_bytes(name, tmp_path):
             (GOLDEN / f"synthfig_{name}" / fname).read_bytes(), fname
 
 
+def _assert_run_matches_golden(name: str, out: Path) -> None:
+    golden = GOLDEN / f"run_{name}"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
 @pytest.mark.usefixtures("engine")  # d = 1 synth cases run compiled
 def test_run_matches_golden_bytes(name, tmp_path):
     _write_run(name, tmp_path)
-    golden = GOLDEN / f"run_{name}"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
-    for path in golden.iterdir():
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    _assert_run_matches_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_cli_process_matches_golden_bytes(name, tmp_path):
+    _write_run(name, tmp_path, _main_in_child)
+    _assert_run_matches_golden(name, tmp_path)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import platform
 import shutil
 import sys
 import tempfile
-import zlib
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_lanes.c")
@@ -38,12 +37,14 @@ def cache_dir() -> Path:
 
 
 def _build(cc: str, directory: Path) -> Path:
-    # CRC-32 and Adler-32 of the inputs, 64 bits: plenty to tell a few versions
-    # of one file apart, and zlib is loaded with numpy, while hashlib would
-    # cost a synth run more to import than all the rest of the load
+    # imported here, where it costs nothing: runner.run_trials asks for the
+    # kernel only after it has made its RngStreams, and numpy.random imports
+    # secrets, which imports hashlib
+    import hashlib
+
     key = b"\0".join([SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS),
                       sys.implementation.cache_tag.encode(), platform.machine().encode()])
-    lib = directory / f"_lanes-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+    lib = directory / f"_lanes-{hashlib.sha256(key).hexdigest()[:32]}.so"
     if not lib.is_file():
         import subprocess
 

@@ -3,15 +3,19 @@
 A sweep enumerates (method, alpha, epsilon, seed) cells, runs one trial per
 cell with a seed mixed purely from the cell's identity, and scores the final
 iterate with a problem-level metric. The cells of one method run in blocks,
-each block as the lock-step lanes of one runner batch. Diverged cells are
-kept and ranked worst so per-column argmins stay defined. The separability
-index summarises how much the best alpha moves as epsilon changes: 1.0 means
-one alpha wins every epsilon column.
+each block as the lock-step lanes of one runner batch. With n workers the
+cells are dealt into n interleaved shares: the calling process runs one, and
+a forked child runs each of the others and pipes its cells back. Diverged
+cells are kept and ranked worst so per-column argmins stay defined. The
+separability index summarises how much the best alpha moves as epsilon
+changes: 1.0 means one alpha wins every epsilon column.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -193,61 +197,92 @@ def _run_block(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[H
     return cells
 
 
-def _blocks(spec: GridSpec) -> list[list[tuple[int, int, int, int]]]:
-    """Each method's cells in task order, cut into blocks of at most
-    BLOCK_SCALARS // (dim + draw_size) lanes."""
+def _blocks(spec: GridSpec, part: int, parts: int) -> list[list[tuple[int, int, int, int]]]:
+    """Every parts-th of each method's cells in task order from cell `part` on,
+    so every share mixes alphas, epsilons and seeds (and so diverging cells)
+    alike, cut into blocks of at most BLOCK_SCALARS // (dim + draw_size) lanes."""
     width = max(1, BLOCK_SCALARS // (spec.problem.dim + spec.problem.draw_size))
     blocks = []
     for mi in range(len(spec.methods)):
         tasks = [(mi, ai, ei, si)
                  for ai in range(len(spec.alphas))
                  for ei in range(len(spec.epsilons))
-                 for si in range(len(spec.seeds))]
+                 for si in range(len(spec.seeds))][part::parts]
         blocks += [tasks[i:i + width] for i in range(0, len(tasks), width)]
     return blocks
 
 
-_WORKER_SPEC: GridSpec | None = None
-
-
-def _init_worker(spec: GridSpec) -> None:
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-
-
-def _run_block_worker(block: list[tuple[int, int, int, int]]) -> list[HeatmapCell]:
-    return _run_block(_WORKER_SPEC, block)
+def _fork(spec: GridSpec, blocks: list):
+    """Run `blocks` in a forked child that pickles `(True, per-block cells)`
+    or `(False, error)` into a pipe; returns its pid and the pipe, open to
+    read. The child leaves through os._exit, never through the caller's frames."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:
+        os.close(read)
+        try:
+            data = pickle.dumps((True, [_run_block(spec, block) for block in blocks]))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:  # the error does not survive a pickle round trip
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def run_sweep(spec: GridSpec, workers: int = 1, progress=None) -> list[HeatmapCell]:
     """Run every grid cell exactly once and return cells sorted by identity.
 
     Cells run in blocks of one method, each block as the lock-step lanes of
-    one batch, and workers take whole blocks. The per-cell seed depends only
-    on (method index, alpha index, epsilon index, seed index), and a lane
-    gets the record it would get alone, so the output is identical for any
-    worker count and block width. Progress is written to `progress`
-    (defaults to stderr) as one done/total line per block, counted in cells.
+    one batch. This process runs share 0 of `workers` interleaved shares and
+    forks a child for each other non-empty one (without os.fork it runs them
+    all); a child's error is raised here, and no child outlives the call.
+    The per-cell seed depends only on (method index, alpha index, epsilon
+    index, seed index), and a lane gets the record it would get alone, so the
+    output is identical for any worker count and block width. Progress is
+    written to `progress` (defaults to stderr) as one done/total line per
+    block, counted in cells.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if progress is None:
         progress = sys.stderr
-    blocks = _blocks(spec)
-    total = sum(len(block) for block in blocks)
+    parts = workers if hasattr(os, "fork") else 1
+    shares = [_blocks(spec, part, parts) for part in range(parts)]
+    total = sum(len(block) for share in shares for block in share)
+    children = {}  # pid -> its pipe
     cells: list[HeatmapCell] = []
-    if workers == 1:
-        for block in blocks:
+    try:
+        # update() keeps the children forked before a fork that fails
+        children.update(_fork(spec, share) for share in shares[1:] if share)
+        for block in shares[0]:
             cells += _run_block(spec, block)
             print(f"{len(cells)}/{total}", file=progress)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here, so the CLI starts without it
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(spec,)) as pool:
-            for block_cells in pool.map(_run_block_worker, blocks):
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code:
+                raise RuntimeError(f"sweep worker {pid} exited with status {code} and no result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            for block_cells in result:
                 cells += block_cells
                 print(f"{len(cells)}/{total}", file=progress)
+    finally:  # only an error leaves children here
+        for pid, pipe in children.items():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
     cells.sort(key=lambda c: c.sort_key)
     return cells
 

@@ -296,11 +296,16 @@ steps = 5
         rows = 3 * 2000 * 7 * 8
         assert held < rows + 3 * 2000 * 6 * 8 // 4, (held, rows)
 
-    def test_import_loads_no_process_pool(self):
-        code = ("import sys, avagrad_lab.cli; "
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-                "if m in sys.modules))")
-        assert run_python(["-c", code], check=True).stdout.strip() == "[]"
+    def test_import_loads_no_process_pool(self, tmp_path):
+        pools = ("print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                 "if m in sys.modules))")
+        assert run_python(["-c", f"import sys, avagrad_lab.cli; {pools}"],
+                          check=True).stdout.strip() == "[]"
+        # nor does a sweep on two workers
+        argv = ["sweep", "--config", write_config(tmp_path, SWEEP_CONFIG),
+                "--out", str(tmp_path / "out"), "--workers", "2"]
+        code = f"import sys; from avagrad_lab.cli import main; main({argv!r}); {pools}"
+        assert run_python(["-c", code], check=True).stdout.splitlines()[-1] == "[]"
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,
@@ -376,6 +381,14 @@ class TestCmdSweep:
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "w2"), "--workers", "2"])
         assert (tmp_path / "w1" / "heatmap.csv").read_bytes() == \
                (tmp_path / "w2" / "heatmap.csv").read_bytes()
+
+    def test_workers_leave_unflushed_stdout_alone(self, tmp_path):
+        # a forked worker must not flush the stdout buffer it copied
+        argv = ["sweep", "--config", write_config(tmp_path, SWEEP_CONFIG),
+                "--out", str(tmp_path / "out"), "--workers", "2"]
+        code = f"print('@pending@', end=''); from avagrad_lab.cli import main; main({argv!r})"
+        out = run_python(["-c", code], check=True).stdout
+        assert out.startswith("@pending@# sweep") and out.count("@pending@") == 1, out
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWEEP_CONFIG + "workers = 0\n")

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -79,13 +81,12 @@ class TestRunSweep:
 
     def test_worker_counts_agree(self, tmp_path):
         spec = small_spec()
-        out = io.StringIO()
-        cells1 = run_sweep(spec, workers=1, progress=out)
-        cells2 = run_sweep(spec, workers=2, progress=out)
-        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        export_heatmap(cells1, p1)
-        export_heatmap(cells2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        p1 = tmp_path / "w1.csv"
+        export_heatmap(run_sweep(spec, workers=1, progress=io.StringIO()), p1)
+        for workers in (2, 3):
+            pw = tmp_path / f"w{workers}.csv"
+            export_heatmap(run_sweep(spec, workers=workers, progress=io.StringIO()), pw)
+            assert p1.read_bytes() == pw.read_bytes()
 
     def test_diverging_cells_marked_not_fatal(self):
         spec = small_spec(methods=(Method.SGD,), alphas=(0.01, 5000.0), epsilons=(1e-4, 1.0),
@@ -189,6 +190,112 @@ class TestRunSweep:
                [(c.sort_key, c.final_metric) for c in sgd_b]
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """This process runs share 0 of the cells and forks one child per other
+    non-empty share; each child pickles its cells back through a pipe."""
+
+    def test_more_workers_than_cells_fork_no_empty_share(self, tmp_path, monkeypatch):
+        spec = small_spec(alphas=(0.01, 0.1), epsilons=(1e-2,), seeds=(0,))  # 2 cells a method
+        p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
+        export_heatmap(run_sweep(spec, workers=1, progress=io.StringIO()), p1)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        export_heatmap(run_sweep(spec, workers=3, progress=io.StringIO()), p3)
+        assert p1.read_bytes() == p3.read_bytes()
+        assert len(forks) == 1  # share 2 of 3 holds no cell
+        assert_no_child_left()
+
+    def test_progress_one_line_per_block_ends_at_total(self, monkeypatch):
+        spec = small_spec(methods=(Method.SGD, Method.ADAM), alphas=(0.01, 0.1, 1.0),
+                          epsilons=(1e-2,), seeds=(0,))
+        monkeypatch.setattr(sweep, "BLOCK_SCALARS", 2 * (2 + 2))  # two lanes at d = 2
+        out = io.StringIO()
+        run_sweep(spec, workers=2, progress=out)
+        # share 0 holds cells 0 and 2 of each method, one block each; share 1
+        # holds cell 1 of each method, and its blocks are counted after them
+        assert out.getvalue() == "2/6\n4/6\n5/6\n6/6\n"
+
+    def test_shares_interleave_cells(self, monkeypatch):
+        spec = small_spec(methods=(Method.SGD, Method.ADAM), alphas=(0.01, 0.1, 1.0),
+                          epsilons=(1e-2,), seeds=(0, 1))
+        monkeypatch.setattr(sweep, "BLOCK_SCALARS", 2 * (2 + 2))  # two lanes at d = 2
+        # every third of each method's six cells, from its cell 1 on
+        assert sweep._blocks(spec, 1, 3) == [[(0, 0, 0, 1), (0, 2, 0, 0)],
+                                             [(1, 0, 0, 1), (1, 2, 0, 0)]]
+        shares = [cell for part in range(3) for block in sweep._blocks(spec, part, 3)
+                  for cell in block]
+        assert sorted(shares) == [cell for block in sweep._blocks(spec, 0, 1) for cell in block]
+
+    @staticmethod
+    def failing_in_child(error):
+        parent = os.getpid()
+
+        class ChildBrokenProblem(QuadraticProblem):
+            def grad(self, w, token):
+                if os.getpid() != parent:
+                    raise error
+                return super().grad(w, token)
+
+        spec = small_spec(methods=(Method.SGD,))
+        spec.problem = ChildBrokenProblem([1.0, 4.0], 0.1, [0.3, -0.2])
+        return spec
+
+    def test_child_error_surfaces_with_its_type(self):
+        spec = self.failing_in_child(TypeError("bug in grad, seen in a child"))
+        with pytest.raises(TypeError, match="bug in grad, seen in a child"):
+            run_sweep(spec, workers=2, progress=io.StringIO())
+        assert_no_child_left()
+
+    def test_unpicklable_child_error_is_named(self):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        spec = self.failing_in_child(LocalError("no pickle for me"))
+        with pytest.raises(RuntimeError, match="LocalError: no pickle for me"):
+            run_sweep(spec, workers=2, progress=io.StringIO())
+        assert_no_child_left()
+
+    def test_child_exit_without_result_names_its_status(self, monkeypatch):
+        parent = os.getpid()
+        run_block = sweep._run_block
+
+        def exiting_run_block(spec, block):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_block(spec, block)
+
+        monkeypatch.setattr(sweep, "_run_block", exiting_run_block)
+        with pytest.raises(RuntimeError, match="status 3"):
+            run_sweep(small_spec(), workers=2, progress=io.StringIO())
+        assert_no_child_left()
+
+    def test_parent_error_kills_running_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def stuck_run_block(spec, block):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise TypeError("bug in the parent's share")
+
+        monkeypatch.setattr(sweep, "_run_block", stuck_run_block)
+        start = time.monotonic()
+        with pytest.raises(TypeError, match="parent's share"):
+            run_sweep(small_spec(), workers=3, progress=io.StringIO())
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
 AXIS_ALPHAS = (1e-3, 1e-1, 1.0, 10.0, 1e150)  # SGD and momentum diverge at 10 and up
 AXIS_EPSILONS = (1e-8, 1e-4, 1e-1, 10.0)
 
@@ -203,20 +310,21 @@ AXIS_EPSILONS = (1e-8, 1e-4, 1e-1, 10.0)
     fixed_w1=st.booleans(),
     T=st.integers(1, 60),
     width=st.integers(1, 12),
+    workers=st.integers(1, 3),
     base_seed=st.integers(0, 2**32 - 1),
 )
 def test_cells_independent_of_workers_and_block_width(methods, alphas, epsilons, n_seeds, d,
-                                                     fixed_w1, T, width, base_seed):
+                                                     fixed_w1, T, width, workers, base_seed):
     spec = GridSpec(problem=quadratic_make(np.linspace(1.0, 4.0, d), 0.1), methods=methods,
                     alphas=sorted(alphas), epsilons=sorted(epsilons),
                     seeds=list(range(n_seeds)), T=T, base_seed=base_seed,
                     w1=np.full(d, 2.0) if fixed_w1 else None, init_scale=1.0)
     per_lane = spec.problem.dim + spec.problem.draw_size
     runs = []
-    for lanes, workers in ((1, 1), (width, 1), (width, 2)):
+    for lanes, n in ((1, 1), (width, 1), (width, workers)):
         sweep.BLOCK_SCALARS = lanes * per_lane
         try:
-            runs.append(run_sweep(spec, workers=workers, progress=io.StringIO()))
+            runs.append(run_sweep(spec, workers=n, progress=io.StringIO()))
         finally:
             sweep.BLOCK_SCALARS = BLOCK_SCALARS
     assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -6,8 +6,9 @@ under a name keyed by a hash of the source, the compiler command, the
 interpreter's cache tag and the machine, then loaded with ctypes. A build
 writes into a temporary directory in the cache and moves the library into
 place with os.replace, so processes that race to build it each load a whole
-file. Without a compiler or a writable cache there is no kernel, and the
-runner uses its numpy loop.
+file. A build removes the other _lanes-*.so libraries in the cache. Without a
+compiler or a writable cache there is no kernel, and the runner uses its numpy
+loop.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ def cache_dir() -> Path:
 
 
 def _build(cc: str, directory: Path) -> Path:
-    # imported here, where it costs nothing: runner.run_trials asks for the
-    # kernel only after it has made its RngStreams, and numpy.random imports
-    # secrets, which imports hashlib
+    # imported here, where it moves an import rather than adds one: every
+    # process that runs trials draws through numpy.random, which imports
+    # hashlib through secrets anyway
     import hashlib
 
     key = b"\0".join([SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS),
@@ -58,6 +59,12 @@ def _build(cc: str, directory: Path) -> Path:
             os.replace(os.path.join(tmp, "_lanes.so"), lib)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
+        for old in directory.glob("_lanes-*.so"):  # built from another source, compiler or Python
+            if old != lib:
+                try:
+                    old.unlink()
+                except OSError:
+                    pass
     return lib
 
 

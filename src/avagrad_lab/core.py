@@ -4,12 +4,16 @@ Everything downstream (optimizers, problems, trial runner, sweeps) works in
 terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
-per-trial streams, and the CSV writer every output file goes through.
+per-trial streams (seeds mixed from ints or uint64 arrays, every stream
+drawn through one re-keyed Philox engine per process), and the CSV writer
+every output file goes through.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +117,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix_seed(base_seed: int, *indices: int) -> int:
+def mix_seed(base_seed, *indices):
     """Derive a child seed from (base_seed, i1, i2, ...).
 
     The mixing is a splitmix64 chain, so derived seeds depend only on the
-    identity tuple: sweeps and multi-seed runs are order-independent.
+    identity tuple: sweeps and multi-seed runs are order-independent. Any
+    argument may also be a uint64 array, which derives one seed per element
+    with the same bits as the int calls; int64 arrays do not work (the 64-bit
+    mask overflows them), and neither do 0-d numpy scalars, which warn when
+    the arithmetic wraps.
     """
     state = _splitmix64(base_seed & _MASK64)
     for idx in indices:
@@ -125,27 +133,69 @@ def mix_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
+_engine = None  # the Generator(Philox) every RngStream draws through; made by the first draw
+_holder = None  # the stream whose state the engine holds; that stream's own copy is stale
+
+
+def _new_engine_lock() -> None:
+    """A fresh lock, also in each forked child: a fork copies the lock held,
+    if another thread was drawing, and no thread of the child would free it."""
+    global _engine_lock
+    _engine_lock = threading.Lock()
+
+
+_new_engine_lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_engine_lock)
+
+
 class RngStream:
     """Deterministic random stream.
 
-    Backed by the counter-based Philox generator keyed directly by the
-    64-bit seed: the same seed replays the identical draw sequence on any
-    platform. Independent streams take seeds from :func:`mix_seed`.
+    Philox keyed directly by the 64-bit seed: the same seed replays the
+    identical draw sequence on any platform. Independent streams take seeds
+    from :func:`mix_seed`. A stream holds its seed and its Philox state
+    (counter, key and output buffer), not a Generator: all streams draw
+    through one re-keyed Generator per process, under a lock. A draw from a
+    stream other than the last one to draw saves that stream's state and
+    loads its own. Philox is counter-based, so the bits are those of a
+    Generator of the stream's own, and making a stream costs a dict, not the
+    OS entropy that numpy's constructor gathers and then discards for the key.
     Instances are single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": (0, 0, 0, 0), "key": (self.seed, 0)},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    @property
+    def state(self) -> dict:
+        """The stream's Philox state, as a dict that numpy's BitGenerator.state takes."""
+        with _engine_lock:
+            return _engine.bit_generator.state if _holder is self else self._state
+
+    def _draw(self, name: str, *args):
+        global _engine, _holder
+        with _engine_lock:
+            if _holder is not self:
+                if _engine is None:
+                    _engine = np.random.Generator(np.random.Philox(0))
+                if _holder is not None:
+                    _holder._state = _engine.bit_generator.state
+                _engine.bit_generator.state = self._state
+                _holder = self
+            return getattr(_engine, name)(*args)
 
     def random(self, size=None):
-        return self._gen.random(size)
+        return self._draw("random", size)
 
     def normal(self, size=None):
-        return self._gen.standard_normal(size)
+        return self._draw("standard_normal", size)
 
     def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
+        return self._draw("integers", low, high, size)
 
     def choice(self, n: int, size: int, replace: bool = False):
-        return self._gen.choice(n, size=size, replace=replace)
+        return self._draw("choice", n, size, replace)

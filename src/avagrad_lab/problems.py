@@ -4,8 +4,9 @@ and a small tanh MLP classifier with hand-derived backprop.
 Each problem exposes the same contract: sample(rng) draws an opaque token
 (sample(rng, k) the next k tokens, stacked), grad(w, token) and loss(w, token)
 are deterministic given the token, and full_grad(w) / objective(w) give the
-exact expectation where one exists. grad and full_grad also take lanes: w of
-shape (n, d) with one stacked token per lane gives one gradient per lane, and
+exact expectation where one exists. grad, full_grad and objective also take
+lanes: w of shape (n, d), with one stacked token per lane for grad, gives one
+gradient or value per lane (as do the MLP's dataset metrics), and
 sample_lanes(streams, k) draws the next k tokens of n lanes' streams as one
 (k, n, ...) block. Problems are immutable after construction; all randomness
 flows through the caller-provided RngStream.
@@ -80,8 +81,9 @@ class StochasticProblem:
         """Exact expected gradient, or None when unavailable."""
         return None
 
-    def objective(self, w: np.ndarray) -> float | None:
-        """Exact expected loss, or None when unavailable."""
+    def objective(self, w: np.ndarray) -> float | np.ndarray | None:
+        """Exact expected loss, or None when unavailable; for lanes w (n, d),
+        one value per lane."""
         return None
 
     def outcomes(self) -> list[tuple[float, object]] | None:
@@ -91,6 +93,16 @@ class StochasticProblem:
     def constants(self, w1: np.ndarray) -> ProblemConstants | None:
         """Bound constants given the start point, or None when unavailable."""
         return None
+
+
+def _per_lane(values: np.ndarray, reduce):
+    """float(reduce(row)) for 1-D `values`, else an array of it for each lane
+    row of (n, m) `values`. Each row is reduced on its own: a 2-D reduction
+    along the last axis may add in another order than the 1-D one, as it does
+    on the Fortran-ordered array that fancy indexing makes of lanes' log-probs."""
+    if values.ndim == 1:
+        return float(reduce(values))
+    return np.array([reduce(row) for row in values], dtype=np.float64)
 
 
 RARE, COMMON = True, False  # a synth token: was the rare outcome drawn (a mask shaped like w)
@@ -142,7 +154,9 @@ class SynthProblem(StochasticProblem):
         return self.mean_slope * w - self.mean_offset
 
     def objective(self, w):
-        return float(0.5 * self.mean_slope * w[0] * w[0] - self.mean_offset * w[0])
+        w0 = w[..., 0]
+        f = 0.5 * self.mean_slope * w0 * w0 - self.mean_offset * w0
+        return float(f) if w.ndim == 1 else f
 
     def outcomes(self):
         return [(self.p, RARE), (1.0 - self.p, COMMON)]
@@ -202,7 +216,7 @@ class QuadraticProblem(StochasticProblem):
         spread = self.noise_std * self.noise_std
         with np.errstate(over="ignore"):  # a huge finite iterate has an infinite objective
             diff = w - self.w_star
-            return float(0.5 * np.sum(self.curvatures * (diff * diff + spread)))
+            return _per_lane(self.curvatures * (diff * diff + spread), lambda r: 0.5 * np.sum(r))
 
     def constants(self, w1):
         w1 = ensure_vector(w1, "w1")
@@ -390,19 +404,20 @@ class MlpProblem(StochasticProblem):
         return self.grad(w, np.arange(len(self.dataset)))
 
     def objective(self, w):
-        return self.loss(w, np.arange(len(self.dataset)))
+        return self.dataset_loss(w, self.dataset)
 
-    def dataset_loss(self, w, dataset: LabeledSet) -> float:
-        """Mean cross-entropy of the network on an arbitrary labelled set."""
+    def dataset_loss(self, w, dataset: LabeledSet):
+        """Mean cross-entropy of the network on an arbitrary labelled set; for
+        lanes w (n, dim), one value per lane."""
         _, log_probs = self._forward(w, dataset.features)
         y = dataset.labels
-        return float(-np.mean(log_probs[np.arange(len(y)), y]))
+        return _per_lane(log_probs[..., np.arange(len(y)), y], lambda r: -np.mean(r))
 
-    def dataset_error(self, w, dataset: LabeledSet) -> float:
-        """Misclassification rate of the argmax prediction on a labelled set."""
+    def dataset_error(self, w, dataset: LabeledSet):
+        """Misclassification rate of the argmax prediction on a labelled set;
+        for lanes w (n, dim), one value per lane."""
         _, log_probs = self._forward(w, dataset.features)
-        pred = np.argmax(log_probs, axis=1)
-        return float(np.mean(pred != dataset.labels))
+        return _per_lane(np.argmax(log_probs, axis=-1) != dataset.labels, np.mean)
 
 
 def mlp_make(

@@ -3,7 +3,8 @@
 A sweep enumerates (method, alpha, epsilon, seed) cells, runs one trial per
 cell with a seed mixed purely from the cell's identity, and scores the final
 iterate with a problem-level metric. The cells of one method run in blocks,
-each block as the lock-step lanes of one runner batch. With n workers the
+each block as the lock-step lanes of one runner batch, seeded by three array
+calls of mix_seed and scored by one call of the metric. With n workers the
 cells are dealt into n interleaved shares: the calling process runs one, and
 a forked child runs each of the others and pipes its cells back. Diverged
 cells are kept and ranked worst so per-column argmins stay defined. The
@@ -132,32 +133,26 @@ class HeatmapCell:
         return (self.method, self.alpha, self.epsilon, self.seed)
 
 
-def _cell_metric(spec: GridSpec, w_final: np.ndarray) -> float:
-    if spec.metric == "full_objective":
-        return float(spec.problem.objective(w_final))
-    if spec.metric == "holdout_ce":
-        return spec.problem.dataset_loss(w_final, spec.holdout)
-    return spec.problem.dataset_error(w_final, spec.holdout)
-
-
-def _cell_config(spec: GridSpec, task: tuple[int, int, int, int]) -> TrialConfig:
-    mi, ai, ei, si = task
-    cell_seed = mix_seed(spec.base_seed, mi, ai, ei, si)
-    if spec.w1 is not None:
-        w1 = np.array(spec.w1, dtype=np.float64)
-    else:
-        w1 = spec.init_scale * RngStream(mix_seed(cell_seed, 0)).normal(spec.problem.dim)
-    return TrialConfig(
-        method=spec.methods[mi],
-        hp=spec.hyper_params(spec.alphas[ai], spec.epsilons[ei]),
-        problem=spec.problem,
-        T=spec.T,
-        w1=w1,
-        seed=mix_seed(cell_seed, 1),
-        record_every=spec.T,
-        capture_trace=False,  # only the final iterate is scored
-        grad_metric="none",
-    )
+def _block_configs(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[TrialConfig]:
+    """The trial configs of a block of cells, seeded by three array calls of
+    mix_seed: a cell's seed mixes its identity, and the seeds of its random
+    start and of its stream mix the cell's seed with 0 and with 1."""
+    cell_seeds = mix_seed(spec.base_seed, *np.array(block, dtype=np.uint64).T)
+    start_seeds, seeds = mix_seed(cell_seeds, 0).tolist(), mix_seed(cell_seeds, 1).tolist()
+    shared = spec.hyper_params(spec.alphas[0], spec.epsilons[0])  # one pair of beta schedules
+    cfgs = []
+    for (mi, ai, ei, _), start_seed, seed in zip(block, start_seeds, seeds):
+        if spec.w1 is not None:
+            w1 = np.array(spec.w1, dtype=np.float64)
+        else:
+            w1 = spec.init_scale * RngStream(start_seed).normal(spec.problem.dim)
+        hp = HyperParams(Schedule.constant(spec.alphas[ai]), spec.epsilons[ei], shared.beta1,
+                         shared.beta2, shared.weight_decay, shared.decay_mode)
+        cfgs.append(TrialConfig(method=spec.methods[mi], hp=hp, problem=spec.problem, T=spec.T,
+                                w1=w1, seed=seed, record_every=spec.T,
+                                capture_trace=False,  # only the final iterate is scored
+                                grad_metric="none"))
+    return cfgs
 
 
 def _cell(spec: GridSpec, task: tuple[int, int, int, int], status: str,
@@ -167,12 +162,25 @@ def _cell(spec: GridSpec, task: tuple[int, int, int, int], status: str,
                        spec.seeds[si], metric, status)
 
 
-def _scored_cell(spec: GridSpec, task: tuple[int, int, int, int],
-                 record: TrialRecord) -> HeatmapCell:
-    metric = math.inf if record.status == STATUS_DIVERGED else _cell_metric(spec, record.w_final)
-    if not math.isfinite(metric):
-        return _cell(spec, task, STATUS_DIVERGED)
-    return _cell(spec, task, record.status, metric)
+def _scored_cells(spec: GridSpec, block: list[tuple[int, int, int, int]],
+                  records: list[TrialRecord]) -> list[HeatmapCell]:
+    """Score the final iterates of a block's finished lanes with one metric call;
+    a diverged lane, or one whose metric is not finite, is a diverged cell."""
+    lanes = [p for p, record in enumerate(records) if record.status != STATUS_DIVERGED]
+    metrics = [math.inf] * len(records)
+    if lanes:
+        w = np.array([records[p].w_final for p in lanes])
+        if spec.metric == "full_objective":
+            scores = spec.problem.objective(w)
+        elif spec.metric == "holdout_ce":
+            scores = spec.problem.dataset_loss(w, spec.holdout)
+        else:
+            scores = spec.problem.dataset_error(w, spec.holdout)
+        for p, score in zip(lanes, scores.tolist()):
+            metrics[p] = score
+    return [_cell(spec, task, record.status, metric) if math.isfinite(metric)
+            else _cell(spec, task, STATUS_DIVERGED)
+            for task, record, metric in zip(block, records, metrics)]
 
 
 def _run_block(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[HeatmapCell]:
@@ -182,16 +190,15 @@ def _run_block(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[H
     become a cell. A block that fails is run again one cell at a time, so
     that only the cells that fail are marked failed.
     """
-    cfgs = [_cell_config(spec, task) for task in block]
+    cfgs = _block_configs(spec, block)
     try:
-        return [_scored_cell(spec, task, record)
-                for task, record in zip(block, run_trials(cfgs))]
+        return _scored_cells(spec, block, run_trials(cfgs))
     except ArithmeticError:
         pass
     cells = []
     for task, cfg in zip(block, cfgs):
         try:
-            cells.append(_scored_cell(spec, task, run_trial(cfg)))
+            cells += _scored_cells(spec, [task], [run_trial(cfg)])
         except ArithmeticError:
             cells.append(_cell(spec, task, "failed"))
     return cells

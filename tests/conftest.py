@@ -1,5 +1,9 @@
+import io
+
 import pytest
 
+import criterion9
+from avagrad_lab.sweep import run_sweep
 from engines import counted_kernel, numpy_engine
 
 
@@ -9,3 +13,10 @@ def engine(request):
     (skipped without a C compiler)."""
     with numpy_engine() if request.param == "numpy" else counted_kernel():
         yield request.param
+
+
+@pytest.fixture(scope="session")
+def criterion9_cells():
+    """The cells of criterion 9's sweep with its 8 workers, run once a session
+    (the sweep takes about 8 s) and shared by the two tests that score it."""
+    return run_sweep(criterion9.spec(), workers=criterion9.WORKERS, progress=io.StringIO())

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The module takes about 15 s on a 2-core x86-64 machine. Criterion 9,
-the MLP holdout sweep, is the heaviest at about 6.5 s. Criterion 1 runs each
+lines. The module takes about 15 s on a 2-core x86-64 machine. Criterion 9
+scores the MLP holdout sweep, the heaviest check: the `criterion9_cells`
+fixture of conftest.py runs it once a session, for it and for its golden
+test in test_golden.py. Criterion 1 runs each
 of its three methods as one batch of 10 lanes through the compiled d = 1
 loop (`_lanes.c`) and takes about 1.1 s. Criterion 8's sweep runs as
 lock-step lane blocks in about 1 s.
@@ -319,28 +321,8 @@ class TestCriterion8GridProtocol:
 
 
 class TestCriterion9Decoupling:
-    def test_avagrad_separates_alpha_from_epsilon_on_mlp_sweep(self):
-        train = gaussian_blobs(80, 3, 2, 1.5, RngStream(42))
-        holdout = gaussian_blobs(40, 3, 2, 1.5, RngStream(43))
-        problem = mlp_make(2, 16, 3, train, batch_size=32)
-        # 7x7 sub-grid of the default axes; the epsilon range sits at and above
-        # the gradient scale, where the best alpha of a coupled method must
-        # track epsilon while the normalised method's update is insensitive
-        spec = GridSpec(
-            problem=problem,
-            methods=[Method.ADAM, Method.AVAGRAD],
-            alphas=[1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0],
-            epsilons=[1e-2, 1e-1, 1.0, 2.0, 10.0, 20.0, 100.0],
-            seeds=[0, 1, 2],
-            T=2000,
-            base_seed=7,
-            beta1=0.9,
-            beta2=0.999,
-            metric="holdout_ce",
-            holdout=holdout,
-            init_scale=0.1,
-        )
-        cells = run_sweep(spec, workers=8, progress=io.StringIO())
+    def test_avagrad_separates_alpha_from_epsilon_on_mlp_sweep(self, criterion9_cells):
+        cells = criterion9_cells  # criterion9.spec() with 8 workers, run once a session
         sep_adam = separability_index(cells, Method.ADAM)
         sep_ava = separability_index(cells, Method.AVAGRAD)
         print(f"\n  separability: avagrad={sep_ava:.3f} adam={sep_adam:.3f}")

@@ -1,8 +1,16 @@
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from avagrad_lab import core
 from avagrad_lab.core import (
     RngStream,
     Schedule,
@@ -90,3 +98,97 @@ class TestRngStream:
     def test_mix_seed_order_sensitive(self):
         assert mix_seed(1, 2, 3) != mix_seed(1, 3, 2)
         assert mix_seed(1) != mix_seed(1, 0)
+
+    def test_interleaved_streams_equal_their_own_generators(self):
+        """Streams drawn in turn through the shared engine give the bits of a
+        Generator of their own; a 32-bit integer draw leaves the other half of
+        a Philox output buffered in the stream for its next one."""
+        seeds = [0, 7, 2**63, 2**64 - 1]
+        streams = [RngStream(s) for s in seeds]
+        gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+        draws = [
+            (lambda r: r.random(), lambda g: g.random()),
+            (lambda r: r.integers(0, 1000), lambda g: g.integers(0, 1000)),
+            (lambda r: r.normal(5), lambda g: g.standard_normal(5)),
+            (lambda r: r.integers(0, [7, 2**31, 90], size=(4, 3)),
+             lambda g: g.integers(0, [7, 2**31, 90], size=(4, 3))),
+            (lambda r: r.choice(240, 32), lambda g: g.choice(240, size=32, replace=False)),
+            (lambda r: r.random((2, 3)), lambda g: g.random((2, 3))),
+            (lambda r: r.choice(9, 9, replace=True), lambda g: g.choice(9, size=9)),
+        ]
+        for _ in range(3):
+            for stream_draw, gen_draw in draws:
+                for rng, gen in zip(streams, gens):
+                    got, want = stream_draw(rng), gen_draw(gen)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for rng, gen in zip(streams, gens):  # the last stream's state lives in the engine
+            got, want = rng.state, gen.bit_generator.state
+            for key in ("counter", "key"):
+                assert np.array_equal(got["state"][key], want["state"][key])
+            assert np.array_equal(got["buffer"], want["buffer"])
+            assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
+                [want[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+
+    def test_threads_drawing_their_own_streams_get_the_sequential_values(self):
+        seeds, rounds = (3, 4), 2000
+
+        def draws(seed):
+            rng = RngStream(seed)
+            return [(rng.random(3), rng.choice(50, 5)) for _ in range(rounds)]
+
+        want, got = {s: draws(s) for s in seeds}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda s=s: got.update({s: draws(s)}))
+                       for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for s in seeds:
+            assert len(got[s]) == rounds
+            for (a, b), (c, d) in zip(got[s], want[s]):
+                assert np.array_equal(a, c) and np.array_equal(b, d)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_while_the_parent_holds_the_engine(self):
+        """A child forked while another thread draws gets a lock of its own."""
+        want = RngStream(5).random(3)
+        with core._engine_lock:  # as held by a thread drawing at the fork
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if np.array_equal(RngStream(5).random(3), want) else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)  # SIGKILL: the child hangs on the copied lock
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+_UINT64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestMixSeedArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(base=_UINT64, rows=st.lists(st.tuples(_UINT64, _UINT64, _UINT64), min_size=1,
+                                       max_size=8))
+    @example(base=2**64 - 1, rows=[(0, 2**63, 2**64 - 1), (2**64 - 1, 0, 2**63),
+                                   (2**63, 2**64 - 1, 0)])
+    def test_uint64_arrays_equal_int_calls(self, base, rows):
+        cols = np.array(rows, dtype=np.uint64).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the arrays wrap without a warning
+            by_index = mix_seed(base, *cols)  # an int base, array indices
+            by_base = mix_seed(cols[0], *cols[1:])  # an array base, as a block's seeds
+            base_only = mix_seed(cols[0])
+        for got in (by_index, by_base, base_only):
+            assert got.dtype == np.uint64 and got.shape == (len(rows),)
+        assert by_index.tolist() == [mix_seed(base, *row) for row in rows]
+        assert by_base.tolist() == [mix_seed(*row) for row in rows]
+        assert base_only.tolist() == [mix_seed(row[0]) for row in rows]

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import criterion9
 from avagrad_lab import cli
 from avagrad_lab.cli import main
 from avagrad_lab.core import RngStream, Schedule, write_csv
@@ -86,17 +87,6 @@ def _criterion8_spec() -> GridSpec:
                     seeds=[0], T=1000, w1=np.ones(10))
 
 
-def _criterion9_spec() -> GridSpec:
-    """The grid of acceptance criterion 9: the 7 x 7 x 3 MLP holdout sweep."""
-    train = gaussian_blobs(80, 3, 2, 1.5, RngStream(42))
-    holdout = gaussian_blobs(40, 3, 2, 1.5, RngStream(43))
-    return GridSpec(problem=mlp_make(2, 16, 3, train, batch_size=32),
-                    methods=[Method.ADAM, Method.AVAGRAD],
-                    alphas=[1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0],
-                    epsilons=[1e-2, 1e-1, 1.0, 2.0, 10.0, 20.0, 100.0], seeds=[0, 1, 2],
-                    T=2000, base_seed=7, metric="holdout_ce", holdout=holdout)
-
-
 _CRITERION10_INI = (
     "[problem]\nkind = quadratic\ncurvatures = 1.0,2.0\nnoise_std = 0.1\n\n"
     "[run]\nsteps = 100\n\n"
@@ -106,7 +96,10 @@ _CRITERION10_INI = (
 
 def _write_spec_sweep(spec: GridSpec, workers: int, out: Path) -> None:
     """Run a grid and write its two CSVs as the sweep command does."""
-    cells = run_sweep(spec, workers=workers, progress=io.StringIO())
+    _write_cells(spec, run_sweep(spec, workers=workers, progress=io.StringIO()), out)
+
+
+def _write_cells(spec: GridSpec, cells, out: Path) -> None:
     export_heatmap(cells, out / "heatmap.csv")
     rows = []
     for method in spec.methods:
@@ -131,7 +124,7 @@ def _write_criterion10(out: Path) -> None:
 # name -> writer of heatmap.csv and separability.csv into a directory
 SWEEP_CASES = {
     "criterion8": lambda out: _write_spec_sweep(_criterion8_spec(), 1, out),
-    "criterion9": lambda out: _write_spec_sweep(_criterion9_spec(), 2, out),
+    "criterion9": lambda out: _write_spec_sweep(criterion9.spec(), 2, out),
     "criterion10": _write_criterion10,
     "quadratic_sweep_demo": lambda out: _write_cli_sweep(
         REPO / "demos" / "configs" / "quadratic_sweep.ini", 0, out),
@@ -235,8 +228,11 @@ def test_diverging_cases_diverge(name):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_sweep_matches_golden_bytes(name, tmp_path):
-    SWEEP_CASES[name](tmp_path)
+def test_sweep_matches_golden_bytes(name, tmp_path, request):
+    if name == "criterion9":  # criterion 9's 8-worker cells against the 2-worker fixture
+        _write_cells(criterion9.spec(), request.getfixturevalue("criterion9_cells"), tmp_path)
+    else:
+        SWEEP_CASES[name](tmp_path)
     for fname in SWEEP_FILES:
         assert (tmp_path / fname).read_bytes() == \
             (GOLDEN / f"sweep_{name}" / fname).read_bytes(), fname

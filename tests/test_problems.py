@@ -265,7 +265,7 @@ def lane_streams(seeds, odd):
     for rng, skew in zip(streams, odd):
         if skew:
             rng.integers(0, 1000)
-            assert rng._gen.bit_generator.state["has_uint32"] == 1
+            assert rng.state["has_uint32"] == 1
     return streams
 
 
@@ -334,6 +334,39 @@ class TestMlpSampleLanes:
             tracemalloc.stop()
         assert peak <= REPLAY_BYTES + (1 << 20), peak
         assert_bulk_draw_equals_single_draws(n, 16, 16, seeds, [True, False, True, False])
+
+
+class TestLaneMetrics:
+    """A metric of lanes w (n, d), one call for the block, equals its calls on
+    each lane bit for bit."""
+
+    @staticmethod
+    def assert_lanes_match(metric, w):
+        got, want = metric(w), [metric(row) for row in w]
+        assert all(type(v) is float for v in want)
+        assert got.dtype == np.float64 and got.shape == (len(w),)
+        assert got.tobytes() == np.array(want).tobytes()
+        return got
+
+    def test_synth_objective(self):
+        prob = synth_make(999.0, 1.0)
+        self.assert_lanes_match(prob.objective, np.linspace(0.0, 1.0, 7)[:, None])
+
+    def test_quadratic_objective_with_an_overflowing_lane(self):
+        prob = quadratic_make(np.linspace(1.0, 4.0, 10), 0.1, np.linspace(-1.0, 1.0, 10))
+        w = RngStream(5).normal((15, 10)) * np.logspace(-3, 3, 15)[:, None]
+        w[4] = 1e300
+        got = self.assert_lanes_match(prob.objective, w)
+        assert math.isinf(got[4]) and np.isfinite(np.delete(got, 4)).all()
+
+    def test_mlp_holdout_metrics(self):
+        """The shapes of criterion 9: 15 lanes scored on 120 holdout points."""
+        prob = mlp_make(2, 16, 3, gaussian_blobs(80, 3, 2, 1.5, RngStream(42)), batch_size=32)
+        holdout = gaussian_blobs(40, 3, 2, 1.5, RngStream(43))
+        w = RngStream(8).normal((15, prob.dim)) * np.logspace(-2, 1.5, 15)[:, None]
+        self.assert_lanes_match(lambda v: prob.dataset_loss(v, holdout), w)
+        self.assert_lanes_match(lambda v: prob.dataset_error(v, holdout), w)
+        self.assert_lanes_match(prob.objective, w)
 
 
 class TestFdCheck:

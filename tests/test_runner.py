@@ -643,6 +643,20 @@ class TestCompiledLanes:
         assert [p.name for p in (tmp_path / "cache" / "avagrad_lab").iterdir()] == [
             Path(names[0]).name]
 
+    def test_build_removes_stale_libraries(self, tmp_path, monkeypatch):
+        """A build deletes the libraries of other kernels from the cache and keeps
+        the files that are not libraries."""
+        if _lanes.kernel() is None:
+            pytest.skip("no C compiler: the kernel cannot be built")
+        cache = tmp_path / "cache" / "avagrad_lab"
+        cache.mkdir(parents=True)
+        (cache / "_lanes-0123456789abcdef.so").write_bytes(b"an old kernel")
+        (cache / "notes.txt").write_text("kept")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        lib = _lanes.library()
+        assert lib is not None and lib.lanes_run is not None
+        assert sorted(p.name for p in cache.iterdir()) == [Path(lib._name).name, "notes.txt"]
+
 
 class TestIterateDistribution:
     def test_sgd_constant_alpha_uniform(self):

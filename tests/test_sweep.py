@@ -156,10 +156,11 @@ class TestRunSweep:
         class FlakyProblem(QuadraticProblem):
             seen, bad = [], None
 
-            def objective(self, w):
-                if w.tobytes() == self.bad:
+            def objective(self, w):  # one row per lane: a block is scored in one call
+                rows = [row.tobytes() for row in np.atleast_2d(w)]
+                if self.bad in rows:
                     raise FloatingPointError("overflow in the metric")
-                self.seen.append(w.tobytes())
+                self.seen.extend(rows)
                 return super().objective(w)
 
         spec = small_spec(methods=(Method.ADAM,), T=20)

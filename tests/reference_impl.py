@@ -84,3 +84,17 @@ class RefOptimizer:
         if mode == "decoupled" and lam > 0.0:
             w_next = [w_next[i] - (a * lam) * w[i] for i in range(d)]
         return w_next
+
+
+def reference_bias_gap(big_c, delta, w, v, beta2, epsilon, t):
+    """E_s[(eta_adam(s) - eta_delayed) * g_s] for the next step (t + 1) of a
+    scalar state v on the two-outcome synth problem: the steep branch C w with
+    probability p = (1 + delta) / (C + 1), else the constant -1."""
+    p = (1.0 + delta) / (big_c + 1.0)
+    b2 = sched(beta2[0], beta2[1], t + 1)
+    eta_ref = 1.0 / (math.sqrt(v) + epsilon)
+    gap = 0.0
+    for prob, g in ((p, big_c * w), (1.0 - p, -1.0)):
+        v_s = b2 * v + (1.0 - b2) * (g * g)
+        gap = gap + prob * ((1.0 / (math.sqrt(v_s) + epsilon) - eta_ref) * g)
+    return gap

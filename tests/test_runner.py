@@ -35,7 +35,7 @@ from avagrad_lab.runner import (
 )
 
 from engines import counted_kernel, numpy_engine
-from reference_impl import RefOptimizer
+from reference_impl import RefOptimizer, reference_bias_gap
 
 
 def make_hp(alpha=1e-3, epsilon=1e-8, beta1=0.0, beta2=0.99):
@@ -807,6 +807,29 @@ class TestBiasGap:
         hp = make_hp(alpha=1e-5, epsilon=epsilon, beta1=0.0, beta2=beta2)
         gap = bias_gap(np.array([w]), state, hp, problem, "delayed")
         assert gap.shape == (1,) and gap[0] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        big_c=st.floats(1.5, 1e4),
+        delta_share=st.floats(1e-3, 0.999),
+        w=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1e8),
+        t=st.integers(0, 10**6),
+        beta2=st.one_of(st.tuples(st.just("constant"), st.floats(0.0, 0.9999)),
+                        st.just(("inverse_t", 0.0))),
+        epsilon=st.floats(1e-12, 10.0),
+    )
+    def test_adam_mode_equals_scalar_reference_bitwise(self, big_c, delta_share, w, v, t,
+                                                       beta2, epsilon):
+        """The coupled gap, outcome by outcome in plain floats, to the last bit."""
+        delta = delta_share * big_c
+        state = init_state(Method.ADAM, 1)
+        state.v, state.t = np.array([v]), t
+        hp = HyperParams(alpha=Schedule.constant(1e-5), epsilon=epsilon,
+                         beta1=Schedule.constant(0.0), beta2=Schedule(*beta2))
+        gap = bias_gap(np.array([w]), state, hp, synth_make(big_c, delta), "adam")
+        want = reference_bias_gap(big_c, delta, w, v, beta2, epsilon, t)
+        assert gap.shape == (1,) and float(gap[0]).hex() == want.hex()
 
     def test_adam_mode_nonzero_50_states(self):
         for i in range(50):

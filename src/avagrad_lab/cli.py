@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, Schedule, mix_seed, write_csv
+from .core import SCHEDULE_KINDS, RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method, init_state
 from .problems import (
     MlpProblem,
@@ -47,6 +47,7 @@ from .runner import (
     GRAD_METRICS,
     STATUS_DIVERGED,
     TrialConfig,
+    _beta1_is_zero,
     bias_gap,
     eval_bound,
     export_trajectory,
@@ -104,7 +105,7 @@ _FLOATS, _INTS = _list_of(_FLOAT, "finite floats"), _list_of(_INT, "integers")
 _METHOD_NAMES = tuple(m.value for m in Method)
 _METHOD = _one_of(_METHOD_NAMES, Method)
 _DECAY = _one_of(tuple(m.value for m in DecayMode), DecayMode)
-_BETA_SCHEDULE = _one_of(("constant", "inverse_sqrt", "inverse_t"))
+_BETA_SCHEDULE = _one_of(SCHEDULE_KINDS)
 
 #: every config key by section, with its type; unknown sections and keys are errors
 _KEYS = {
@@ -150,7 +151,7 @@ def _load_config(path: str) -> dict[str, dict]:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
     except (configparser.Error, OSError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
     config = {}
     for section in cp.sections():
         if section not in _KEYS:
@@ -163,6 +164,11 @@ def _load_config(path: str) -> dict[str, dict]:
         config[section] = {key: _parse(f"[{section}] {key}", _KEYS[section][key], raw.strip())
                            for key, raw in cp[section].items()}
     return config
+
+
+def _given(section: dict, *keys) -> dict:
+    """The keys of a section that the file sets; the callee's defaults fill the rest."""
+    return {key: section[key] for key in keys if key in section}
 
 
 def _require_positive(value, what):
@@ -189,10 +195,10 @@ def _build_problem(cfg: dict):
         if kind == "synth":
             return synth_make(cfg.get("c", 999.0), cfg.get("delta", 1.0))
         if kind == "quadratic":
-            return quadratic_make(cfg["curvatures"], cfg.get("noise_std", 0.0), cfg.get("w_star"))
+            return quadratic_make(cfg["curvatures"], **_given(cfg, "noise_std", "w_star"))
         dataset = load_csv_dataset(cfg["dataset"], cfg["n_in"], cfg["n_classes"])
         return mlp_make(cfg["n_in"], cfg["n_hidden"], cfg["n_classes"], dataset,
-                        cfg.get("batch_size", 16))
+                        **_given(cfg, "batch_size"))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"[problem] {exc}") from None
 
@@ -212,8 +218,7 @@ def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
             epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
             beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", 0.9)),
             beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", 0.999)),
-            weight_decay=cfg.get("weight_decay", 0.0),
-            decay_mode=cfg.get("decay_mode", DecayMode.NONE),
+            **_given(cfg, "weight_decay", "decay_mode"),
         )
     except ValueError as exc:
         raise ConfigError(f"[optimizer] {exc}") from None
@@ -232,7 +237,7 @@ def _base_seed(args) -> int:
     return 0
 
 
-def _default_w1(problem, seed_label: int, init_scale: float) -> np.ndarray:
+def _default_w1(problem, seed_label: int, init_scale: float = 0.1) -> np.ndarray:
     if isinstance(problem, SynthProblem):
         return np.array([0.5])
     if isinstance(problem, QuadraticProblem):
@@ -252,7 +257,6 @@ def cmd_run(args) -> int:
         raise ConfigError("[run] seeds must not repeat")
     record_every = run.get("record_every", max(1, steps // 1000))
     _require_positive(record_every, "[run] record_every")
-    init_scale = run.get("init_scale", 0.1)
     out_dir = Path(args.out or run.get("out_dir", "."))
     fixed_w1 = run.get("w1")
     if fixed_w1 is not None and len(fixed_w1) != problem.dim:
@@ -269,9 +273,10 @@ def cmd_run(args) -> int:
     )
     records = run_trials([TrialConfig(  # the seeds as one lock-step batch
         method=method, hp=hp, problem=problem, T=steps, seed=seed,
-        w1=_default_w1(problem, seed, init_scale) if fixed_w1 is None else np.array(fixed_w1),
+        w1=(_default_w1(problem, seed, **_given(run, "init_scale")) if fixed_w1 is None
+            else np.array(fixed_w1)),
         record_every=record_every, capture_trace=False,  # only the rows are written
-        grad_metric=run.get("grad_metric", "full"), converge_tol=run.get("converge_tol"),
+        **_given(run, "grad_metric", "converge_tol"),
     ) for seed in seeds])
     for seed, record in zip(seeds, records):
         traj_path = out_dir / f"trajectory_seed{seed}.csv"
@@ -299,7 +304,7 @@ def cmd_synthfig(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = _base_seed(args)
     stride = max(1, steps // 1000)
-    problem = synth_make(999.0, 1.0)
+    problem = _build_problem({"kind": "synth"})
     hp = HyperParams(
         alpha=Schedule.constant(1e-5),
         epsilon=1e-8,
@@ -356,13 +361,8 @@ def cmd_sweep(args) -> int:
             seeds=grid.get("seeds", [0]),
             T=steps,
             base_seed=_base_seed(args),
-            beta1=grid.get("beta1", 0.9),
-            beta2=grid.get("beta2", 0.999),
-            weight_decay=grid.get("weight_decay", 0.0),
-            decay_mode=grid.get("decay_mode", DecayMode.NONE),
-            metric=grid.get("metric", "full_objective"),
             holdout=holdout,
-            init_scale=grid.get("init_scale", 0.1),
+            **_given(grid, "beta1", "beta2", "weight_decay", "decay_mode", "metric", "init_scale"),
         )
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from None
@@ -432,10 +432,10 @@ def cmd_check(args) -> int:
         failed = failed or worst_delayed > 1e-15
 
     # bound report when constants exist and the momentum term is off
-    w1 = _default_w1(problem, base_seed, 0.1)
+    w1 = _default_w1(problem, base_seed)
     constants = problem.constants(w1)
     if constants is not None and constants.g_2 is not None:
-        if hp.beta1.kind == "constant" and hp.beta1.base == 0.0:
+        if _beta1_is_zero(hp):
             cfg = TrialConfig(
                 method=method, hp=hp, problem=problem, T=steps, w1=w1,
                 seed=mix_seed(base_seed, 4), record_every=max(1, steps // 100),
@@ -475,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured trial per seed")
     common(p_run)
-    p_run.add_argument("--alpha", type=float, default=None, help="override learning rate")
-    p_run.add_argument("--epsilon", type=float, default=None, help="override epsilon")
-    p_run.add_argument("--method", default=None, help="override optimizer method")
     p_run.set_defaults(func=cmd_run)
 
     p_fig = sub.add_parser("synthfig", help="scalar benchmark comparison CSVs")
@@ -492,10 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="gradient / bias / bound diagnostics")
     common(p_check)
-    p_check.add_argument("--alpha", type=float, default=None, help="override learning rate")
-    p_check.add_argument("--epsilon", type=float, default=None, help="override epsilon")
-    p_check.add_argument("--method", default=None, help="override optimizer method")
     p_check.set_defaults(func=cmd_check)
+
+    for p in (p_run, p_check):  # the commands that build an optimizer from [optimizer]
+        p.add_argument("--alpha", type=float, default=None, help="override learning rate")
+        p.add_argument("--epsilon", type=float, default=None, help="override epsilon")
+        p.add_argument("--method", default=None, help="override optimizer method")
     return parser
 
 

@@ -49,14 +49,17 @@ class DecayMode(str, Enum):
     DECOUPLED = "decoupled"
 
 
+#: methods whose eta_t is read from a second-moment buffer (all but the sgd variants)
+ADAPTIVE_METHODS = frozenset(Method) - {Method.SGD, Method.MOMENTUM_SGD}
+
 #: methods whose eta_t is computed from v_{t-1}, before v absorbs g_t
 DELAYED_METHODS = frozenset({Method.DELAYED_ADAM, Method.AVAGRAD, Method.AVAGRADW})
 
 #: methods that always apply decoupled weight decay, whatever hp.decay_mode says
-_FORCED_DECOUPLED = frozenset({Method.ADAMW, Method.AVAGRADW})
+FORCED_DECOUPLED = frozenset({Method.ADAMW, Method.AVAGRADW})
 
 #: methods that rescale the delayed rates by sqrt(d) / ||eta||
-_NORMALIZED_METHODS = frozenset({Method.AVAGRAD, Method.AVAGRADW})
+NORMALIZED_METHODS = frozenset({Method.AVAGRAD, Method.AVAGRADW})
 
 
 class DivergenceError(NonFiniteError):
@@ -136,10 +139,15 @@ def init_state(method: Method, d: int) -> OptimizerState:
     return OptimizerState(method=method, m=np.zeros(d), v=np.zeros(d), v_hat=v_hat, t=0)
 
 
+def lane_norm(a: np.ndarray) -> np.ndarray:
+    """||a|| of each lane (last axis), kept as a trailing axis of length 1."""
+    # np.add.reduce is what np.sum runs, less its Python wrapper
+    return np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
+
+
 def _scaled_norm(eta: np.ndarray) -> np.ndarray:
     """||eta / sqrt(d)|| of each lane (last axis), kept as a trailing axis of length 1."""
-    # np.add.reduce is what np.sum runs, less its Python wrapper
-    return np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True)) / math.sqrt(eta.shape[-1])
+    return lane_norm(eta) / math.sqrt(eta.shape[-1])
 
 
 def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
@@ -156,7 +164,7 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
     caller opens np.errstate and checks finiteness: overflow is a divergence
     signal here.
     """
-    if method in _FORCED_DECOUPLED:
+    if method in FORCED_DECOUPLED:
         decay_mode = DecayMode.DECOUPLED
     if lam > 0.0 and decay_mode is DecayMode.COUPLED_L2:
         g = g + lam * w
@@ -180,7 +188,7 @@ def lane_update(method: Method, decay_mode: DecayMode, w, m, v, v_hat, g,
             eta = 1.0 / (np.sqrt(v_hat_next) + eps)
         else:
             eta = 1.0 / (np.sqrt(v_next) + eps)
-        if method in _NORMALIZED_METHODS:
+        if method in NORMALIZED_METHODS:
             scaled_norm = _scaled_norm(eta)
             w_next = w - alpha * ((eta / scaled_norm) * m_next)
             alpha_eff = alpha / scaled_norm

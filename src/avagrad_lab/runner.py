@@ -34,8 +34,8 @@ import numpy as np
 
 from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from . import _lanes
-from .optim import (DELAYED_METHODS, DecayMode, HyperParams, Method, OptimizerState,
-                    lane_update)
+from .optim import (ADAPTIVE_METHODS, DELAYED_METHODS, FORCED_DECOUPLED, NORMALIZED_METHODS,
+                    DecayMode, HyperParams, Method, OptimizerState, lane_norm, lane_update)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
@@ -62,6 +62,9 @@ class TrialConfig:
     capture_trace: bool | None = None  # None: keep a trace when record_every == 1
     grad_metric: str = "full"  # full | batch | none
     converge_tol: float | None = None
+
+    def __post_init__(self):
+        self.method = Method(self.method)
 
 
 @dataclass
@@ -123,7 +126,7 @@ def run_synth_replicas(
     if not methods:
         raise ValueError("replicas need at least one method")
     return [record for m in methods for record in run_trials([TrialConfig(
-        method=Method(m), hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
+        method=m, hp=hp, problem=problem, T=T, w1=np.array([float(w1)]),
         seed=mix_seed(base_seed, i), record_every=record_every,
         capture_trace=capture_trace, grad_metric="full") for i in range(n_replicas)])]
 
@@ -132,7 +135,7 @@ def _shared_settings(cfg: TrialConfig) -> tuple:
     """What every lane of one batch must share: all of a config but w1, seed,
     the alpha schedule's base and epsilon."""
     hp = cfg.hp
-    return (Method(cfg.method), cfg.problem, cfg.T, cfg.record_every, cfg.capture_trace,
+    return (cfg.method, cfg.problem, cfg.T, cfg.record_every, cfg.capture_trace,
             cfg.grad_metric, cfg.converge_tol, hp.alpha.kind, hp.beta1, hp.beta2,
             hp.weight_decay, hp.decay_mode)
 
@@ -143,13 +146,13 @@ _KERNEL_STATE = 12  # NSTATE of _lanes.c: alpha, eps, w, m, v, v_hat, the sums, 
 def _kernel_settings(cfg: TrialConfig, grad_metric: str,
                      want_trace: bool) -> tuple[np.ndarray, int]:
     """The par array and flags of a _lanes.c call: lane_update's branches at d = 1."""
-    hp, method, problem = cfg.hp, Method(cfg.method), cfg.problem
-    mode = DecayMode.DECOUPLED if method in (Method.ADAMW, Method.AVAGRADW) else hp.decay_mode
+    hp, method, problem = cfg.hp, cfg.method, cfg.problem
+    mode = DecayMode.DECOUPLED if method in FORCED_DECOUPLED else hp.decay_mode
     decay = hp.weight_decay > 0.0
     flags = sum(bit for bit, on in (  # the F_ bits of _lanes.c, in order
         (1, method is not Method.SGD),
-        (2, method not in (Method.SGD, Method.MOMENTUM_SGD)),
-        (4, method in (Method.AVAGRAD, Method.AVAGRADW)),
+        (2, method in ADAPTIVE_METHODS),
+        (4, method in NORMALIZED_METHODS),
         (8, decay and mode is DecayMode.COUPLED_L2),
         (16, decay and mode is DecayMode.DECOUPLED),
         (32, method is Method.AMSGRAD),
@@ -184,7 +187,7 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
         return []
     cfg = cfgs[0]
     problem, hp, T, every = cfg.problem, cfg.hp, cfg.T, cfg.record_every
-    method, d = Method(cfg.method), problem.dim
+    method, d = cfg.method, problem.dim
     if T < 1:
         raise ValueError("T must be >= 1")
     if every < 1:
@@ -225,7 +228,10 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
     eta = eta_min = alpha_eff = None  # of the last completed step
     gs = math.nan
     records: list[TrialRecord | None] = [None] * n
-    no_rows = np.empty((0, len(ROW_COLUMNS)))
+
+    def put_row(out, t: int, alpha, eta_l2) -> None:  # row t of every lane: out[j] is (n, 1)
+        for j, val in enumerate((t, w_sum / t, gs_sum / t, alpha, eta_min, eta_l2, alpha_eff)):
+            out[j] = val
 
     def record(p: int, status: str, done: int, flushed=None) -> TrialRecord:
         # The rows and trace of a lane that ran all T steps are views of the final
@@ -309,15 +315,12 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
                 if ok.all():
                     break
                 done = t - 1
+                last = np.empty((min(done % every, 1), len(ROW_COLUMNS), len(ids), 1))
+                if len(last):  # the final row is always flushed, whatever the stride
+                    alpha_done = schedule_eval(hp.alpha, done, alpha_base)
+                    put_row(last[0], done, alpha_done, lane_norm(eta))
                 for p in np.flatnonzero(~ok):
-                    flushed = no_rows
-                    if done % every:  # the final row is always flushed, whatever the stride
-                        flushed = np.array([[done, w_sum[p, 0] / done, gs_sum[p, 0] / done,
-                                             schedule_eval(cfgs[ids[p]].hp.alpha, done),
-                                             eta_min[p, 0],
-                                             np.sqrt(np.sum(eta[p] * eta[p])),
-                                             np.broadcast_to(alpha_eff, (len(ids), 1))[p, 0]]])
-                    records[ids[p]] = record(p, STATUS_DIVERGED, done, flushed)
+                    records[ids[p]] = record(p, STATUS_DIVERGED, done, last[:, :, p, 0])
                 keep = np.flatnonzero(ok)
                 streams = [streams[p] for p in keep]
                 # np.take keeps them C-contiguous (a[:, keep] may not), as _lanes.c needs
@@ -334,15 +337,13 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             z_sum, eta_min = z_sum_t, eta_min_t
             row_due = t % every == 0 or t == T
             if want_trace or row_due:
-                eta_l2 = np.sqrt(np.add.reduce(eta * eta, axis=-1, keepdims=True))
+                eta_l2 = lane_norm(eta)
             if want_trace:
                 eta_max = np.maximum.reduce(eta, axis=-1, keepdims=True)
                 for j, val in enumerate((alpha, eta_min, eta_max, eta_l2, alpha_eff, gs)):
                     tr[j, t - 1] = val
             if row_due:
-                for j, val in enumerate((t, w_sum / t, gs_sum / t, alpha, eta_min, eta_l2,
-                                         alpha_eff)):
-                    rows[n_rows, j] = val
+                put_row(rows[n_rows], t, alpha, eta_l2)
                 n_rows += 1
             w = w_next if problem.box is None else clamp_box(w_next, *problem.box)
             t += 1
@@ -364,16 +365,9 @@ def _require_trace(record: TrialRecord) -> TrialTrace:
     return record.trace
 
 
-def iterate_distribution(record: TrialRecord, uniform: bool = False) -> np.ndarray:
-    """Step weights p(t) proportional to alpha_t * min_i eta_{t,i}, summing to 1.
-
-    With uniform=True every step gets weight 1/T instead (the natural choice
-    when alpha is constant and the rates are method-independent).
-    """
+def iterate_distribution(record: TrialRecord) -> np.ndarray:
+    """Step weights p(t) proportional to alpha_t * min_i eta_{t,i}, summing to 1."""
     trace = _require_trace(record)
-    T = record.steps_done
-    if uniform:
-        return np.full(T, 1.0 / T)
     weights = trace.alpha * trace.eta_min
     total = float(np.sum(weights))
     if not (total > 0.0 and math.isfinite(total)):
@@ -428,7 +422,7 @@ def eval_bound(record: TrialRecord, constants: ProblemConstants, variant: str) -
     m_s, d_gap, g_inf, g_2 = constants.m_smooth, constants.d_gap, constants.g_inf, constants.g_2
     base = math.sqrt(m_s * d_gap * g_inf * g_inf / (2.0 * T))
 
-    if method in (Method.AVAGRAD, Method.AVAGRADW):
+    if method in NORMALIZED_METHODS:
         # the rescaled global rate is alpha * sqrt(d) / ||eta||: recover its gamma directly
         gamma = trace.alpha_eff / trace.alpha
     else:
@@ -481,26 +475,24 @@ def bias_gap(
     Returns sum_s p(s) * (eta_mode(s) - eta_delayed) (*) grad(w, s) for the
     step the state is about to take. The delayed mode's rate does not depend
     on the sample, so its gap is exactly the zero vector; the coupled mode
-    (rates including the current draw) generally is not.
+    (rates including the current draw) generally is not. Both rates are
+    lane_update's, with the outcomes' gradients as lanes.
     """
     if mode not in ("adam", "delayed"):
         raise ValueError("mode must be 'adam' or 'delayed'")
     outcomes = problem.outcomes()
     if outcomes is None:
         raise ValueError("bias_gap needs a problem with enumerable outcomes")
-    t = state.t + 1
-    b2 = schedule_eval(hp.beta2, t)
-    eps = hp.epsilon
-    eta_ref = 1.0 / (np.sqrt(state.v) + eps)
+    g = np.array([problem.grad(w, token) for _, token in outcomes])
+    b2 = schedule_eval(hp.beta2, state.t + 1)
+    rated_as = Method.ADAM if mode == "adam" else Method.DELAYED_ADAM
+    with np.errstate(over="ignore", invalid="ignore"):  # of the update, only eta is read
+        eta_mode, eta_ref = (np.broadcast_to(lane_update(
+            method, DecayMode.NONE, w, state.m, state.v, None, g, 1.0, 0.0, b2, hp.epsilon,
+            0.0)[4], g.shape) for method in (rated_as, Method.DELAYED_ADAM))
     gap = np.zeros(problem.dim)
-    for prob_s, token in outcomes:
-        g_s = problem.grad(w, token)
-        if mode == "adam":
-            v_s = b2 * state.v + (1.0 - b2) * (g_s * g_s)
-            eta_s = 1.0 / (np.sqrt(v_s) + eps)
-        else:
-            eta_s = eta_ref
-        gap = gap + prob_s * ((eta_s - eta_ref) * g_s)
+    for (prob_s, _), g_s, eta_s, ref_s in zip(outcomes, g, eta_mode, eta_ref):
+        gap = gap + prob_s * ((eta_s - ref_s) * g_s)
     return gap
 
 

@@ -15,6 +15,7 @@ from avagrad_lab.cli import _FLOAT, _KEYS, main
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import gaussian_blobs
 from avagrad_lab.runner import run_trials
+from avagrad_lab.sweep import default_grid
 
 
 SYNTH_CONFIG = """\
@@ -252,6 +253,24 @@ steps = 5
         assert "seeds=11" in head
         assert (tmp_path / "o" / "trajectory_seed11.csv").exists()
 
+    def test_bad_env_var_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AVAGRAD_LAB_SEED", "seven")
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1\n", ""))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "AVAGRAD_LAB_SEED must be an integer, got 'seven'")
+
+    def test_unparsable_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "method = adam\n")  # a key before any section
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "cannot parse")
+
+    def test_inverse_t_beta2_named_in_header(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace(
+            "beta2 = 0.99\n", "beta2_schedule = inverse_t\n"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--steps", "3"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert " beta1=0@constant beta2=inverse_t " in header, header
+
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         # both would write trajectory_seed1.csv
         cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 1,1"))
@@ -404,6 +423,24 @@ class TestCmdSweep:
         cfg = write_config(tmp_path, SYNTH_CONFIG)
         assert main(["sweep", "--config", cfg]) == 1
 
+    def test_default_grid_runs_its_axes(self, tmp_path, capsys):
+        text = "[problem]\nkind = quadratic\ncurvatures = 1.0,4.0\n\n" \
+               "[grid]\ndefault = true\nmethods = adam\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--steps", "1"]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "heatmap.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 441
+        alphas, epsilons = default_grid()
+        assert sorted({float(row[1]) for row in rows}) == alphas
+        assert sorted({float(row[2]) for row in rows}) == epsilons
+
+    def test_default_must_be_a_boolean(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG + "default = maybe\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "error: [grid] default must be a boolean")
+        assert not (tmp_path / "o").exists()
+
     def test_mlp_holdout_sweep(self, tmp_path):
         train = write_blobs_csv(tmp_path, "train.csv", seed=5)
         hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
@@ -494,6 +531,13 @@ steps = 10
         assert code == 0
         assert "fd_max_rel_err=" in out
 
+    def test_diverged_bound_run_exits_two(self, tmp_path, capsys):
+        # the first step's alpha * eta = 1e306 / 1e-8 overflows the iterate
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = 1e306"))
+        assert main(["check", "--config", cfg]) == 2
+        out = capsys.readouterr().out
+        assert "bias_gap_delayed=" in out and out.splitlines()[-1] == "bound_skipped=diverged"
+
     def test_momentum_config_skips_bound(self, tmp_path, capsys):
         text = SYNTH_CONFIG.replace("beta1 = 0.0", "beta1 = 0.9")
         cfg = write_config(tmp_path, text)
@@ -553,10 +597,13 @@ class TestEntryPoint:
         assert pyproject["project"]["scripts"] == {"avagrad-lab": "avagrad_lab.cli:script"}
 
 
-def run_full_config(tmp_path, command, section=None, key=None, value=None):
+def run_full_config(tmp_path, command, edits=()):
+    """Run FULL_CONFIG with (section, key, value) edits; a value of None drops the key."""
     config = {s: dict(keys) for s, keys in FULL_CONFIG.items()}
-    if section is not None:
+    for section, key, value in edits:
         config[section][key] = value
+        if value is None:
+            del config[section][key]
     text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
                    for s, keys in config.items())
     cfg = write_config(tmp_path, text)
@@ -571,15 +618,33 @@ class TestConfigTable:
     @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}-{k}" for s, k in FLOAT_KEYS])
     def test_non_finite_float_rejected(self, tmp_path, capsys, section, key):
         command = "sweep" if section == "grid" else "run"
-        assert run_full_config(tmp_path, command, section, key, "nan") == 1
+        assert run_full_config(tmp_path, command, [(section, key, "nan")]) == 1
         assert_one_error_line(capsys, f"[{section}] {key} must be a finite float")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, key", LIST_KEYS, ids=[f"{s}-{k}" for s, k in LIST_KEYS])
     def test_empty_list_rejected(self, tmp_path, capsys, section, key):
         command = "sweep" if section == "grid" else "run"
-        assert run_full_config(tmp_path, command, section, key, ",") == 1
+        assert run_full_config(tmp_path, command, [(section, key, ",")]) == 1
         assert_one_error_line(capsys, f"[{section}] {key} must be comma-separated")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, edits, message", [
+        ("run", [("problem", "kind", None)], "[problem] kind is required"),
+        ("run", [("problem", "curvatures", None)],
+         "[problem] curvatures is required for kind=quadratic"),
+        ("run", [("optimizer", "method", None)], "[optimizer] method is required"),
+        ("run", [("run", "w1", "1,2,3")], "[run] w1 must be 2 values, got 3"),
+        ("sweep", [("grid", "alphas", None)], "[grid] needs alphas and epsilons"),
+        ("sweep", [("grid", "epsilons", None)], "[grid] needs alphas and epsilons"),
+        ("sweep", [("grid", "methods", None)], "[grid] methods is required"),
+        ("sweep", [("grid", "holdout", "hold.csv")],
+         "[grid] holdout only applies to mlp problems"),
+    ], ids=["no-kind", "no-curvatures", "no-method", "w1-length", "no-alphas", "no-epsilons",
+            "no-methods", "holdout-not-mlp"])
+    def test_incomplete_config_rejected(self, tmp_path, capsys, command, edits, message):
+        assert run_full_config(tmp_path, command, edits) == 1
+        assert_one_error_line(capsys, f"error: {message}")
         assert not (tmp_path / "o").exists()
 
     def test_unknown_method_flag_rejected(self, tmp_path, capsys):

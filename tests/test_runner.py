@@ -82,6 +82,15 @@ class TestRunTrialBasics:
         assert 0.0 <= rec.w_final[0] <= 1.0
         assert np.all(rec.rows[:, 1] >= 0.0) and np.all(rec.rows[:, 1] <= 1.0)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(T=0), "T must be >= 1"),
+        (dict(record_every=0), "record_every must be >= 1"),
+        (dict(grad_metric="exact"), "grad_metric must be one of"),
+    ], ids=["T", "record_every", "grad_metric"])
+    def test_bad_setting_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            run_trial(synth_cfg(**change))
+
     def test_dimension_mismatch(self):
         cfg = synth_cfg()
         cfg.w1 = np.array([0.5, 0.5])
@@ -663,10 +672,6 @@ class TestIterateDistribution:
         cfg = synth_cfg(method=Method.SGD, T=4, record_every=1)
         rec = run_trial(cfg)
         np.testing.assert_allclose(iterate_distribution(rec), [0.25] * 4, rtol=1e-15)
-
-    def test_uniform_flag(self):
-        rec = run_trial(synth_cfg(T=8, record_every=1))
-        np.testing.assert_allclose(iterate_distribution(rec, uniform=True), [1 / 8] * 8)
 
     def test_normalization_example(self):
         # alpha_t * min eta proportional to [1, 3] -> [0.25, 0.75]

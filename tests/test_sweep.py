@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from avagrad_lab import sweep
 from avagrad_lab.optim import Method
-from avagrad_lab.problems import QuadraticProblem, quadratic_make
+from avagrad_lab.core import RngStream
+from avagrad_lab.problems import QuadraticProblem, gaussian_blobs, quadratic_make
 from avagrad_lab.runner import run_trial, run_trials
 from avagrad_lab.sweep import (
     BLOCK_SCALARS,
@@ -54,10 +55,9 @@ class TestDefaultGrid:
 
 
 def small_spec(methods=(Method.SGD, Method.ADAM), alphas=(0.01, 0.1, 1.0),
-               epsilons=(1e-4, 1e-2, 1.0), seeds=(0, 1), T=50, **kw):
-    problem = quadratic_make([1.0, 4.0], 0.1, [0.3, -0.2])
+               epsilons=(1e-4, 1e-2, 1.0), seeds=(0, 1), T=50, problem=None, **kw):
     return GridSpec(
-        problem=problem,
+        problem=problem or quadratic_make([1.0, 4.0], 0.1, [0.3, -0.2]),
         methods=list(methods),
         alphas=list(alphas),
         epsilons=list(epsilons),
@@ -66,6 +66,11 @@ def small_spec(methods=(Method.SGD, Method.ADAM), alphas=(0.01, 0.1, 1.0),
         w1=np.array([1.0, 1.0]),
         **kw,
     )
+
+
+class NoObjectiveProblem(QuadraticProblem):
+    def objective(self, w):
+        return None
 
 
 class TestRunSweep:
@@ -114,6 +119,25 @@ class TestRunSweep:
         # a repeat would give two cells one identity (method, alpha, epsilon, seed)
         with pytest.raises(ValueError, match="must not repeat"):
             small_spec(**axis)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(seeds=()), "seeds must be non-empty"),
+        (dict(alphas=()), "alphas must be non-empty"),
+        (dict(epsilons=()), "epsilons must be non-empty"),
+        (dict(alphas=(0.1, 0.01)), "alphas must be strictly ascending"),
+        (dict(epsilons=(0.0, 1.0)), "epsilons must be finite and strictly positive"),
+        (dict(alphas=(-0.1, 0.1)), "alphas must be finite and strictly positive"),
+        (dict(T=0), "T must be >= 1"),
+        (dict(metric="loss"), "metric must be one of"),
+        (dict(metric="holdout_ce"), "holdout metrics need a holdout dataset"),
+        (dict(metric="holdout_error", holdout=gaussian_blobs(4, 3, 2, 1.0, RngStream(0))),
+         "holdout metrics only apply to the MLP problem"),
+        (dict(problem=NoObjectiveProblem([1.0, 4.0])), "problem has no exact objective"),
+    ], ids=["no-seeds", "no-alphas", "no-epsilons", "unsorted", "zero", "negative", "T", "metric",
+            "no-holdout", "holdout-not-mlp", "no-objective"])
+    def test_bad_spec_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**change)
 
     def test_cells_keep_no_trace(self, monkeypatch):
         # a one-step sweep records its one step, and still needs no trace

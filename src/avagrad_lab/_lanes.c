@@ -1,16 +1,18 @@
-/* The lock-step lane loop of runner.run_trials for d = 1 SynthProblem batches
- * with constant schedules: one call advances every lane through a chunk of
- * drawn tokens.
+/* Two loops that the Python code runs through ctypes:
  *
- * It is a copy of the numpy loop and of optim.lane_update at d = 1, which
- * stay the spec: each value is formed by the same IEEE operations in the same
- * order, so the bits are the same. Build without FMA contraction or fast
- * math (-ffp-contract=off -fno-fast-math), or they are not.
+ * lanes_run, the lock-step lane loop of runner.run_trials for d = 1
+ * SynthProblem batches with constant schedules: one call advances every lane
+ * through a chunk of drawn tokens. It is a copy of the numpy loop and of
+ * optim.lane_update at d = 1, which stay the spec: each value is formed by
+ * the same IEEE operations in the same order, so the bits are the same. Build
+ * without FMA contraction or fast math (-ffp-contract=off -fno-fast-math), or
+ * they are not. A step is proposed for all lanes first. If any lane's
+ * gradient, iterate, buffers or running sums turn non-finite, nothing of that
+ * step is written and the call returns: the numpy loop runs that step, with
+ * its divergence mask, flush and compaction, and then calls here again.
  *
- * A step is proposed for all lanes first. If any lane's gradient, iterate,
- * buffers or running sums turn non-finite, nothing of that step is written
- * and the call returns: the numpy loop runs that step, with its divergence
- * mask, flush and compaction, and then calls here again.
+ * philox_uniform, the draw of core.RngStream.random: numpy's
+ * Generator(Philox).random, bit for bit, which stays the spec.
  */
 #include <math.h>
 #include <stdint.h>
@@ -175,4 +177,68 @@ stop:
     clock[0] = t;
     clock[3] = n_rows;
     return s;
+}
+
+/* Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+ * 3", SC'11), as numpy's Philox bit generator runs it */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL /* the key bumps */
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* the low word of a * b, and its high word in *hi */
+static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+#ifdef __SIZEOF_INT128__
+    const unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    const uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    const uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return a * b;
+#endif
+}
+
+/* the next block: the counter is incremented with carry, then ten rounds
+ * encrypt it, the key bumped after each */
+static void philox_block(uint64_t *ctr, const uint64_t *key, uint64_t *buf)
+{
+    uint64_t c0, c1, c2, c3, k0 = key[0], k1 = key[1];
+    int r;
+    if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+        ++ctr[3];
+    c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
+    for (r = 0; r < 10; r++) {
+        uint64_t hi0, hi1;
+        const uint64_t lo0 = mulhilo(PHILOX_M0, c0, &hi0), lo1 = mulhilo(PHILOX_M1, c2, &hi1);
+        c0 = hi1 ^ c1 ^ k0;
+        c1 = lo1;
+        c2 = hi0 ^ c3 ^ k1;
+        c3 = lo0;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+    buf[0] = c0, buf[1] = c1, buf[2] = c2, buf[3] = c3;
+}
+
+/* Fill out[0 .. n) as Generator(Philox).random(n) does: each double is the
+ * next buffered output u as (u >> 11) * 2**-53. st holds the bit generator's
+ * counter, key and buffer, 4 + 2 + 4 words, and pos its buffer_pos (4 when
+ * the buffer is spent); the counter and buffer are advanced, and the new
+ * buffer_pos is returned. */
+int64_t philox_uniform(int64_t n, double *out, uint64_t *st, int64_t pos)
+{
+    uint64_t *const ctr = st, *const key = st + 4, *const buf = st + 6;
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        if (pos == 4) {
+            philox_block(ctr, key, buf);
+            pos = 0;
+        }
+        out[i] = (double)(buf[pos++] >> 11) * (1.0 / 9007199254740992.0);
+    }
+    return pos;
 }

@@ -1,24 +1,27 @@
-"""Build and load _lanes.c, the compiled lane loop of runner.run_trials.
+"""Build and load _lanes.c: the compiled lane loop of runner.run_trials and
+the Philox uniform fill of core.RngStream.random.
 
 The source ships next to this module and is compiled with the system C
 compiler on first use into $XDG_CACHE_HOME/avagrad_lab/ (~/.cache by default),
-under a name keyed by a hash of the source, the compiler command, the
+under a name keyed by a checksum of the source, the compiler command, the
 interpreter's cache tag and the machine, then loaded with ctypes. A build
 writes into a temporary directory in the cache and moves the library into
 place with os.replace, so processes that race to build it each load a whole
 file. A build removes the other _lanes-*.so libraries in the cache. Without a
-compiler or a writable cache there is no kernel, and the runner uses its numpy
-loop.
+compiler or a writable cache there is no library: the runner uses its numpy
+loop, and RngStream draws its uniforms through numpy's Generator.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import platform
 import shutil
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_lanes.c")
@@ -28,7 +31,8 @@ CC = "gcc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
-_ARGTYPES = (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P)
+_ARGTYPES = {"lanes_run": (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P),
+             "philox_uniform": (_I64, _P, _P, _I64)}
 
 _loaded: dict = {}  # (compiler, cache directory) -> library, or None if it failed
 
@@ -38,14 +42,12 @@ def cache_dir() -> Path:
 
 
 def _build(cc: str, directory: Path) -> Path:
-    # imported here, where it moves an import rather than adds one: every
-    # process that runs trials draws through numpy.random, which imports
-    # hashlib through secrets anyway
-    import hashlib
-
+    # CRC-32 and Adler-32 of the inputs, 64 bits: plenty to tell a few versions
+    # of one file apart, and zlib is loaded with numpy, while hashlib would load
+    # OpenSSL's libcrypto into a synth process, which loads nothing else of it
     key = b"\0".join([SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS),
                       sys.implementation.cache_tag.encode(), platform.machine().encode()])
-    lib = directory / f"_lanes-{hashlib.sha256(key).hexdigest()[:32]}.so"
+    lib = directory / f"_lanes-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     if not lib.is_file():
         import subprocess
 
@@ -75,8 +77,9 @@ def library() -> ctypes.CDLL | None:
     if where not in _loaded:
         try:
             lib = ctypes.CDLL(str(_build(*where)))
-            lib.lanes_run.argtypes = _ARGTYPES
-            lib.lanes_run.restype = _I64
+            for name, argtypes in _ARGTYPES.items():
+                getattr(lib, name).argtypes = argtypes
+                getattr(lib, name).restype = _I64
         except OSError:  # no compiler, a failed build, an unwritable cache
             lib = None
         _loaded[where] = lib
@@ -87,3 +90,11 @@ def kernel():
     """lanes_run of _lanes.c, or None: the runner then keeps to numpy."""
     lib = library()
     return None if lib is None else lib.lanes_run
+
+
+@functools.cache
+def uniform():
+    """philox_uniform of _lanes.c, or None: RngStream.random then keeps to numpy.
+    Looked up once per process, since finding the cache costs more than a draw."""
+    lib = library()
+    return None if lib is None else lib.philox_uniform

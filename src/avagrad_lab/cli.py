@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SCHEDULE_KINDS, RngStream, Schedule, mix_seed, write_csv
+from .core import SCHEDULE_KINDS, NonFiniteError, RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method, init_state
 from .problems import (
     MlpProblem,
@@ -446,13 +446,18 @@ def cmd_check(args) -> int:
                 print("bound_skipped=diverged")
                 failed = True
             else:
-                report = eval_bound(record, constants, "unconditional")
-                ok = report.lhs <= report.rhs
-                print(
-                    f"bound_lhs={report.lhs:.6e} bound_rhs={report.rhs:.6e}"
-                    f" bound_ok={int(ok)} variant=unconditional"
-                )
-                failed = failed or not ok
+                try:
+                    report = eval_bound(record, constants, "unconditional")
+                except NonFiniteError:
+                    print("bound_skipped=overflow")
+                    failed = True
+                else:
+                    ok = report.lhs <= report.rhs
+                    print(
+                        f"bound_lhs={report.lhs:.6e} bound_rhs={report.rhs:.6e}"
+                        f" bound_ok={int(ok)} variant=unconditional"
+                    )
+                    failed = failed or not ok
         else:
             print("bound_skipped=momentum")
     return 2 if failed else 0

@@ -4,9 +4,10 @@ Everything downstream (optimizers, problems, trial runner, sweeps) works in
 terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
-per-trial streams (seeds mixed from ints or uint64 arrays, every stream
-drawn through one re-keyed Philox engine per process), and the CSV writer
-every output file goes through.
+per-trial streams (seeds mixed from ints or uint64 arrays; uniform draws
+through the compiled Philox of _lanes.c, the others through one re-keyed
+numpy Philox engine per process), and the CSV writer every output file
+goes through.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _lanes
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -155,13 +158,17 @@ class RngStream:
     Philox keyed directly by the 64-bit seed: the same seed replays the
     identical draw sequence on any platform. Independent streams take seeds
     from :func:`mix_seed`. A stream holds its seed and its Philox state
-    (counter, key and output buffer), not a Generator: all streams draw
-    through one re-keyed Generator per process, under a lock. A draw from a
-    stream other than the last one to draw saves that stream's state and
-    loads its own. Philox is counter-based, so the bits are those of a
-    Generator of the stream's own, and making a stream costs a dict, not the
-    OS entropy that numpy's constructor gathers and then discards for the key.
-    Instances are single-owner; never share one across threads.
+    (counter, key and output buffer), not a Generator: its normal, integer
+    and choice draws go through one re-keyed Generator per process, under a
+    lock. A draw from a stream other than the last one to draw saves that
+    stream's state and loads its own. Uniform draws run through
+    philox_uniform of _lanes.c, numpy's Generator.random bit for bit, on the
+    stream's own state, taken back from the Generator first if it holds it;
+    without that library they go through the Generator too. Philox is
+    counter-based, so the bits are those of a Generator of the stream's own,
+    and making a stream costs a dict, not the OS entropy that numpy's
+    constructor gathers and then discards for the key. Instances are
+    single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
@@ -189,7 +196,24 @@ class RngStream:
             return getattr(_engine, name)(*args)
 
     def random(self, size=None):
-        return self._draw("random", size)
+        fill = _lanes.uniform()
+        if fill is None:
+            return self._draw("random", size)
+        global _holder
+        out = np.empty(() if size is None else size)
+        with _engine_lock:
+            if _holder is self:  # the engine holds this stream's state: take it back
+                self._state, _holder = _engine.bit_generator.state, None
+            state = self._state
+            # the counter, key and buffer in new words, so that a dict that
+            # `state` returned is never written
+            words = np.empty(10, dtype=np.uint64)
+            words[:4], words[4:6], words[6:] = (state["state"]["counter"], state["state"]["key"],
+                                                state["buffer"])
+            pos = fill(out.size, out.ctypes.data, words.ctypes.data, state["buffer_pos"])
+            self._state = {**state, "state": {"counter": words[:4], "key": words[4:6]},
+                           "buffer": words[6:], "buffer_pos": pos}
+        return float(out) if size is None else out
 
     def normal(self, size=None):
         return self._draw("standard_normal", size)

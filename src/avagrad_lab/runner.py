@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, clamp_box, mix_seed, schedule_eval, write_csv
+from .core import NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from . import _lanes
 from .optim import (ADAPTIVE_METHODS, DELAYED_METHODS, FORCED_DECOUPLED, NORMALIZED_METHODS,
                     DecayMode, HyperParams, Method, OptimizerState, lane_norm, lane_update)
@@ -397,8 +397,10 @@ def _beta1_is_zero(hp: HyperParams) -> bool:
     return hp.beta1.kind == "constant" and hp.beta1.base == 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_bound(record: TrialRecord, constants: ProblemConstants, variant: str) -> BoundReport:
-    """Evaluate one variant of the convergence-rate bound on a finished trial.
+    """Evaluate one variant of the convergence-rate bound on a finished trial;
+    NonFiniteError if a side of it overflows float64.
 
     conditional    needs beta1 = 0; uses the realised per-step rates.
     momentum       needs the beta1/sqrt(t) schedule; adds the momentum penalty
@@ -459,6 +461,8 @@ def eval_bound(record: TrialRecord, constants: ProblemConstants, variant: str) -
             )
             rhs = base * (penalty + numer) / denom / (1.0 - b1)
 
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFiniteError(f"the {variant} bound overflows float64")
     return BoundReport(variant=variant, lhs=lhs, rhs=rhs, constants=constants, steps=T)
 
 

@@ -1,6 +1,7 @@
-"""Engine selection for tests: the numpy lane loop, or the compiled loop of
-avagrad_lab._lanes that runner.run_trials uses for d = 1 synth batches with
-constant schedules when a C compiler is present."""
+"""Engine selection for tests: the numpy lane loop and numpy's uniform draws,
+or the compiled code of avagrad_lab._lanes that runner.run_trials uses for
+d = 1 synth batches with constant schedules, and RngStream.random for every
+uniform draw, when a C compiler is present."""
 
 import contextlib
 
@@ -11,13 +12,14 @@ from avagrad_lab import _lanes
 
 @contextlib.contextmanager
 def numpy_engine():
-    """Run the block without the compiled loop, as on a machine without a compiler."""
-    kernel = _lanes.kernel
-    _lanes.kernel = lambda: None
+    """Run the block without the compiled loop or the compiled uniform draws, as
+    on a machine without a compiler."""
+    kernel, uniform = _lanes.kernel, _lanes.uniform
+    _lanes.kernel = _lanes.uniform = lambda: None
     try:
         yield
     finally:
-        _lanes.kernel = kernel
+        _lanes.kernel, _lanes.uniform = kernel, uniform
 
 
 @contextlib.contextmanager

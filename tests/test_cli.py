@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avagrad_lab import cli
+from avagrad_lab import _lanes, cli
 from avagrad_lab.cli import _FLOAT, _KEYS, main
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import gaussian_blobs
@@ -326,6 +327,27 @@ steps = 5
         code = f"import sys; from avagrad_lab.cli import main; main({argv!r}); {pools}"
         assert run_python(["-c", code], check=True).stdout.splitlines()[-1] == "[]"
 
+    def test_synth_commands_load_no_numpy_random_or_libcrypto(self, tmp_path):
+        """With the compiled library, synth commands draw only uniforms, through
+        _lanes.c, and name its cache file without hashlib; a quadratic sweep still
+        draws normals through numpy.random, which loads hashlib itself."""
+        if _lanes.uniform() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        synth, sweep = write_config(tmp_path, SYNTH_CONFIG), write_config(
+            tmp_path, SWEEP_CONFIG, "sweep.ini")
+        out = str(tmp_path / "out")
+        loaded = ("print('loaded', sorted(m for m in ('numpy.random', '_hashlib') "
+                  "if m in sys.modules))")
+        code = "\n".join(["import sys", "from avagrad_lab.cli import main", *(
+            f"main({argv!r}); {loaded}" for argv in (
+                ["synthfig", "--steps", "200", "--out", out],
+                ["run", "--config", synth, "--out", out],
+                ["check", "--config", synth],
+                ["sweep", "--config", sweep, "--out", out]))])
+        lines = run_python(["-c", code], check=True).stdout.splitlines()
+        assert [line for line in lines if line.startswith("loaded ")] == [
+            "loaded []", "loaded []", "loaded []", "loaded ['_hashlib', 'numpy.random']"]
+
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,
         # which were written one seed at a time
@@ -537,6 +559,18 @@ steps = 10
         assert main(["check", "--config", cfg]) == 2
         out = capsys.readouterr().out
         assert "bias_gap_delayed=" in out and out.splitlines()[-1] == "bound_skipped=diverged"
+
+    def test_overflowing_bound_exits_two_without_warnings(self, tmp_path, capsys):
+        # the trial finishes (alpha * eta <= 1e302), but gamma = alpha * sqrt(...)
+        # squares past float64's range in the bound's numerator
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = 1e300")
+                           .replace("epsilon = 1e-8", "epsilon = 1e-2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert "bias_gap_delayed=" in out and out.splitlines()[-1] == "bound_skipped=overflow"
+        assert err == ""
 
     def test_momentum_config_skips_bound(self, tmp_path, capsys):
         text = SYNTH_CONFIG.replace("beta1 = 0.0", "beta1 = 0.9")

@@ -192,3 +192,63 @@ class TestMixSeedArrays:
         assert by_index.tolist() == [mix_seed(base, *row) for row in rows]
         assert by_base.tolist() == [mix_seed(*row) for row in rows]
         assert base_only.tolist() == [mix_seed(row[0]) for row in rows]
+
+
+_SIZES = st.one_of(st.none(), st.integers(0, 9), st.integers(0, 9).map(lambda k: (k,)),
+                   st.integers(0, 9).map(lambda k: (k, 1)))
+# (stream, draw, argument); integers below 2**32 take numpy's buffered 32-bit path,
+# which sets has_uint32 and keeps the other half of a Philox output
+_DRAWS = st.lists(st.tuples(st.integers(0, 1), st.one_of(
+    st.tuples(st.just("random"), _SIZES), st.tuples(st.just("normal"), st.integers(1, 5)),
+    st.tuples(st.just("integers"), st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("choice"), st.integers(1, 40)))), max_size=16)
+_END_OF_LOW_WORDS = (2**64 - 1, 2**64 - 1, 0, 0)  # the next block carries into word 2
+
+
+class TestCompiledUniform:
+    """RngStream.random, drawn through _lanes.c's Philox when the library
+    loads, gives numpy's Generator(Philox).random bits and state, mixed with
+    the draws that go through numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds=st.tuples(_UINT64, _UINT64), draws=_DRAWS,
+           counter=st.sampled_from([(0, 0, 0, 0), _END_OF_LOW_WORDS, (2**64 - 2, 0, 0, 0),
+                                    (2**64 - 1, 2**64 - 1, 2**64 - 1, 5)]))
+    @example(seeds=(2**64 - 1, 0), counter=_END_OF_LOW_WORDS,
+             draws=[(0, ("random", (9,))), (0, ("integers", 7)), (0, ("random", None)),
+                    (1, ("random", (3, 1))), (0, ("normal", 2)), (0, ("random", 5))])
+    def test_draws_equal_numpy_generator(self, seeds, draws, counter):
+        streams = [RngStream(s) for s in seeds]
+        gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+        state = gens[0].bit_generator.state
+        state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+        gens[0].bit_generator.state = state
+        streams[0]._state = gens[0].bit_generator.state
+        for i, (name, arg) in draws:
+            rng, gen = streams[i], gens[i]
+            if name == "random":
+                got, want = rng.random(arg), gen.random(arg)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            elif name == "normal":
+                got, want = rng.normal(arg), gen.standard_normal(arg)
+            elif name == "integers":
+                got, want = rng.integers(0, arg), gen.integers(0, arg)
+            else:
+                got, want = rng.choice(40, arg), gen.choice(40, size=arg, replace=False)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for rng, gen in zip(streams, gens):
+            got, want = rng.state, gen.bit_generator.state
+            for key in ("counter", "key"):
+                assert np.array_equal(got["state"][key], want["state"][key])
+            assert np.array_equal(got["buffer"], want["buffer"])
+            assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
+                [want[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+
+    def test_returned_state_is_not_written_by_later_draws(self):
+        rng = RngStream(3)
+        rng.random(2)
+        before = rng.state
+        counter, buffer = before["state"]["counter"].copy(), before["buffer"].copy()
+        rng.random(9)
+        assert np.array_equal(before["state"]["counter"], counter)
+        assert np.array_equal(before["buffer"], buffer) and before["buffer_pos"] == 2

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, runner
-from avagrad_lab.core import RngStream, Schedule, mix_seed
+from avagrad_lab.core import NonFiniteError, RngStream, Schedule, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
-from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
+from avagrad_lab.problems import (StochasticProblem, gaussian_blobs, mlp_make, quadratic_make,
+                                  synth_make)
 from avagrad_lab.runner import (
+    BOUND_VARIANTS,
     ROW_COLUMNS,
     STATUS_DIVERGED,
     STATUS_FINISHED,
@@ -47,11 +50,11 @@ def make_hp(alpha=1e-3, epsilon=1e-8, beta1=0.0, beta2=0.99):
     )
 
 
-def synth_cfg(method=Method.DELAYED_ADAM, T=200, seed=42, hp=None, **kw):
+def synth_cfg(method=Method.DELAYED_ADAM, T=200, seed=42, hp=None, problem=None, **kw):
     return TrialConfig(
         method=method,
         hp=hp or make_hp(),
-        problem=synth_make(999.0, 1.0),
+        problem=problem or synth_make(999.0, 1.0),
         T=T,
         w1=np.array([0.5]),
         seed=seed,
@@ -152,9 +155,27 @@ class TestRunTrialBasics:
         )
         assert run_trial(cfg).status == "converged"
 
-    def test_batch_metric_fallback_flagged(self):
-        rec = run_trial(synth_cfg(T=50, grad_metric="batch"))
-        assert rec.grad_metric_exact is False
+    def test_full_metric_falls_back_to_batch_without_an_expectation(self):
+        """A problem with the base class's full_grad (None) gets the drawn
+        gradient's metric for "full", flagged inexact."""
+
+        class NoExpectation(StochasticProblem):  # synth's draws and gradients only
+            dim, box, synth = 1, (0.0, 1.0), synth_make(999.0, 1.0)
+
+            def sample(self, rng, size=None):
+                return self.synth.sample(rng, size)
+
+            def grad(self, w, token):
+                return self.synth.grad(w, token)
+
+        problem = NoExpectation()
+        cfgs = [synth_cfg(T=60, seed=s, record_every=7, capture_trace=True, problem=problem,
+                          grad_metric="full") for s in (1, 2)]
+        got = run_trials(cfgs)
+        want = run_trials([dataclasses.replace(c, grad_metric="batch") for c in cfgs])
+        for rec, ref in zip(got, want):
+            assert rec.grad_metric_exact is False
+            assert_same_record(rec, ref)
 
     @pytest.mark.parametrize("every, capture, traced", [
         (1, None, True), (2, None, False), (1, False, False), (2, True, True)])
@@ -764,6 +785,16 @@ class TestEvalBound:
         rec, consts = bound_trial(T=200, beta1=Schedule.inverse_sqrt(0.9))
         with pytest.raises(ValueError, match="beta1"):
             eval_bound(rec, consts, "conditional")
+
+    @pytest.mark.parametrize("variant", BOUND_VARIANTS)
+    def test_overflowing_bound_raises(self, variant):
+        beta1 = Schedule.inverse_sqrt(0.9) if variant == "momentum" else None
+        rec, consts = bound_trial(T=100, beta1=beta1)
+        rec.trace.alpha[:] = 1e300  # gamma squared, and gamma * gamma * eta_l2 ** 2, overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"{variant} bound overflows"):
+                eval_bound(rec, consts, variant)
 
     def test_missing_constants_rejected(self):
         rec, _ = bound_trial(T=100)

@@ -34,8 +34,6 @@ _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 _ARGTYPES = {"lanes_run": (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P),
              "philox_uniform": (_I64, _P, _P, _I64)}
 
-_loaded: dict = {}  # (compiler, cache directory) -> library, or None if it failed
-
 
 def cache_dir() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "avagrad_lab"
@@ -70,20 +68,19 @@ def _build(cc: str, directory: Path) -> Path:
     return lib
 
 
+@functools.cache
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, building it first if the cache lacks it;
-    None when it cannot be built or loaded."""
-    where = (CC, cache_dir())
-    if where not in _loaded:
-        try:
-            lib = ctypes.CDLL(str(_build(*where)))
-            for name, argtypes in _ARGTYPES.items():
-                getattr(lib, name).argtypes = argtypes
-                getattr(lib, name).restype = _I64
-        except OSError:  # no compiler, a failed build, an unwritable cache
-            lib = None
-        _loaded[where] = lib
-    return _loaded[where]
+    None when it cannot be built or loaded. Looked up once per process, since
+    finding the cache costs more than a draw."""
+    try:
+        lib = ctypes.CDLL(str(_build(CC, cache_dir())))
+        for name, argtypes in _ARGTYPES.items():
+            getattr(lib, name).argtypes = argtypes
+            getattr(lib, name).restype = _I64
+    except OSError:  # no compiler, a failed build, an unwritable cache
+        return None
+    return lib
 
 
 def kernel():
@@ -92,9 +89,7 @@ def kernel():
     return None if lib is None else lib.lanes_run
 
 
-@functools.cache
 def uniform():
-    """philox_uniform of _lanes.c, or None: RngStream.random then keeps to numpy.
-    Looked up once per process, since finding the cache costs more than a draw."""
+    """philox_uniform of _lanes.c, or None: RngStream.random then keeps to numpy."""
     lib = library()
     return None if lib is None else lib.philox_uniform

@@ -5,15 +5,14 @@ terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
 per-trial streams (seeds mixed from ints or uint64 arrays; uniform draws
-through the compiled Philox of _lanes.c, the others through one re-keyed
-numpy Philox engine per process), and the CSV writer every output file
-goes through.
+through the compiled Philox of _lanes.c, the others through a scratch numpy
+Philox engine per thread, loaded with the stream's own state), and the CSV
+writer every output file goes through.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -136,20 +135,7 @@ def mix_seed(base_seed, *indices):
     return state
 
 
-_engine = None  # the Generator(Philox) every RngStream draws through; made by the first draw
-_holder = None  # the stream whose state the engine holds; that stream's own copy is stale
-
-
-def _new_engine_lock() -> None:
-    """A fresh lock, also in each forked child: a fork copies the lock held,
-    if another thread was drawing, and no thread of the child would free it."""
-    global _engine_lock
-    _engine_lock = threading.Lock()
-
-
-_new_engine_lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_engine_lock)
+_scratch = threading.local()  # each thread's Generator(Philox), made by its first numpy draw
 
 
 class RngStream:
@@ -158,61 +144,47 @@ class RngStream:
     Philox keyed directly by the 64-bit seed: the same seed replays the
     identical draw sequence on any platform. Independent streams take seeds
     from :func:`mix_seed`. A stream holds its seed and its Philox state
-    (counter, key and output buffer), not a Generator: its normal, integer
-    and choice draws go through one re-keyed Generator per process, under a
-    lock. A draw from a stream other than the last one to draw saves that
-    stream's state and loads its own. Uniform draws run through
-    philox_uniform of _lanes.c, numpy's Generator.random bit for bit, on the
-    stream's own state, taken back from the Generator first if it holds it;
-    without that library they go through the Generator too. Philox is
-    counter-based, so the bits are those of a Generator of the stream's own,
-    and making a stream costs a dict, not the OS entropy that numpy's
-    constructor gathers and then discards for the key. Instances are
-    single-owner; never share one across threads.
+    (counter, key and output buffer, as the dict numpy's BitGenerator.state
+    takes), not a Generator, and each draw replaces that dict with a new one.
+    Uniform draws run philox_uniform of _lanes.c, numpy's Generator.random bit
+    for bit, on that state. The other draws, and uniform ones without that
+    library, load the state into the calling thread's scratch Generator, draw
+    and store its state back: no engine or lock is shared between threads, so
+    a fork never copies one held. Philox is counter-based, so the bits are those
+    of a Generator of the stream's own, and making a stream costs a dict, not
+    the OS entropy that numpy's constructor gathers and then discards for the
+    key. Instances are single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": (0, 0, 0, 0), "key": (self.seed, 0)},
-                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    @property
-    def state(self) -> dict:
-        """The stream's Philox state, as a dict that numpy's BitGenerator.state takes."""
-        with _engine_lock:
-            return _engine.bit_generator.state if _holder is self else self._state
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": (0, 0, 0, 0), "key": (self.seed, 0)},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def _draw(self, name: str, *args):
-        global _engine, _holder
-        with _engine_lock:
-            if _holder is not self:
-                if _engine is None:
-                    _engine = np.random.Generator(np.random.Philox(0))
-                if _holder is not None:
-                    _holder._state = _engine.bit_generator.state
-                _engine.bit_generator.state = self._state
-                _holder = self
-            return getattr(_engine, name)(*args)
+        engine = getattr(_scratch, "engine", None)
+        if engine is None:
+            engine = _scratch.engine = np.random.Generator(np.random.Philox(0))
+        engine.bit_generator.state = self.state
+        out = getattr(engine, name)(*args)
+        self.state = engine.bit_generator.state
+        return out
 
     def random(self, size=None):
         fill = _lanes.uniform()
         if fill is None:
             return self._draw("random", size)
-        global _holder
         out = np.empty(() if size is None else size)
-        with _engine_lock:
-            if _holder is self:  # the engine holds this stream's state: take it back
-                self._state, _holder = _engine.bit_generator.state, None
-            state = self._state
-            # the counter, key and buffer in new words, so that a dict that
-            # `state` returned is never written
-            words = np.empty(10, dtype=np.uint64)
-            words[:4], words[4:6], words[6:] = (state["state"]["counter"], state["state"]["key"],
-                                                state["buffer"])
-            pos = fill(out.size, out.ctypes.data, words.ctypes.data, state["buffer_pos"])
-            self._state = {**state, "state": {"counter": words[:4], "key": words[4:6]},
-                           "buffer": words[6:], "buffer_pos": pos}
+        state = self.state
+        # the counter, key and buffer in new words, so that no dict the
+        # stream held is ever written
+        words = np.empty(10, dtype=np.uint64)
+        words[:4], words[4:6], words[6:] = (state["state"]["counter"], state["state"]["key"],
+                                            state["buffer"])
+        pos = fill(out.size, out.ctypes.data, words.ctypes.data, state["buffer_pos"])
+        self.state = {**state, "state": {"counter": words[:4], "key": words[4:6]},
+                      "buffer": words[6:], "buffer_pos": pos}
         return float(out) if size is None else out
 
     def normal(self, size=None):

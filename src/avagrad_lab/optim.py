@@ -104,7 +104,7 @@ class HyperParams:
 class OptimizerState:
     """Buffers for one trial: m, v, and (amsgrad only) the running max of v.
 
-    States are treated as immutable snapshots; step() returns a fresh one.
+    step() returns a fresh state and never writes the one it is given.
     t counts completed steps, so a state with t = k is about to take step k+1.
     """
 

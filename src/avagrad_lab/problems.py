@@ -172,9 +172,7 @@ class SynthProblem(StochasticProblem):
         )
 
 
-def synth_make(big_c: float, delta: float) -> SynthProblem:
-    """Two-outcome rare-event benchmark with parameters C and delta."""
-    return SynthProblem(big_c, delta)
+synth_make = SynthProblem  # factory names, kept for the CLI, the demos and perfbench
 
 
 class QuadraticProblem(StochasticProblem):
@@ -226,9 +224,7 @@ class QuadraticProblem(StochasticProblem):
         )
 
 
-def quadratic_make(curvatures, noise_std: float = 0.0, w_star=None) -> QuadraticProblem:
-    """Noisy separable quadratic; noise_std=0 gives the deterministic problem."""
-    return QuadraticProblem(curvatures, noise_std, w_star)
+quadratic_make = QuadraticProblem
 
 
 @dataclass(frozen=True)
@@ -379,10 +375,8 @@ class MlpProblem(StochasticProblem):
         return draws[:b].transpose(1, 2, 0).copy()
 
     def loss(self, w, token):
-        x = self.dataset.features[token]
-        y = self.dataset.labels[token]
-        _, log_probs = self._forward(w, x)
-        return float(-np.mean(log_probs[np.arange(len(y)), y]))
+        return self.dataset_loss(w, LabeledSet(self.dataset.features[token],
+                                               self.dataset.labels[token]))
 
     def grad(self, w, token):
         x = self.dataset.features[token]
@@ -420,11 +414,7 @@ class MlpProblem(StochasticProblem):
         return _per_lane(np.argmax(log_probs, axis=-1) != dataset.labels, np.mean)
 
 
-def mlp_make(
-    n_in: int, n_hidden: int, n_classes: int, dataset: LabeledSet, batch_size: int = 16
-) -> MlpProblem:
-    """Two-layer tanh classifier over a labelled set with mini-batch sampling."""
-    return MlpProblem(n_in, n_hidden, n_classes, dataset, batch_size)
+mlp_make = MlpProblem
 
 
 def fd_check(problem: StochasticProblem, w, token, h: float = 1e-5) -> float:

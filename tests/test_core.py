@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avagrad_lab import core
 from avagrad_lab.core import (
     RngStream,
     Schedule,
@@ -100,7 +99,7 @@ class TestRngStream:
         assert mix_seed(1) != mix_seed(1, 0)
 
     def test_interleaved_streams_equal_their_own_generators(self):
-        """Streams drawn in turn through the shared engine give the bits of a
+        """Streams drawn in turn, each on its own state, give the bits of a
         Generator of their own; a 32-bit integer draw leaves the other half of
         a Philox output buffered in the stream for its next one."""
         seeds = [0, 7, 2**63, 2**64 - 1]
@@ -121,7 +120,7 @@ class TestRngStream:
                 for rng, gen in zip(streams, gens):
                     got, want = stream_draw(rng), gen_draw(gen)
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        for rng, gen in zip(streams, gens):  # the last stream's state lives in the engine
+        for rng, gen in zip(streams, gens):  # each stream holds its own state
             got, want = rng.state, gen.bit_generator.state
             for key in ("counter", "key"):
                 assert np.array_equal(got["state"][key], want["state"][key])
@@ -155,20 +154,53 @@ class TestRngStream:
                 assert np.array_equal(a, c) and np.array_equal(b, d)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_draws_while_the_parent_holds_the_engine(self):
-        """A child forked while another thread draws gets a lock of its own."""
-        want = RngStream(5).random(3)
-        with core._engine_lock:  # as held by a thread drawing at the fork
-            pid = os.fork()
-            if pid == 0:
-                os._exit(0 if np.array_equal(RngStream(5).random(3), want) else 1)
-        deadline = time.monotonic() + 30
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, 9)  # SIGKILL: the child hangs on the copied lock
-            os.waitpid(pid, 0)
-        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with threads
+    def test_children_forked_while_a_thread_draws_get_the_sequential_values(self):
+        """A child forked while another thread is inside a normal or choice draw
+        of its own stream draws at once: no engine, and so no engine's lock, is
+        shared between threads, and a fork copies none of them held."""
+        rng = RngStream(5)
+        want = rng.normal(3), rng.choice(240, 32)
+        stop = threading.Event()
+
+        def spin():
+            other = RngStream(6)
+            while not stop.is_set():
+                other.normal(256)
+                other.choice(240, 32)
+
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        pids, codes = [], []
+        try:
+            for _ in range(20):
+                time.sleep(0.001)  # lets the spinner back into a draw
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        rng = RngStream(5)
+                        code = 0 if (np.array_equal(rng.normal(3), want[0])
+                                     and np.array_equal(rng.choice(240, 32), want[1])) else 1
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+        finally:
+            stop.set()
+            spinner.join(timeout=30)
+            deadline = time.monotonic() + 30
+            for pid in pids:
+                while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                if done[0] == 0:
+                    os.kill(pid, 9)  # SIGKILL: the child hangs on a lock copied held
+                    os.waitpid(pid, 0)
+                    codes.append("hung")
+                else:
+                    codes.append(os.waitstatus_to_exitcode(done[1]))
+        assert not spinner.is_alive()
+        assert codes == [0] * len(pids)
 
 
 _UINT64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -223,7 +255,7 @@ class TestCompiledUniform:
         state = gens[0].bit_generator.state
         state["state"]["counter"] = np.array(counter, dtype=np.uint64)
         gens[0].bit_generator.state = state
-        streams[0]._state = gens[0].bit_generator.state
+        streams[0].state = gens[0].bit_generator.state
         for i, (name, arg) in draws:
             rng, gen = streams[i], gens[i]
             if name == "random":

@@ -637,9 +637,13 @@ class TestCompiledLanes:
         else:  # no directory can be made under a file, whoever runs
             cache.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert _lanes.kernel() is None
-        for rec, ref in zip(run_trials(cfgs), want):
-            assert_same_record(rec, ref)
+        _lanes.library.cache_clear()
+        try:
+            assert _lanes.kernel() is None and _lanes.uniform() is None
+            for rec, ref in zip(run_trials(cfgs), want):
+                assert_same_record(rec, ref)
+        finally:
+            _lanes.library.cache_clear()
         assert capfd.readouterr() == ("", "")
 
     def test_racing_builds_load_one_library(self, tmp_path):
@@ -683,7 +687,11 @@ class TestCompiledLanes:
         (cache / "_lanes-0123456789abcdef.so").write_bytes(b"an old kernel")
         (cache / "notes.txt").write_text("kept")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        lib = _lanes.library()
+        _lanes.library.cache_clear()
+        try:
+            lib = _lanes.library()
+        finally:
+            _lanes.library.cache_clear()
         assert lib is not None and lib.lanes_run is not None
         assert sorted(p.name for p in cache.iterdir()) == [Path(lib._name).name, "notes.txt"]
 

@@ -1,4 +1,4 @@
-/* Two loops that the Python code runs through ctypes:
+/* Code that the Python code runs through ctypes:
  *
  * lanes_run, the lock-step lane loop of runner.run_trials for d = 1
  * SynthProblem batches with constant schedules: one call advances every lane
@@ -11,10 +11,14 @@
  * step is written and the call returns: the numpy loop runs that step, with
  * its divergence mask, flush and compaction, and then calls here again.
  *
- * philox_uniform, the draw of core.RngStream.random: numpy's
- * Generator(Philox).random, bit for bit, which stays the spec.
+ * philox_uniform, philox_normal and philox_integers, the draws of
+ * core.RngStream: a numpy bit generator (bitgen_t) over a stream's own Philox
+ * words, handed to the distribution functions of numpy's libnpyrandom.a,
+ * which this library links statically. They are the code that
+ * Generator(Philox) runs, so the bits and the state it leaves are numpy's.
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 
 /* rows of the state block st (each n lanes long), as runner.run_trials lays
@@ -211,6 +215,7 @@ static void philox_block(uint64_t *ctr, const uint64_t *key, uint64_t *buf)
     if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
         ++ctr[3];
     c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
+#pragma GCC unroll 10 /* as numpy's philox4x64_R is unrolled */
     for (r = 0; r < 10; r++) {
         uint64_t hi0, hi1;
         const uint64_t lo0 = mulhilo(PHILOX_M0, c0, &hi0), lo1 = mulhilo(PHILOX_M1, c2, &hi1);
@@ -224,21 +229,89 @@ static void philox_block(uint64_t *ctr, const uint64_t *key, uint64_t *buf)
     buf[0] = c0, buf[1] = c1, buf[2] = c2, buf[3] = c3;
 }
 
-/* Fill out[0 .. n) as Generator(Philox).random(n) does: each double is the
- * next buffered output u as (u >> 11) * 2**-53. st holds the bit generator's
- * counter, key and buffer, 4 + 2 + 4 words, and pos its buffer_pos (4 when
- * the buffer is spent); the counter and buffer are advanced, and the new
- * buffer_pos is returned. */
-int64_t philox_uniform(int64_t n, double *out, uint64_t *st, int64_t pos)
+/* A stream's Philox state, as numpy's philox_state holds it: the counter,
+ * the key, the output buffer, buffer_pos (4 when the buffer is spent), and
+ * has_uint32 and uinteger, the upper half of an output that a 32-bit draw
+ * keeps for the next one. */
+enum { S_CTR = 0, S_KEY = 4, S_BUF = 6, S_POS = 10, S_HAS32 = 11, S_UINT = 12 };
+
+static uint64_t philox_next64(void *st)
 {
-    uint64_t *const ctr = st, *const key = st + 4, *const buf = st + 6;
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        if (pos == 4) {
-            philox_block(ctr, key, buf);
-            pos = 0;
-        }
-        out[i] = (double)(buf[pos++] >> 11) * (1.0 / 9007199254740992.0);
+    uint64_t *const s = st;
+    if (s[S_POS] == 4) {
+        philox_block(s + S_CTR, s + S_KEY, s + S_BUF);
+        s[S_POS] = 0;
     }
-    return pos;
+    return s[S_BUF + s[S_POS]++];
+}
+
+/* the low half of the next output, then its high half */
+static uint32_t philox_next32(void *st)
+{
+    uint64_t *const s = st;
+    uint64_t next;
+    if (s[S_HAS32]) {
+        s[S_HAS32] = 0;
+        return (uint32_t)s[S_UINT];
+    }
+    next = philox_next64(st);
+    s[S_HAS32] = 1;
+    s[S_UINT] = next >> 32;
+    return (uint32_t)next;
+}
+
+static double philox_next_double(void *st)
+{
+    return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's bit generator interface (numpy/random/bitgen.h) and three draws of
+ * the libnpyrandom.a that the numpy wheel ships, linked in: the object code
+ * that Generator runs. Declared here, since numpy's distributions.h includes
+ * Python.h. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
+
+#define BITGEN(st) {(st), philox_next64, philox_next32, philox_next_double, philox_next64}
+
+/* Generator.random(n) into out, on the stream state st */
+int64_t philox_uniform(int64_t n, double *out, uint64_t *st)
+{
+    bitgen_t bg = BITGEN(st);
+    random_standard_uniform_fill(&bg, n, out);
+    return 0;
+}
+
+/* Generator.standard_normal(n) into out, on the stream state st */
+int64_t philox_normal(int64_t n, double *out, uint64_t *st)
+{
+    bitgen_t bg = BITGEN(st);
+    random_standard_normal_fill(&bg, n, out);
+    return 0;
+}
+
+/* Generator.integers(0, high) into out, one draw per bound: high holds n
+ * int64 bounds, or uint64 ones when is_unsigned. A bound outside [1, 2**63],
+ * which numpy rejects, draws nothing and returns -1. */
+int64_t philox_integers(int64_t n, int64_t *out, uint64_t *st, const uint64_t *high,
+                        int64_t is_unsigned)
+{
+    bitgen_t bg = BITGEN(st);
+    int64_t i;
+    for (i = 0; i < n; i++)
+        if (is_unsigned ? high[i] - 1 >= 1ULL << 63 : (int64_t)high[i] < 1)
+            return -1;
+    for (i = 0; i < n; i++)
+        out[i] = (int64_t)random_bounded_uint64(&bg, 0, high[i] - 1, 0, false);
+    return 0;
 }

@@ -4,14 +4,16 @@ Everything downstream (optimizers, problems, trial runner, sweeps) works in
 terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
-per-trial streams (seeds mixed from ints or uint64 arrays; uniform draws
-through the compiled Philox of _lanes.c, the others through a scratch numpy
-Philox engine per thread, loaded with the stream's own state), and the CSV
+per-trial streams (seeds mixed from ints or uint64 arrays; uniform, normal
+and bounded integer draws through numpy's own distribution code, compiled into
+_lanes.c's library, on the stream's own Philox words, the others through a
+scratch numpy Philox engine per thread, loaded with those words), and the CSV
 writer every output file goes through.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass
@@ -138,31 +140,60 @@ def mix_seed(base_seed, *indices):
 _scratch = threading.local()  # each thread's Generator(Philox), made by its first numpy draw
 
 
+class _Words(ctypes.Array):
+    """A stream's Philox state as _lanes.c reads it: counter (4 words), key
+    (2), buffer (4), buffer_pos, has_uint32, uinteger. A named class, so a
+    stream pickles."""
+
+    _type_, _length_ = ctypes.c_uint64, 13
+
+
+def _at(a: np.ndarray):
+    """The address of a writable, non-empty array's data, as a ctypes argument:
+    quicker than ndarray.ctypes.data."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
 class RngStream:
     """Deterministic random stream.
 
     Philox keyed directly by the 64-bit seed: the same seed replays the
     identical draw sequence on any platform. Independent streams take seeds
     from :func:`mix_seed`. A stream holds its seed and its Philox state
-    (counter, key and output buffer, as the dict numpy's BitGenerator.state
-    takes), not a Generator, and each draw replaces that dict with a new one.
-    Uniform draws run philox_uniform of _lanes.c, numpy's Generator.random bit
-    for bit, on that state. The other draws, and uniform ones without that
-    library, load the state into the calling thread's scratch Generator, draw
-    and store its state back: no engine or lock is shared between threads, so
-    a fork never copies one held. Philox is counter-based, so the bits are those
-    of a Generator of the stream's own, and making a stream costs a dict, not
+    (counter, key, output buffer and the buffered half of a 32-bit draw), as
+    13 words in a ctypes array, not a Generator. Every draw of _lanes.c runs on
+    those words through numpy's own distribution code (libnpyrandom.a, linked
+    into the library): random, normal and integers(0, high) are numpy's
+    Generator(Philox) draws bit for bit. The others (choice, integers with a
+    nonzero low or bounds numpy rejects), and every draw without that library,
+    load the state into the calling thread's scratch Generator, draw and store
+    its state back: no engine or lock is shared between threads, so a fork
+    never copies one held. Philox is counter-based, so the bits are those of a
+    Generator of the stream's own, and making a stream costs 13 words, not
     the OS entropy that numpy's constructor gathers and then discards for the
     key. Instances are single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self.state = {"bit_generator": "Philox",
-                      "state": {"counter": (0, 0, 0, 0), "key": (self.seed, 0)},
-                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._words = _Words()
+        self._words[4], self._words[10] = self.seed, 4
 
-    def _draw(self, name: str, *args):
+    @property
+    def state(self) -> dict:
+        """The Philox state, as a new dict that numpy's BitGenerator.state takes."""
+        w = self._words
+        return {"bit_generator": "Philox", "state": {"counter": w[:4], "key": w[4:6]},
+                "buffer": w[6:10], "buffer_pos": w[10], "has_uint32": w[11], "uinteger": w[12]}
+
+    @state.setter
+    def state(self, state: dict) -> None:
+        words = []
+        for part in (state["state"]["counter"], state["state"]["key"], state["buffer"]):
+            words += np.asarray(part, np.uint64).tolist()
+        self._words[:] = words + [state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+    def _numpy(self, name: str, *args):
         engine = getattr(_scratch, "engine", None)
         if engine is None:
             engine = _scratch.engine = np.random.Generator(np.random.Philox(0))
@@ -171,27 +202,45 @@ class RngStream:
         self.state = engine.bit_generator.state
         return out
 
+    def _compiled(self, name: str, size, dtype=np.float64, *args):
+        """Run _lanes.c's `name` on this stream's words into a new array of
+        `size` (0-d for None); None without the library or when the draw
+        refuses its arguments, having drawn nothing."""
+        lib = _lanes.library()
+        if lib is None:
+            return None
+        out = np.empty(() if size is None else size, dtype)
+        if out.size and getattr(lib, name)(out.size, _at(out), self._words, *args) < 0:
+            return None
+        return out
+
     def random(self, size=None):
-        fill = _lanes.uniform()
-        if fill is None:
-            return self._draw("random", size)
-        out = np.empty(() if size is None else size)
-        state = self.state
-        # the counter, key and buffer in new words, so that no dict the
-        # stream held is ever written
-        words = np.empty(10, dtype=np.uint64)
-        words[:4], words[4:6], words[6:] = (state["state"]["counter"], state["state"]["key"],
-                                            state["buffer"])
-        pos = fill(out.size, out.ctypes.data, words.ctypes.data, state["buffer_pos"])
-        self.state = {**state, "state": {"counter": words[:4], "key": words[4:6]},
-                      "buffer": words[6:], "buffer_pos": pos}
+        out = self._compiled("philox_uniform", size)
+        if out is None:
+            return self._numpy("random", size)
         return float(out) if size is None else out
 
     def normal(self, size=None):
-        return self._draw("standard_normal", size)
+        out = self._compiled("philox_normal", size)
+        if out is None:
+            return self._numpy("standard_normal", size)
+        return float(out) if size is None else out
 
     def integers(self, low, high=None, size=None):
-        return self._draw("integers", low, high, size)
+        bounds = np.asarray(high)
+        if type(low) is int and low == 0 and bounds.dtype.kind in "iu":
+            unsigned = bounds.dtype.kind == "u"
+            try:  # one bound per draw, in new words
+                bounds = np.array(np.broadcast_to(bounds, bounds.shape if size is None else size),
+                                  np.uint64 if unsigned else np.int64, order="C")
+            except ValueError:  # a shape numpy rejects
+                pass
+            else:
+                out = self._compiled("philox_integers", bounds.shape, np.int64,
+                                     _at(bounds) if bounds.size else None, unsigned)
+                if out is not None:
+                    return out[()] if size is None and out.ndim == 0 else out
+        return self._numpy("integers", low, high, size)
 
     def choice(self, n: int, size: int, replace: bool = False):
-        return self._draw("choice", n, size, replace)
+        return self._numpy("choice", n, size, replace)

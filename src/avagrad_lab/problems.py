@@ -18,7 +18,10 @@ bounded integers with fixed bounds, n - b ... n - 1 for the picks and b - 1
 ... 1 for the swaps, so MlpProblem.sample_lanes draws each lane's k batches
 with one Generator.integers call and replays the picks and the swaps on all
 draws at once: the same indices, and the streams left in the same state, as
-k single choice calls per lane.
+k single choice calls per lane. A single draw, sample(rng), is the one-lane,
+one-step case of that bulk draw, so with _lanes.c's library no MLP draw loads
+numpy.random; shapes numpy draws otherwise (a tail shuffle) or whose table row
+outgrows a replay slice keep numpy's own choice.
 """
 
 from __future__ import annotations
@@ -352,21 +355,18 @@ class MlpProblem(StochasticProblem):
         return hidden, log_probs
 
     def sample(self, rng: RngStream, size: int | None = None):
-        if size is None:
-            return rng.choice(len(self.dataset), size=self.batch_size, replace=False)
-        return self.sample_lanes([rng], size)[:, 0]
+        tokens = self.sample_lanes([rng], 1 if size is None else size)[:, 0]
+        return tokens[0] if size is None else tokens
 
     def sample_lanes(self, streams, k):
         """k single draws per stream, made as one bulk draw and a replay of
         numpy's Floyd branch over all draws (see the module docstring)."""
         n, b = len(self.dataset), self.batch_size
-        # Single draws where the replay cannot run or would not pay: a table
-        # row larger than a slice, a shape numpy draws by a tail shuffle and
-        # not by Floyd's algorithm, or fewer draws than b (one single draw
-        # costs about as much as two of the replay's 2b - 1 passes).
-        if (REPLAY_BYTES < n + 32 or (n > 10000 and b > n // 50)
-                or k * len(streams) < b):
-            return np.array([[self.sample(rng) for rng in streams] for _ in range(k)])
+        # Where the replay cannot run, numpy's own choice: a table row larger
+        # than a slice, or a shape numpy draws by a tail shuffle and not by
+        # Floyd's algorithm.
+        if REPLAY_BYTES < n + 32 or (n > 10000 and b > n // 50):
+            return np.array([[rng.choice(n, b) for rng in streams] for _ in range(k)])
         bounds = np.concatenate((np.arange(n - b, n), np.arange(b - 1, 0, -1))) + 1
         draws = np.empty((2 * b - 1, k, len(streams)), np.int64)
         for p, rng in enumerate(streams):

@@ -14,6 +14,7 @@ changes: 1.0 means one alpha wins every epsilon column.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -222,13 +223,20 @@ def _blocks(spec: GridSpec, part: int, parts: int) -> list[list[tuple[int, int, 
 def _fork(spec: GridSpec, blocks: list):
     """Run `blocks` in a forked child that pickles `(True, per-block cells)`
     or `(False, error)` into a pipe; returns its pid and the pipe, open to
-    read. The child leaves through os._exit, never through the caller's frames."""
+    read. The child leaves through os._exit, never through the caller's frames.
+    On Linux the kernel SIGKILLs the child when the forking thread dies, so a
+    killed sweep leaves no worker running."""
     read, write = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid:
         os.close(write)
         return pid, open(read, "rb")
     try:
+        if sys.platform.startswith("linux"):
+            ctypes.CDLL(None).prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+            if os.getppid() != parent:  # the parent died before the tie was made
+                os._exit(1)
         os.close(read)
         try:
             data = pickle.dumps((True, [_run_block(spec, block) for block in blocks]))

@@ -1,7 +1,7 @@
-"""Engine selection for tests: the numpy lane loop and numpy's uniform draws,
-or the compiled code of avagrad_lab._lanes that runner.run_trials uses for
-d = 1 synth batches with constant schedules, and RngStream.random for every
-uniform draw, when a C compiler is present."""
+"""Engine selection for tests: the numpy lane loop and numpy's draws, or the
+compiled code of avagrad_lab._lanes that runner.run_trials uses for d = 1
+synth batches with constant schedules, and RngStream for its uniform, normal
+and integer draws, when a C compiler is present."""
 
 import contextlib
 
@@ -12,14 +12,14 @@ from avagrad_lab import _lanes
 
 @contextlib.contextmanager
 def numpy_engine():
-    """Run the block without the compiled loop or the compiled uniform draws, as
-    on a machine without a compiler."""
-    kernel, uniform = _lanes.kernel, _lanes.uniform
-    _lanes.kernel = _lanes.uniform = lambda: None
+    """Run the block without the compiled loop or any compiled draw, as on a
+    machine without a compiler."""
+    library = _lanes.library
+    _lanes.library = lambda: None
     try:
         yield
     finally:
-        _lanes.kernel, _lanes.uniform = kernel, uniform
+        _lanes.library = library
 
 
 @contextlib.contextmanager

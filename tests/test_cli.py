@@ -327,26 +327,45 @@ steps = 5
         code = f"import sys; from avagrad_lab.cli import main; main({argv!r}); {pools}"
         assert run_python(["-c", code], check=True).stdout.splitlines()[-1] == "[]"
 
-    def test_synth_commands_load_no_numpy_random_or_libcrypto(self, tmp_path):
-        """With the compiled library, synth commands draw only uniforms, through
-        _lanes.c, and name its cache file without hashlib; a quadratic sweep still
-        draws normals through numpy.random, which loads hashlib itself."""
-        if _lanes.uniform() is None:
+    def test_commands_load_no_numpy_random_or_libcrypto(self, tmp_path):
+        """With the compiled library every draw a command makes runs in _lanes.c,
+        whose cache file is named without hashlib, so no command loads
+        numpy.random or OpenSSL's libcrypto; under the numpy engine a quadratic
+        sweep draws its normals through numpy.random, which loads hashlib itself."""
+        if _lanes.library() is None:
             pytest.skip("no C compiler: the library cannot be built")
-        synth, sweep = write_config(tmp_path, SYNTH_CONFIG), write_config(
-            tmp_path, SWEEP_CONFIG, "sweep.ini")
+        train = write_blobs_csv(tmp_path, "train.csv")
+        quadratic = SWEEP_CONFIG.replace("steps = 60", "steps = 60\nseeds = 0,1") + (
+            "\n[optimizer]\nmethod = adam\nalpha = 0.01\n")
+        mlp = (f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\n"
+               f"dataset = {train}\nbatch_size = 8\n\n[optimizer]\nmethod = adam\n\n"
+               f"[run]\nsteps = 40\nseeds = 0,1\n\n[grid]\nalphas = 0.01,0.1\n"
+               f"epsilons = 0.001,0.1\nmethods = adam,avagrad\nseeds = 0,1\n")
+        synth, quadratic, mlp = (write_config(tmp_path, text, name) for text, name in (
+            (SYNTH_CONFIG, "synth.ini"), (quadratic, "quadratic.ini"), (mlp, "mlp.ini")))
         out = str(tmp_path / "out")
         loaded = ("print('loaded', sorted(m for m in ('numpy.random', '_hashlib') "
                   "if m in sys.modules))")
+        commands = [["synthfig", "--steps", "200", "--out", out],
+                    ["run", "--config", synth, "--out", out], ["check", "--config", synth]]
+        for cfg in (quadratic, mlp):
+            commands += [["sweep", "--config", cfg, "--out", out, "--steps", "1"],
+                         ["sweep", "--config", cfg, "--out", out, "--workers", "2"],
+                         ["run", "--config", cfg, "--out", out], ["check", "--config", cfg]]
         code = "\n".join(["import sys", "from avagrad_lab.cli import main", *(
-            f"main({argv!r}); {loaded}" for argv in (
-                ["synthfig", "--steps", "200", "--out", out],
-                ["run", "--config", synth, "--out", out],
-                ["check", "--config", synth],
-                ["sweep", "--config", sweep, "--out", out]))])
+            f"assert main({argv!r}) == 0; {loaded}" for argv in commands)])
         lines = run_python(["-c", code], check=True).stdout.splitlines()
         assert [line for line in lines if line.startswith("loaded ")] == [
-            "loaded []", "loaded []", "loaded []", "loaded ['_hashlib', 'numpy.random']"]
+            "loaded []"] * len(commands)
+        # the same sweep under the numpy engine does load both
+        tests = str(Path(__file__).resolve().parent)
+        code = "\n".join([f"import sys; sys.path.insert(0, {tests!r})",
+                          "from engines import numpy_engine", "from avagrad_lab.cli import main",
+                          loaded, "with numpy_engine():", f"    assert main({commands[3]!r}) == 0",
+                          loaded])
+        lines = run_python(["-c", code], check=True).stdout.splitlines()
+        assert [line for line in lines if line.startswith("loaded ")] == [
+            "loaded []", "loaded ['_hashlib', 'numpy.random']"]
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,

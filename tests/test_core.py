@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -93,6 +95,15 @@ class TestRngStream:
         whole = s1.random(100)
         parts = np.concatenate([s2.random(37), s2.random(63)])
         assert np.array_equal(whole, parts)
+
+    def test_copied_and_pickled_streams_continue_the_sequence(self):
+        rng = RngStream(12)
+        rng.integers(0, 1000)  # leaves half an output buffered
+        copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+        want = rng.integers(0, 1000, size=3), rng.normal(5)
+        for other in copies:
+            got = other.integers(0, 1000, size=3), other.normal(5)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_mix_seed_order_sensitive(self):
         assert mix_seed(1, 2, 3) != mix_seed(1, 3, 2)
@@ -228,27 +239,40 @@ class TestMixSeedArrays:
 
 _SIZES = st.one_of(st.none(), st.integers(0, 9), st.integers(0, 9).map(lambda k: (k,)),
                    st.integers(0, 9).map(lambda k: (k, 1)))
-# (stream, draw, argument); integers below 2**32 take numpy's buffered 32-bit path,
-# which sets has_uint32 and keeps the other half of a Philox output
+# bounds at the edges of numpy's branches: 32-bit draws up to 2**32 (buffered:
+# they set has_uint32 and keep the other half of a Philox output), 64-bit ones
+# above, and int64's largest range
+_HIGHS = st.one_of(st.sampled_from([1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63]),
+                   st.integers(1, 2**63))
+_INTEGERS = st.one_of(  # (high, size): a scalar bound, or one per column
+    st.tuples(_HIGHS, st.one_of(st.none(), st.integers(0, 9))),
+    st.lists(_HIGHS, min_size=1, max_size=4).flatmap(lambda highs: st.tuples(
+        st.just(highs), st.one_of(st.none(), st.integers(0, 3).map(lambda k: (k, len(highs)))))))
+# (stream, draw, argument)
 _DRAWS = st.lists(st.tuples(st.integers(0, 1), st.one_of(
-    st.tuples(st.just("random"), _SIZES), st.tuples(st.just("normal"), st.integers(1, 5)),
-    st.tuples(st.just("integers"), st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("random"), _SIZES), st.tuples(st.just("normal"), _SIZES),
+    st.tuples(st.just("integers"), _INTEGERS),
     st.tuples(st.just("choice"), st.integers(1, 40)))), max_size=16)
 _END_OF_LOW_WORDS = (2**64 - 1, 2**64 - 1, 0, 0)  # the next block carries into word 2
 
 
-class TestCompiledUniform:
-    """RngStream.random, drawn through _lanes.c's Philox when the library
-    loads, gives numpy's Generator(Philox).random bits and state, mixed with
-    the draws that go through numpy."""
+class TestCompiledDraws:
+    """RngStream's uniform, normal and integer draws, run by numpy's own
+    distribution code in _lanes.c's library when it loads, give numpy's
+    Generator(Philox) bits and state, mixed with each other and with the draws
+    that go through numpy, on two streams."""
 
     @settings(max_examples=300, deadline=None)
     @given(seeds=st.tuples(_UINT64, _UINT64), draws=_DRAWS,
            counter=st.sampled_from([(0, 0, 0, 0), _END_OF_LOW_WORDS, (2**64 - 2, 0, 0, 0),
                                     (2**64 - 1, 2**64 - 1, 2**64 - 1, 5)]))
     @example(seeds=(2**64 - 1, 0), counter=_END_OF_LOW_WORDS,
-             draws=[(0, ("random", (9,))), (0, ("integers", 7)), (0, ("random", None)),
+             draws=[(0, ("random", (9,))), (0, ("integers", (7, None))), (0, ("random", None)),
                     (1, ("random", (3, 1))), (0, ("normal", 2)), (0, ("random", 5))])
+    @example(seeds=(3, 4), counter=(0, 0, 0, 0),
+             draws=[(0, ("integers", ([2, 2**63, 2**32 - 1], (2, 3)))), (1, ("normal", None)),
+                    (0, ("integers", (2**32 + 1, 3))), (0, ("normal", (3, 1))),
+                    (1, ("integers", (2**32, None))), (0, ("integers", ([1, 2**32], None)))])
     def test_draws_equal_numpy_generator(self, seeds, draws, counter):
         streams = [RngStream(s) for s in seeds]
         gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
@@ -260,13 +284,13 @@ class TestCompiledUniform:
             rng, gen = streams[i], gens[i]
             if name == "random":
                 got, want = rng.random(arg), gen.random(arg)
-                assert type(got) is type(want) and np.shape(got) == np.shape(want)
             elif name == "normal":
                 got, want = rng.normal(arg), gen.standard_normal(arg)
             elif name == "integers":
-                got, want = rng.integers(0, arg), gen.integers(0, arg)
+                got, want = rng.integers(0, *arg), gen.integers(0, *arg)
             else:
                 got, want = rng.choice(40, arg), gen.choice(40, size=arg, replace=False)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         for rng, gen in zip(streams, gens):
             got, want = rng.state, gen.bit_generator.state

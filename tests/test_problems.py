@@ -311,7 +311,8 @@ class TestMlpSampleLanes:
     def test_whole_population_single_index_and_few_draws(self):
         assert_bulk_draw_equals_single_draws(12, 12, 6, [1, 2], [True, False])
         assert_bulk_draw_equals_single_draws(12, 1, 4, [1, 2], [True, False])
-        assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False], replayed=False)
+        # fewer draws than b: still one bulk draw and a replay
+        assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False])
 
     def test_sample_k_equals_k_single_draws(self):
         prob = small_mlp(batch_size=5)

@@ -621,12 +621,19 @@ class TestCompiledLanes:
                 cfg.hp, alpha=Schedule.inverse_sqrt(1e-3))))
             assert calls == [300]
 
-    @pytest.mark.parametrize("broken", ["compiler", "read_only_cache", "cache_under_a_file"])
+    @pytest.mark.parametrize("broken", ["compiler", "read_only_cache", "cache_under_a_file",
+                                        "no_archive"])
     def test_failed_build_falls_back_to_numpy(self, broken, tmp_path, monkeypatch, capfd):
         cfg = synth_cfg(T=300, record_every=7, grad_metric="batch")
         cfgs = [dataclasses.replace(cfg, seed=i) for i in range(3)]
+
+        def draws():
+            rng = RngStream(11)
+            return [np.asarray(d).tobytes() for d in (
+                rng.random(3), rng.normal(5), rng.integers(0, [5, 2**40, 2**63]), rng.random())]
+
         with numpy_engine():
-            want = run_trials(cfgs)
+            want, want_draws = run_trials(cfgs), draws()
         cache = tmp_path / "cache"
         if broken == "compiler":
             monkeypatch.setattr(_lanes, "CC", "false")
@@ -634,14 +641,17 @@ class TestCompiledLanes:
             cache.mkdir(mode=0o500)
             if os.access(cache, os.W_OK):
                 pytest.skip("this user writes to read-only directories")
+        elif broken == "no_archive":  # a numpy build without numpy/random/lib
+            monkeypatch.setattr(_lanes, "ARCHIVE", tmp_path / "lib" / "libnpyrandom.a")
         else:  # no directory can be made under a file, whoever runs
             cache.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         _lanes.library.cache_clear()
         try:
-            assert _lanes.kernel() is None and _lanes.uniform() is None
+            assert _lanes.library() is None and _lanes.kernel() is None
             for rec, ref in zip(run_trials(cfgs), want):
                 assert_same_record(rec, ref)
+            assert draws() == want_draws
         finally:
             _lanes.library.cache_clear()
         assert capfd.readouterr() == ("", "")

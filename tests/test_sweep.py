@@ -1,7 +1,11 @@
 import io
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +323,49 @@ class TestWorkers:
             run_sweep(small_spec(), workers=3, progress=io.StringIO())
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /proc")
+    def test_killed_sweep_takes_its_worker_with_it(self, tmp_path):
+        config = tmp_path / "sweep.ini"
+        config.write_text("[problem]\nkind = quadratic\ncurvatures = 1.0,4.0\n\n"
+                          "[run]\nsteps = 100000000\n\n[grid]\nalphas = 0.01\n"
+                          "epsilons = 0.001,0.1\nmethods = sgd,adam\nseeds = 0\n")
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys; from avagrad_lab.cli import main; main(['sweep', '--config', "
+                "sys.argv[1], '--out', sys.argv[2], '--workers', '2'])")
+        proc = subprocess.Popen([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                                env=env, stderr=subprocess.DEVNULL)
+        workers = []
+
+        def running(pid):  # a zombie has exited
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        try:
+            deadline = time.monotonic() + 60
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
+                for children in Path(f"/proc/{proc.pid}/task").glob("*/children"):
+                    workers += [int(pid) for pid in children.read_text().split()]
+                time.sleep(0.01)
+            assert workers, "the sweep forked no worker"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(running, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 AXIS_ALPHAS = (1e-3, 1e-1, 1.0, 10.0, 1e150)  # SGD and momentum diverge at 10 and up

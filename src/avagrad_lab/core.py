@@ -230,14 +230,17 @@ class RngStream:
         bounds = np.asarray(high)
         if type(low) is int and low == 0 and bounds.dtype.kind in "iu":
             unsigned = bounds.dtype.kind == "u"
+            per_draw = np.empty(bounds.shape if size is None else size,
+                                np.uint64 if unsigned else np.int64)
             try:  # one bound per draw, in new words
-                bounds = np.array(np.broadcast_to(bounds, bounds.shape if size is None else size),
-                                  np.uint64 if unsigned else np.int64, order="C")
+                if bounds.ndim > per_draw.ndim:  # numpy broadcasts no dimension away
+                    raise ValueError
+                per_draw[...] = bounds
             except ValueError:  # a shape numpy rejects
                 pass
             else:
-                out = self._compiled("philox_integers", bounds.shape, np.int64,
-                                     _at(bounds) if bounds.size else None, unsigned)
+                out = self._compiled("philox_integers", per_draw.shape, np.int64,
+                                     _at(per_draw) if per_draw.size else None, unsigned)
                 if out is not None:
                     return out[()] if size is None and out.ndim == 0 else out
         return self._numpy("integers", low, high, size)

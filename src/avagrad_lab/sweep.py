@@ -234,7 +234,9 @@ def _fork(spec: GridSpec, blocks: list):
         return pid, open(read, "rb")
     try:
         if sys.platform.startswith("linux"):
-            ctypes.CDLL(None).prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
             if os.getppid() != parent:  # the parent died before the tie was made
                 os._exit(1)
         os.close(read)

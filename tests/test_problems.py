@@ -290,8 +290,7 @@ class TestMlpSampleLanes:
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
     def test_bulk_draw_equals_single_choice_draws(self, n, data, seeds):
         b = data.draw(st.integers(1, min(n, 48)), label="batch")
-        least = -(-b // len(seeds))  # the fewest steps that give b draws to replay
-        k = data.draw(st.integers(least, least + 8), label="steps")
+        k = data.draw(st.integers(1, 9), label="steps")
         odd = data.draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds)),
                         label="odd halves")
         assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd)

@@ -233,7 +233,7 @@ class RngStream:
             per_draw = np.empty(bounds.shape if size is None else size,
                                 np.uint64 if unsigned else np.int64)
             try:  # one bound per draw, in new words
-                if bounds.ndim > per_draw.ndim:  # numpy broadcasts no dimension away
+                if bounds.ndim > per_draw.ndim:  # numpy's own rules decide these
                     raise ValueError
                 per_draw[...] = bounds
             except ValueError:  # a shape numpy rejects

@@ -326,6 +326,8 @@ class TestWorkers:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /proc")
     def test_killed_sweep_takes_its_worker_with_it(self, tmp_path):
+        if not any(Path("/proc/self/task").glob("*/children")):
+            pytest.skip("this kernel lists no children under /proc")
         config = tmp_path / "sweep.ini"
         config.write_text("[problem]\nkind = quadratic\ncurvatures = 1.0,4.0\n\n"
                           "[run]\nsteps = 100000000\n\n[grid]\nalphas = 0.01\n"

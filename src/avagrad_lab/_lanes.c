@@ -11,11 +11,12 @@
  * step is written and the call returns: the numpy loop runs that step, with
  * its divergence mask, flush and compaction, and then calls here again.
  *
- * philox_uniform, philox_normal and philox_integers, the draws of
+ * philox_uniform, philox_normal and philox_choice, the draws of
  * core.RngStream: a numpy bit generator (bitgen_t) over a stream's own Philox
  * words, handed to the distribution functions of numpy's libnpyrandom.a,
- * which this library links statically. They are the code that
- * Generator(Philox) runs, so the bits and the state it leaves are numpy's.
+ * which this library links statically. The first two are the code that
+ * Generator(Philox) runs; philox_choice runs Generator.choice's own loops
+ * around numpy's bounded draw. So the bits and the state left are numpy's.
  */
 #include <math.h>
 #include <stdbool.h>
@@ -300,18 +301,44 @@ int64_t philox_normal(int64_t n, double *out, uint64_t *st)
     return 0;
 }
 
-/* Generator.integers(0, high) into out, one draw per bound: high holds n
- * int64 bounds, or uint64 ones when is_unsigned. A bound outside [1, 2**63],
- * which numpy rejects, draws nothing and returns -1. */
-int64_t philox_integers(int64_t n, int64_t *out, uint64_t *st, const uint64_t *high,
-                        int64_t is_unsigned)
+/* k draws of Generator.choice(n, b, replace=False) into the (k, b) out, as
+ * numpy makes them: Floyd's algorithm (Bentley & Floyd, "A sample of
+ * brilliance", CACM 1987) and then a shuffle of the b picks, or, when
+ * n > 10000 and b > n / 50, a shuffle of the tail of 0 ... n - 1. table is n
+ * zeroed words of scratch: the picks' membership, cleared after each draw, or
+ * the population of the tail shuffle. A shape that numpy rejects draws
+ * nothing and returns -1. */
+int64_t philox_choice(int64_t k, int64_t *out, uint64_t *st, int64_t n, int64_t b,
+                      int64_t *table)
 {
     bitgen_t bg = BITGEN(st);
-    int64_t i;
-    for (i = 0; i < n; i++)
-        if (is_unsigned ? high[i] - 1 >= 1ULL << 63 : (int64_t)high[i] < 1)
-            return -1;
-    for (i = 0; i < n; i++)
-        out[i] = (int64_t)random_bounded_uint64(&bg, 0, high[i] - 1, 0, false);
+    const int tail = n > 10000 && b > n / 50;
+    int64_t i, j, held;
+    if (b < 0 || b > n)
+        return -1;
+    for (; k > 0; k--, out += b) {
+        if (tail) {
+            for (i = 0; i < n; i++)
+                table[i] = i;
+            for (i = n - 1; i >= (n - b > 1 ? n - b : 1); i--) {
+                j = (int64_t)random_bounded_uint64(&bg, 0, i, 0, false);
+                held = table[j], table[j] = table[i], table[i] = held;
+            }
+            for (i = 0; i < b; i++)
+                out[i] = table[n - b + i];
+            continue;
+        }
+        for (i = 0; i < b; i++) {  /* the pick, or n - b + i if it is already drawn */
+            j = (int64_t)random_bounded_uint64(&bg, 0, n - b + i, 0, false);
+            out[i] = table[j] ? n - b + i : j;
+            table[out[i]] = 1;
+        }
+        for (i = 0; i < b; i++)
+            table[out[i]] = 0;
+        for (i = b - 1; i > 0; i--) {
+            j = (int64_t)random_bounded_uint64(&bg, 0, i, 0, false);
+            held = out[j], out[j] = out[i], out[i] = held;
+        }
+    }
     return 0;
 }

@@ -1,5 +1,5 @@
 """Build and load _lanes.c: the compiled lane loop of runner.run_trials and
-the Philox draws of core.RngStream.
+the uniform, normal and choice draws of core.RngStream.
 
 The source ships next to this module and is compiled with the system C
 compiler on first use, linked statically against the libnpyrandom.a that the
@@ -39,7 +39,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 _ARGTYPES = {"lanes_run": (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P),
              "philox_uniform": (_I64, _P, _P), "philox_normal": (_I64, _P, _P),
-             "philox_integers": (_I64, _P, _P, _P, _I64)}
+             "philox_choice": (_I64, _P, _P, _I64, _I64, _P)}
 
 
 def cache_dir() -> Path:

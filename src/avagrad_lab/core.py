@@ -5,7 +5,7 @@ terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
 per-trial streams (seeds mixed from ints or uint64 arrays; uniform, normal
-and bounded integer draws through numpy's own distribution code, compiled into
+and choice draws through numpy's own distribution code, compiled into
 _lanes.c's library, on the stream's own Philox words, the others through a
 scratch numpy Philox engine per thread, loaded with those words), and the CSV
 writer every output file goes through.
@@ -161,17 +161,17 @@ class RngStream:
     identical draw sequence on any platform. Independent streams take seeds
     from :func:`mix_seed`. A stream holds its seed and its Philox state
     (counter, key, output buffer and the buffered half of a 32-bit draw), as
-    13 words in a ctypes array, not a Generator. Every draw of _lanes.c runs on
-    those words through numpy's own distribution code (libnpyrandom.a, linked
-    into the library): random, normal and integers(0, high) are numpy's
-    Generator(Philox) draws bit for bit. The others (choice, integers with a
-    nonzero low or bounds numpy rejects), and every draw without that library,
-    load the state into the calling thread's scratch Generator, draw and store
-    its state back: no engine or lock is shared between threads, so a fork
-    never copies one held. Philox is counter-based, so the bits are those of a
-    Generator of the stream's own, and making a stream costs 13 words, not
-    the OS entropy that numpy's constructor gathers and then discards for the
-    key. Instances are single-owner; never share one across threads.
+    13 words in a ctypes array, not a Generator. With _lanes.c's library,
+    random, normal and choice without replacement run on those words, through
+    numpy's own distribution code (libnpyrandom.a, linked into the library):
+    numpy's Generator(Philox) draws bit for bit. The other draws, and every
+    draw without that library, load the state into the calling thread's
+    scratch Generator, draw and store its state back: no engine or lock is
+    shared between threads, so a fork never copies one held. Philox is
+    counter-based, so the bits are those of a Generator of the stream's own,
+    and making a stream costs 13 words, not the OS entropy that numpy's
+    constructor gathers and then discards for the key. Instances are
+    single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
@@ -193,57 +193,57 @@ class RngStream:
             words += np.asarray(part, np.uint64).tolist()
         self._words[:] = words + [state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
-    def _numpy(self, name: str, *args):
-        engine = getattr(_scratch, "engine", None)
-        if engine is None:
-            engine = _scratch.engine = np.random.Generator(np.random.Philox(0))
-        engine.bit_generator.state = self.state
-        out = getattr(engine, name)(*args)
-        self.state = engine.bit_generator.state
+    def _numpy(self, draw):
+        """draw(g) on the calling thread's scratch Generator g, loaded with this
+        stream's state, which is stored back after it."""
+        g = getattr(_scratch, "engine", None)
+        if g is None:
+            g = _scratch.engine = np.random.Generator(np.random.Philox(0))
+        g.bit_generator.state = self.state
+        out = draw(g)
+        self.state = g.bit_generator.state
         return out
 
-    def _compiled(self, name: str, size, dtype=np.float64, *args):
-        """Run _lanes.c's `name` on this stream's words into a new array of
-        `size` (0-d for None); None without the library or when the draw
-        refuses its arguments, having drawn nothing."""
+    def _compiled(self, name: str, size):
+        """Run _lanes.c's `name` on this stream's words into a new float array
+        of `size` (0-d for None); None without the library."""
         lib = _lanes.library()
         if lib is None:
             return None
-        out = np.empty(() if size is None else size, dtype)
-        if out.size and getattr(lib, name)(out.size, _at(out), self._words, *args) < 0:
-            return None
+        out = np.empty(() if size is None else size)
+        if out.size:
+            getattr(lib, name)(out.size, _at(out), self._words)
         return out
 
     def random(self, size=None):
         out = self._compiled("philox_uniform", size)
         if out is None:
-            return self._numpy("random", size)
+            return self._numpy(lambda g: g.random(size))
         return float(out) if size is None else out
 
     def normal(self, size=None):
         out = self._compiled("philox_normal", size)
         if out is None:
-            return self._numpy("standard_normal", size)
+            return self._numpy(lambda g: g.standard_normal(size))
         return float(out) if size is None else out
 
     def integers(self, low, high=None, size=None):
-        bounds = np.asarray(high)
-        if type(low) is int and low == 0 and bounds.dtype.kind in "iu":
-            unsigned = bounds.dtype.kind == "u"
-            per_draw = np.empty(bounds.shape if size is None else size,
-                                np.uint64 if unsigned else np.int64)
-            try:  # one bound per draw, in new words
-                if bounds.ndim > per_draw.ndim:  # numpy's own rules decide these
-                    raise ValueError
-                per_draw[...] = bounds
-            except ValueError:  # a shape numpy rejects
-                pass
-            else:
-                out = self._compiled("philox_integers", per_draw.shape, np.int64,
-                                     _at(per_draw) if per_draw.size else None, unsigned)
-                if out is not None:
-                    return out[()] if size is None and out.ndim == 0 else out
-        return self._numpy("integers", low, high, size)
+        return self._numpy(lambda g: g.integers(low, high, size))
 
     def choice(self, n: int, size: int, replace: bool = False):
-        return self._numpy("choice", n, size, replace)
+        if replace:
+            return self._numpy(lambda g: g.choice(n, size, replace=True))
+        return self.choices(n, size, 1)[0]
+
+    def choices(self, n: int, size: int, k: int) -> np.ndarray:
+        """k draws of choice(n, size) without replacement, stacked (k, size): with
+        the library one call of _lanes.c's philox_choice, which marks each
+        draw's picks in one n-entry table and clears them after it."""
+        lib = _lanes.library()
+        if lib is None or not 0 <= size <= n:  # numpy raises its own errors
+            return self._numpy(lambda g: np.array(
+                [g.choice(n, size, replace=False) for _ in range(k)], np.int64).reshape(k, size))
+        out = np.empty((k, size), np.int64)
+        if out.size:
+            lib.philox_choice(k, _at(out), self._words, n, size, _at(np.zeros(n, np.int64)))
+        return out

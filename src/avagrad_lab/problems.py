@@ -11,17 +11,8 @@ sample_lanes(streams, k) draws the next k tokens of n lanes' streams as one
 (k, n, ...) block. Problems are immutable after construction; all randomness
 flows through the caller-provided RngStream.
 
-The MLP's minibatch is numpy's Generator.choice without replacement, which
-draws with Floyd's algorithm and then shuffles (Bentley & Floyd, "A sample
-of brilliance", CACM 1987). One draw of b of n indices consumes 2b - 1
-bounded integers with fixed bounds, n - b ... n - 1 for the picks and b - 1
-... 1 for the swaps, so MlpProblem.sample_lanes draws each lane's k batches
-with one Generator.integers call and replays the picks and the swaps on all
-draws at once: the same indices, and the streams left in the same state, as
-k single choice calls per lane. A single draw, sample(rng), is the one-lane,
-one-step case of that bulk draw, so with _lanes.c's library no MLP draw loads
-numpy.random; shapes numpy draws otherwise (a tail shuffle) or whose table row
-outgrows a replay slice keep numpy's own choice.
+The MLP's minibatch is numpy's Generator.choice without replacement;
+sample(rng, k) makes its k draws in one RngStream.choices call.
 """
 
 from __future__ import annotations
@@ -249,39 +240,6 @@ class LabeledSet:
         return self.labels.shape[0]
 
 
-#: bytes one slice of the minibatch replay may hold: its membership table, a
-#: byte per draw and index, and about 32 a draw for the temporaries of a pass
-REPLAY_BYTES = 1 << 22
-
-
-def _replay_choice(draws: np.ndarray, n: int, b: int) -> None:
-    """Replay Generator.choice(n, b, replace=False) in place on the columns of
-    `draws` (2b - 1, R), the bounded integers each draw consumes: its first b
-    rows become the drawn indices. Columns go in slices, so the membership
-    table stays bounded."""
-    size = draws.shape[1]
-    step = REPLAY_BYTES // (n + 32)
-    flat = draws.reshape(-1)
-    seen = np.zeros(min(step, size) * n, bool)  # one table, cleared after each slice
-    for s in range(0, size, step):
-        picks, swaps = draws[:b, s:s + step], draws[b:, s:s + step]
-        base = np.arange(0, picks.shape[1] * n, n)  # each draw's offset into the table
-        picks += base
-        for i in range(b):  # Floyd: the drawn index, or n - b + i if already taken
-            pick = picks[i]
-            np.copyto(pick, base + (n - b + i), where=seen[pick])
-            seen[pick] = True
-        seen[picks] = False
-        picks -= base
-        swaps *= size  # swaps[b - 1 - i]: the flat position slot i trades with
-        swaps += np.arange(s, s + picks.shape[1])
-        for i in range(b - 1, 0, -1):  # Fisher-Yates, from the last slot down
-            j = swaps[b - 1 - i]
-            held = flat[j]
-            flat[j] = picks[i]
-            picks[i] = held
-
-
 def gaussian_blobs(
     n_per_class: int, n_classes: int, n_in: int, separation: float, rng: RngStream
 ) -> LabeledSet:
@@ -355,24 +313,8 @@ class MlpProblem(StochasticProblem):
         return hidden, log_probs
 
     def sample(self, rng: RngStream, size: int | None = None):
-        tokens = self.sample_lanes([rng], 1 if size is None else size)[:, 0]
+        tokens = rng.choices(len(self.dataset), self.batch_size, 1 if size is None else size)
         return tokens[0] if size is None else tokens
-
-    def sample_lanes(self, streams, k):
-        """k single draws per stream, made as one bulk draw and a replay of
-        numpy's Floyd branch over all draws (see the module docstring)."""
-        n, b = len(self.dataset), self.batch_size
-        # Where the replay cannot run, numpy's own choice: a table row larger
-        # than a slice, or a shape numpy draws by a tail shuffle and not by
-        # Floyd's algorithm.
-        if REPLAY_BYTES < n + 32 or (n > 10000 and b > n // 50):
-            return np.array([[rng.choice(n, b) for rng in streams] for _ in range(k)])
-        bounds = np.concatenate((np.arange(n - b, n), np.arange(b - 1, 0, -1))) + 1
-        draws = np.empty((2 * b - 1, k, len(streams)), np.int64)
-        for p, rng in enumerate(streams):
-            draws[:, :, p] = rng.integers(0, bounds, size=(k, 2 * b - 1)).T
-        _replay_choice(draws.reshape(2 * b - 1, -1), n, b)
-        return draws[:b].transpose(1, 2, 0).copy()
 
     def loss(self, w, token):
         return self.dataset_loss(w, LabeledSet(self.dataset.features[token],

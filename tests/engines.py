@@ -1,7 +1,7 @@
 """Engine selection for tests: the numpy lane loop and numpy's draws, or the
 compiled code of avagrad_lab._lanes that runner.run_trials uses for d = 1
 synth batches with constant schedules, and RngStream for its uniform, normal
-and integer draws, when a C compiler is present."""
+and choice draws, when a C compiler is present."""
 
 import contextlib
 

@@ -328,10 +328,11 @@ steps = 5
         assert run_python(["-c", code], check=True).stdout.splitlines()[-1] == "[]"
 
     def test_commands_load_no_numpy_random_or_libcrypto(self, tmp_path):
-        """With the compiled library every draw a command makes runs in _lanes.c,
-        whose cache file is named without hashlib, so no command loads
-        numpy.random or OpenSSL's libcrypto; under the numpy engine a quadratic
-        sweep draws its normals through numpy.random, which loads hashlib itself."""
+        """With the compiled library every draw a command makes, MLP minibatches
+        included, runs in _lanes.c, whose cache file is named without hashlib, so
+        no command loads numpy.random or OpenSSL's libcrypto; under the numpy
+        engine a quadratic sweep draws its normals through numpy.random, which
+        loads hashlib itself."""
         if _lanes.library() is None:
             pytest.skip("no C compiler: the library cannot be built")
         train = write_blobs_csv(tmp_path, "train.csv")
@@ -357,6 +358,14 @@ steps = 5
         lines = run_python(["-c", code], check=True).stdout.splitlines()
         assert [line for line in lines if line.startswith("loaded ")] == [
             "loaded []"] * len(commands)
+        # nor do choice draws on each of numpy's branches, a k-draw and an MLP minibatch
+        code = "\n".join([
+            "import sys", "import numpy as np", "from avagrad_lab.core import RngStream",
+            "from avagrad_lab.problems import LabeledSet, MlpProblem", "rng = RngStream(3)",
+            "rng.choice(240, 32); rng.choice(10001, 201); rng.choices(10001, 200, 3)",
+            "data = LabeledSet(np.zeros((240, 1)), np.zeros(240, np.int64))",
+            "MlpProblem(1, 1, 1, data, 32).sample(rng)", loaded])
+        assert run_python(["-c", code], check=True).stdout.splitlines() == ["loaded []"]
         # the same sweep under the numpy engine does load both
         tests = str(Path(__file__).resolve().parent)
         code = "\n".join([f"import sys; sys.path.insert(0, {tests!r})",

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from avagrad_lab import _lanes
 from avagrad_lab.core import (
     RngStream,
     Schedule,
@@ -19,6 +21,7 @@ from avagrad_lab.core import (
     mix_seed,
     schedule_eval,
 )
+from engines import numpy_engine
 
 
 class TestClampBox:
@@ -139,6 +142,23 @@ class TestRngStream:
             assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == \
                 [want[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
 
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @pytest.mark.parametrize("n, size", [(5, 6), (0, 1), (5, -1)])
+    def test_rejected_choice_shapes_raise_numpys_error_and_draw_nothing(self, n, size, engine):
+        if engine == "compiled" and _lanes.library() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        with pytest.raises(ValueError) as spec:
+            np.random.Generator(np.random.Philox(0)).choice(n, size, replace=False)
+        rng = RngStream(8)
+        rng.integers(0, 1000)  # leaves half an output buffered
+        before = rng.state
+        with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
+            for draw in (lambda: rng.choice(n, size), lambda: rng.choices(n, size, 3)):
+                with pytest.raises(ValueError) as got:
+                    draw()
+                assert str(got.value) == str(spec.value)
+        assert rng.state == before
+
     def test_threads_drawing_their_own_streams_get_the_sequential_values(self):
         seeds, rounds = (3, 4), 2000
 
@@ -248,19 +268,27 @@ _INTEGERS = st.one_of(  # (high, size): a scalar bound, or one per column
     st.tuples(_HIGHS, st.one_of(st.none(), st.integers(0, 9))),
     st.lists(_HIGHS, min_size=1, max_size=4).flatmap(lambda highs: st.tuples(
         st.just(highs), st.one_of(st.none(), st.integers(0, 3).map(lambda k: (k, len(highs)))))))
+# ((n, b), k) of choice(n, b), or of choices(n, b, k) when k is not None: b = 1,
+# b = n, and n on both sides of the tail shuffle, n > 10000 and b > n // 50
+_CHOICES = st.tuples(st.one_of(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+        st.sampled_from([1, n]), st.integers(0, n)))),
+    st.sampled_from([(10001, 200), (10001, 201), (10000, 201)])),
+    st.one_of(st.none(), st.integers(0, 3)))
 # (stream, draw, argument)
 _DRAWS = st.lists(st.tuples(st.integers(0, 1), st.one_of(
     st.tuples(st.just("random"), _SIZES), st.tuples(st.just("normal"), _SIZES),
     st.tuples(st.just("integers"), _INTEGERS),
-    st.tuples(st.just("choice"), st.integers(1, 40)))), max_size=16)
+    st.tuples(st.just("choice"), _CHOICES))), max_size=16)
 _END_OF_LOW_WORDS = (2**64 - 1, 2**64 - 1, 0, 0)  # the next block carries into word 2
 
 
 class TestCompiledDraws:
-    """RngStream's uniform, normal and integer draws, run by numpy's own
+    """RngStream's uniform, normal and choice draws, run by numpy's own
     distribution code in _lanes.c's library when it loads, give numpy's
-    Generator(Philox) bits and state, mixed with each other and with the draws
-    that go through numpy, on two streams."""
+    Generator(Philox) bits and state, mixed with each other and with integer
+    draws, which go through numpy and leave half an output buffered, on two
+    streams."""
 
     @settings(max_examples=300, deadline=None)
     @given(seeds=st.tuples(_UINT64, _UINT64), draws=_DRAWS,
@@ -273,6 +301,11 @@ class TestCompiledDraws:
              draws=[(0, ("integers", ([2, 2**63, 2**32 - 1], (2, 3)))), (1, ("normal", None)),
                     (0, ("integers", (2**32 + 1, 3))), (0, ("normal", (3, 1))),
                     (1, ("integers", (2**32, None))), (0, ("integers", ([1, 2**32], None)))])
+    @example(seeds=(5, 6), counter=(0, 0, 0, 0),
+             draws=[(0, ("integers", (1000, None))), (0, ("choice", ((10001, 201), 2))),
+                    (0, ("choice", ((10001, 200), None))), (1, ("integers", (7, None))),
+                    (1, ("choice", ((40, 40), 3))), (1, ("choice", ((40, 1), None))),
+                    (0, ("choice", ((10000, 201), 1)))])
     def test_draws_equal_numpy_generator(self, seeds, draws, counter):
         streams = [RngStream(s) for s in seeds]
         gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
@@ -288,8 +321,13 @@ class TestCompiledDraws:
                 got, want = rng.normal(arg), gen.standard_normal(arg)
             elif name == "integers":
                 got, want = rng.integers(0, *arg), gen.integers(0, *arg)
+            elif arg[1] is None:
+                got, want = rng.choice(*arg[0]), gen.choice(*arg[0], replace=False)
             else:
-                got, want = rng.choice(40, arg), gen.choice(40, size=arg, replace=False)
+                (n, b), k = arg
+                got = rng.choices(n, b, k)
+                want = np.array([gen.choice(n, b, replace=False) for _ in range(k)],
+                                np.int64).reshape(k, b)
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         for rng, gen in zip(streams, gens):

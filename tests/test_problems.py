@@ -1,18 +1,15 @@
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avagrad_lab import problems
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import (
     COMMON,
-    REPLAY_BYTES,
     RARE,
     LabeledSet,
     fd_check,
@@ -269,19 +266,27 @@ def lane_streams(seeds, odd):
     return streams
 
 
-def assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd, replayed=True):
-    """sample_lanes equals k Generator.choice draws per stream, stacked, leaves
-    every stream where those draws leave it, and replays them or not as told."""
-    bulk, single = lane_streams(seeds, odd), lane_streams(seeds, odd)
-    with mock.patch.object(problems, "_replay_choice", wraps=problems._replay_choice) as replay:
-        got = index_mlp(n, b).sample_lanes(bulk, k)
-    assert replay.called == replayed
-    want = np.stack([np.stack([rng.choice(n, b) for _ in range(k)]) for rng in single], axis=1)
+def state_words(state):
+    """A Philox state dict's 13 words, as RngStream.state and numpy give it."""
+    return [*map(int, [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+
+def assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd):
+    """sample_lanes equals k Generator.choice draws per stream, stacked, made by
+    a numpy Generator(Philox) loaded with the stream's state, and leaves every
+    stream in the state that Generator is left in."""
+    streams = lane_streams(seeds, odd)
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in streams]
+    for rng, gen in zip(streams, gens):
+        gen.bit_generator.state = rng.state
+    got = index_mlp(n, b).sample_lanes(streams, k)
+    want = np.stack([np.stack([gen.choice(n, b, replace=False) for _ in range(k)])
+                     for gen in gens], axis=1)
     assert got.shape == want.shape == (k, len(seeds), b) and got.dtype == want.dtype
     assert got.flags.c_contiguous and np.array_equal(got, want)
-    for a, c in zip(bulk, single):  # the 32-bit half first, then whole outputs
-        assert np.array_equal(a.integers(0, 1000, size=3), c.integers(0, 1000, size=3))
-        assert np.array_equal(a.random(4), c.random(4))
+    for rng, gen in zip(streams, gens):
+        assert state_words(rng.state) == state_words(gen.bit_generator.state)
 
 
 class TestMlpSampleLanes:
@@ -295,23 +300,15 @@ class TestMlpSampleLanes:
                         label="odd halves")
         assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd)
 
-    @pytest.mark.parametrize("batch, replayed", [(200, True), (201, False)])
-    def test_tail_shuffle_boundary(self, batch, replayed):
+    @pytest.mark.parametrize("batch", [200, 201])
+    def test_tail_shuffle_boundary(self, batch):
         # numpy draws (10001, 200) by Floyd's algorithm and (10001, 201) by a tail shuffle
-        assert_bulk_draw_equals_single_draws(10001, batch, 70, [7, 8, 9], [False, True, False],
-                                             replayed)
-
-    @pytest.mark.parametrize("replay_bytes, replayed", [(100, False), (200, True), (1000, True)])
-    def test_slices_and_rows_too_large_for_one(self, replay_bytes, replayed, monkeypatch):
-        # 100 bytes hold no draw from 90 indices, 200 one draw a slice, 1000 eight
-        monkeypatch.setattr(problems, "REPLAY_BYTES", replay_bytes)
-        assert_bulk_draw_equals_single_draws(90, 5, 4, [1, 2, 3], [False, True, True], replayed)
+        assert_bulk_draw_equals_single_draws(10001, batch, 70, [7, 8, 9], [False, True, False])
 
     def test_whole_population_single_index_and_few_draws(self):
         assert_bulk_draw_equals_single_draws(12, 12, 6, [1, 2], [True, False])
         assert_bulk_draw_equals_single_draws(12, 1, 4, [1, 2], [True, False])
-        # fewer draws than b: still one bulk draw and a replay
-        assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False])
+        assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False])  # k < b
 
     def test_sample_k_equals_k_single_draws(self):
         prob = small_mlp(batch_size=5)
@@ -320,19 +317,21 @@ class TestMlpSampleLanes:
         assert np.array_equal(chunk, np.stack([prob.sample(single) for _ in range(7)]))
         assert np.array_equal(prob.sample(bulk), prob.sample(single))
 
-    def test_replay_memory_is_bounded_whatever_the_dataset_size(self):
-        # 64 draws' rows of a 500,000-index table would take 32 MB at once
+    @pytest.mark.parametrize("k", [16, 1024])
+    def test_draw_memory_is_one_table_whatever_the_draw_count(self, k):
+        # one 500,000-index table is 4 MB; a table for each of k draws at once, k times that
         n, seeds = 500_000, [3, 4, 5, 6]
         prob = index_mlp(n, 16)
-        prob.sample_lanes(lane_streams(seeds, [False] * 4), 4)  # lazy numpy imports first
+        prob.sample_lanes(lane_streams(seeds, [False] * 4), 2)  # lazy numpy imports first
         streams = lane_streams(seeds, [False] * 4)
         tracemalloc.start()
         try:
-            prob.sample_lanes(streams, 16)
+            tokens = prob.sample_lanes(streams, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= REPLAY_BYTES + (1 << 20), peak
+        # one int64 table a call, the streams' (k, 16) draws, and their stack
+        assert peak <= 8 * n + 2 * tokens.nbytes + (1 << 16), peak
         assert_bulk_draw_equals_single_draws(n, 16, 16, seeds, [True, False, True, False])
 
 

@@ -630,7 +630,8 @@ class TestCompiledLanes:
         def draws():
             rng = RngStream(11)
             return [np.asarray(d).tobytes() for d in (
-                rng.random(3), rng.normal(5), rng.integers(0, [5, 2**40, 2**63]), rng.random())]
+                rng.random(3), rng.normal(5), rng.integers(0, [5, 2**40, 2**63]), rng.random(),
+                rng.choice(240, 32), rng.choice(10001, 201), rng.choices(50, 7, 3))]
 
         with numpy_engine():
             want, want_draws = run_trials(cfgs), draws()

@@ -288,6 +288,7 @@ class MlpProblem(StochasticProblem):
         self.dataset = dataset
         self.batch_size = self.draw_size = batch_size
         self.dim = (n_in + 1) * n_hidden + (n_hidden + 1) * n_classes
+        self._one_hot = (dataset.labels[:, None] == np.arange(n_classes)).astype(np.float64)
 
     def _unpack(self, w):
         """Per lane: w1 (..., n_in, h), b1 (..., 1, h), w2 (..., h, k), b2 (..., 1, k)."""
@@ -303,34 +304,50 @@ class MlpProblem(StochasticProblem):
         b2 = w[..., None, i : i + k]
         return w1, b1, w2, b2
 
-    def _forward(self, w, x):
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(x @ w1 + b1)
-        logits = hidden @ w2 + b2
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
-        log_probs = shifted - log_norm[..., None]
-        return hidden, log_probs
+    def _forward(self, weights, x):
+        """Hidden activations and log-softmax of inputs x under _unpack's
+        weights. Gathers, the row max and in-place arithmetic keep every bit of
+        the plain formulas; the softmax sum and each @ keep numpy's and BLAS's
+        own order, which defines the bytes."""
+        w1, b1, w2, b2 = weights
+        hidden = x @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2
+        logits += b2
+        # the max over k class columns in k - 1 calls, not one inner loop per
+        # row; it can flip only the sign of a tied zero max, whose two entries
+        # exp to 1, so log_norm >= log 2 absorbs the sign
+        top = logits[..., 0].copy()
+        for j in range(1, self.n_classes):
+            np.maximum(top, logits[..., j], out=top)
+        logits -= top[..., None]
+        log_norm = np.log(np.sum(np.exp(logits), axis=-1))
+        logits -= log_norm[..., None]
+        return hidden, logits
 
     def sample(self, rng: RngStream, size: int | None = None):
         tokens = rng.choices(len(self.dataset), self.batch_size, 1 if size is None else size)
         return tokens[0] if size is None else tokens
 
     def loss(self, w, token):
-        return self.dataset_loss(w, LabeledSet(self.dataset.features[token],
-                                               self.dataset.labels[token]))
+        return self.dataset_loss(w, LabeledSet(self.dataset.features.take(token, axis=0),
+                                               self.dataset.labels.take(token, axis=0)))
 
     def grad(self, w, token):
-        x = self.dataset.features[token]
-        y = self.dataset.labels[token]
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden, log_probs = self._forward(w, x)
+        x = self.dataset.features.take(token, axis=0)
+        weights = self._unpack(w)
+        hidden, g_logits = self._forward(weights, x)
         # softmax minus the one-hot labels, averaged over the batch
-        g_logits = (np.exp(log_probs) - (y[..., None] == np.arange(self.n_classes))) / x.shape[-2]
+        np.exp(g_logits, out=g_logits)
+        g_logits -= self._one_hot.take(token, axis=0)
+        g_logits /= x.shape[-2]
         g_w2 = hidden.swapaxes(-1, -2) @ g_logits
         g_b2 = g_logits.sum(axis=-2)
-        g_hidden = g_logits @ w2.swapaxes(-1, -2)
-        g_pre = g_hidden * (1.0 - hidden * hidden)
+        g_pre = g_logits @ weights[2].swapaxes(-1, -2)
+        np.multiply(hidden, hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        g_pre *= hidden
         g_w1 = x.swapaxes(-1, -2) @ g_pre
         g_b1 = g_pre.sum(axis=-2)
         flat = g_logits.shape[:-2] + (-1,)
@@ -345,14 +362,14 @@ class MlpProblem(StochasticProblem):
     def dataset_loss(self, w, dataset: LabeledSet):
         """Mean cross-entropy of the network on an arbitrary labelled set; for
         lanes w (n, dim), one value per lane."""
-        _, log_probs = self._forward(w, dataset.features)
+        _, log_probs = self._forward(self._unpack(w), dataset.features)
         y = dataset.labels
         return _per_lane(log_probs[..., np.arange(len(y)), y], lambda r: -np.mean(r))
 
     def dataset_error(self, w, dataset: LabeledSet):
         """Misclassification rate of the argmax prediction on a labelled set;
         for lanes w (n, dim), one value per lane."""
-        _, log_probs = self._forward(w, dataset.features)
+        _, log_probs = self._forward(self._unpack(w), dataset.features)
         return _per_lane(np.argmax(log_probs, axis=-1) != dataset.labels, np.mean)
 
 

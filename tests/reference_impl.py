@@ -1,12 +1,19 @@
-"""Independent scalar reference for the optimizer updates.
+"""Independent scalar reference for the optimizer updates, and the plain
+formulas of the MLP oracle.
 
-Written straight from the update recursions using plain Python floats and
-math.sqrt, with no dependency on the package under test. Deliberately naive:
-coordinate loops, list-of-float state, no vectorisation. Used as the oracle
-for the step-equivalence tests.
+The optimizer reference is written straight from the update recursions using
+plain Python floats and math.sqrt, with no dependency on the package under
+test. Deliberately naive: coordinate loops, list-of-float state, no
+vectorisation. Used as the oracle for the step-equivalence tests.
+
+The mlp_* functions are MlpProblem's forward pass, gradient and dataset
+metrics as plain numpy formulas: fancy-indexed gathers, a one-hot compare
+per call and logits.max. The oracle's rewrites must give their bits.
 """
 
 import math
+
+import numpy as np
 
 
 def sched(kind, base, t):
@@ -98,3 +105,61 @@ def reference_bias_gap(big_c, delta, w, v, beta2, epsilon, t):
         v_s = b2 * v + (1.0 - b2) * (g * g)
         gap = gap + prob * ((1.0 / (math.sqrt(v_s) + epsilon) - eta_ref) * g)
     return gap
+
+
+def mlp_unpack(w, n_in, h, k):
+    """w1 (..., n_in, h), b1 (..., 1, h), w2 (..., h, k), b2 (..., 1, k) of
+    flat weights w (..., dim)."""
+    lanes = w.shape[:-1]
+    i = 0
+    w1 = w[..., i : i + n_in * h].reshape(lanes + (n_in, h))
+    i += n_in * h
+    b1 = w[..., None, i : i + h]
+    i += h
+    w2 = w[..., i : i + h * k].reshape(lanes + (h, k))
+    i += h * k
+    b2 = w[..., None, i : i + k]
+    return w1, b1, w2, b2
+
+
+def mlp_forward(w, x, dims):
+    w1, b1, w2, b2 = mlp_unpack(w, *dims)
+    hidden = np.tanh(x @ w1 + b1)
+    logits = hidden @ w2 + b2
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    log_probs = shifted - log_norm[..., None]
+    return hidden, log_probs
+
+
+def mlp_grad(w, features, labels, token, dims):
+    x = features[token]
+    y = labels[token]
+    w1, b1, w2, b2 = mlp_unpack(w, *dims)
+    hidden, log_probs = mlp_forward(w, x, dims)
+    g_logits = (np.exp(log_probs) - (y[..., None] == np.arange(dims[2]))) / x.shape[-2]
+    g_w2 = hidden.swapaxes(-1, -2) @ g_logits
+    g_b2 = g_logits.sum(axis=-2)
+    g_hidden = g_logits @ w2.swapaxes(-1, -2)
+    g_pre = g_hidden * (1.0 - hidden * hidden)
+    g_w1 = x.swapaxes(-1, -2) @ g_pre
+    g_b1 = g_pre.sum(axis=-2)
+    flat = g_logits.shape[:-2] + (-1,)
+    return np.concatenate([g_w1.reshape(flat), g_b1, g_w2.reshape(flat), g_b2], axis=-1)
+
+
+def _mlp_per_lane(values, reduce):
+    if values.ndim == 1:
+        return float(reduce(values))
+    return np.array([reduce(row) for row in values], dtype=np.float64)
+
+
+def mlp_dataset_loss(w, features, labels, dims):
+    _, log_probs = mlp_forward(w, features, dims)
+    y = labels
+    return _mlp_per_lane(log_probs[..., np.arange(len(y)), y], lambda r: -np.mean(r))
+
+
+def mlp_dataset_error(w, features, labels, dims):
+    _, log_probs = mlp_forward(w, features, dims)
+    return _mlp_per_lane(np.argmax(log_probs, axis=-1) != labels, np.mean)

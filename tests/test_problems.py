@@ -19,6 +19,7 @@ from avagrad_lab.problems import (
     quadratic_make,
     synth_make,
 )
+from reference_impl import mlp_dataset_error, mlp_dataset_loss, mlp_grad
 
 
 class TestSynthProblem:
@@ -247,6 +248,67 @@ class TestMlpProblem:
         data = gaussian_blobs(2, 2, 2, 1.0, RngStream(0))
         with pytest.raises(ValueError):
             mlp_make(2, 4, 2, data, batch_size=5)
+
+
+def assert_same_bits(got, want):
+    """Equal values, shapes and dtypes, with NaN equal to NaN, and the same sign
+    bit on every non-NaN entry. A NaN's sign is exempt: the rewritten oracle
+    and the plain formulas may reach a NaN by different operations once an
+    input is infinite, and no output shows the sign of a NaN, which prints as
+    nan either way and diverges the lane that meets it."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    real = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real])), (got, want)
+
+
+class TestMlpOracleBits:
+    """grad, full_grad, loss and the dataset metrics give the bits of the
+    plain formulas in reference_impl."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_in=st.integers(1, 4), n_hidden=st.integers(1, 20),
+           n_classes=st.integers(1, 12), n_rows=st.integers(1, 40),
+           lanes=st.one_of(st.none(), st.integers(1, 5)), log_scale=st.floats(-3.0, 3.0),
+           rounded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_plain_formulas(self, data, n_in, n_hidden, n_classes, n_rows, lanes,
+                                    log_scale, rounded, seed):
+        # up to 12 classes, so the softmax sum runs numpy's 8-accumulator branch too
+        gen = np.random.default_rng(seed)
+        dataset = LabeledSet(gen.normal(size=(n_rows, n_in)),
+                             gen.integers(0, n_classes, n_rows))
+        batch = data.draw(st.integers(1, n_rows), label="batch")
+        prob = mlp_make(n_in, n_hidden, n_classes, dataset, batch_size=batch)
+        dims = (n_in, n_hidden, n_classes)
+        w = gen.normal(size=(prob.dim,) if lanes is None else (lanes, prob.dim))
+        w *= 10.0 ** log_scale
+        if rounded:  # tied and zero logits, and signed zeros
+            w = np.round(w)
+        if data.draw(st.booleans(), label="inject inf"):
+            # one infinite weight in one of the four blocks, in one lane
+            h, k = n_hidden, n_classes
+            blocks = [(0, n_in * h), (n_in * h, h), (n_in * h + h, h * k), (prob.dim - k, k)]
+            start, size = data.draw(st.sampled_from(blocks), label="block")
+            spot = start + data.draw(st.integers(0, size - 1), label="coordinate")
+            w.reshape(-1, prob.dim)[0, spot] = data.draw(st.sampled_from([np.inf, -np.inf]))
+        token = np.stack([gen.permutation(n_rows)[:batch] for _ in range(lanes or 1)])
+        token = token[0] if lanes is None else token
+        holdout = LabeledSet(gen.normal(size=(n_rows, n_in)),
+                             gen.integers(0, n_classes, n_rows))
+        feats, labels = dataset.features, dataset.labels
+        one = token if lanes is None else token[0]
+        with np.errstate(all="ignore"):
+            assert_same_bits(prob.grad(w, token), mlp_grad(w, feats, labels, token, dims))
+            assert_same_bits(prob.full_grad(w),
+                             mlp_grad(w, feats, labels, np.arange(n_rows), dims))
+            assert_same_bits(prob.loss(w, one),
+                             mlp_dataset_loss(w, feats[one], labels[one], dims))
+            assert_same_bits(prob.objective(w), mlp_dataset_loss(w, feats, labels, dims))
+            for metric, plain in ((prob.dataset_loss, mlp_dataset_loss),
+                                  (prob.dataset_error, mlp_dataset_error)):
+                assert_same_bits(metric(w, holdout),
+                                 plain(w, holdout.features, holdout.labels, dims))
 
 
 def index_mlp(n, batch_size):

@@ -688,13 +688,20 @@ class TestCompiledLanes:
         assert [p.name for p in (tmp_path / "cache" / "avagrad_lab").iterdir()] == [
             Path(names[0]).name]
 
-    def test_build_removes_stale_libraries(self, tmp_path, monkeypatch):
-        """A build deletes the libraries of other kernels from the cache and keeps
-        the files that are not libraries."""
-        if _lanes.kernel() is None:
+    @pytest.mark.parametrize("cached", [False, True], ids=["build", "cached"])
+    def test_load_removes_stale_libraries(self, cached, tmp_path, monkeypatch):
+        """A load, after a build or of the cached library with no build, deletes
+        the libraries of other kernels from the cache and keeps the current one
+        and the files that are not libraries."""
+        current = _lanes.library()
+        if current is None:
             pytest.skip("no C compiler: the kernel cannot be built")
         cache = tmp_path / "cache" / "avagrad_lab"
         cache.mkdir(parents=True)
+        name = Path(current._name).name
+        if cached:
+            shutil.copyfile(current._name, cache / name)
+            before = os.stat(cache / name)
         (cache / "_lanes-0123456789abcdef.so").write_bytes(b"an old kernel")
         (cache / "notes.txt").write_text("kept")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -704,7 +711,11 @@ class TestCompiledLanes:
         finally:
             _lanes.library.cache_clear()
         assert lib is not None and lib.lanes_run is not None
-        assert sorted(p.name for p in cache.iterdir()) == [Path(lib._name).name, "notes.txt"]
+        assert Path(lib._name) == cache / name
+        assert sorted(p.name for p in cache.iterdir()) == [name, "notes.txt"]
+        if cached:  # loaded as it was, not rebuilt
+            after = os.stat(cache / name)
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 class TestIterateDistribution:

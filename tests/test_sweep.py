@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -5,17 +6,19 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import criterion9
 from avagrad_lab import sweep
 from avagrad_lab.optim import Method
 from avagrad_lab.core import RngStream
-from avagrad_lab.problems import QuadraticProblem, gaussian_blobs, quadratic_make
+from avagrad_lab.problems import MlpProblem, QuadraticProblem, gaussian_blobs, quadratic_make
 from avagrad_lab.runner import run_trial, run_trials
 from avagrad_lab.sweep import (
     BLOCK_SCALARS,
@@ -393,15 +396,83 @@ def test_cells_independent_of_workers_and_block_width(methods, alphas, epsilons,
                     alphas=sorted(alphas), epsilons=sorted(epsilons),
                     seeds=list(range(n_seeds)), T=T, base_seed=base_seed,
                     w1=np.full(d, 2.0) if fixed_w1 else None, init_scale=1.0)
+    assert_cells_independent_of_workers_and_block_width(spec, width, workers)
+
+
+def assert_cells_independent_of_workers_and_block_width(spec, width, workers):
+    """The sweep of `spec` gives the same cells in blocks of 1 lane, of `width`
+    lanes and of the shipped bound's width, with 1 worker and with `workers`."""
     per_lane = spec.problem.dim + spec.problem.draw_size
     runs = []
-    for lanes, n in ((1, 1), (width, 1), (width, workers)):
-        sweep.BLOCK_SCALARS = lanes * per_lane
+    for scalars, n in ((per_lane, 1), (width * per_lane, 1), (width * per_lane, workers),
+                       (BLOCK_SCALARS, workers)):
+        sweep.BLOCK_SCALARS = scalars
         try:
             runs.append(run_sweep(spec, workers=n, progress=io.StringIO()))
         finally:
             sweep.BLOCK_SCALARS = BLOCK_SCALARS
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    methods=st.lists(st.sampled_from([Method.ADAM, Method.AVAGRAD, Method.AMSGRAD, Method.SGD]),
+                     min_size=1, max_size=2, unique=True),
+    alphas=st.sets(st.sampled_from(AXIS_ALPHAS), min_size=2, max_size=3),
+    epsilons=st.sets(st.sampled_from(AXIS_EPSILONS), min_size=1, max_size=2),
+    n_seeds=st.integers(1, 2),
+    n_in=st.integers(1, 3),
+    n_hidden=st.integers(1, 4),
+    n_classes=st.integers(1, 3),
+    n_per_class=st.integers(1, 16),
+    batch=st.integers(1, 48),  # clipped to the training set
+    metric=st.sampled_from(["holdout_ce", "holdout_error"]),
+    T=st.integers(1, 12),
+    width=st.integers(1, 12),
+    workers=st.integers(1, 3),
+    base_seed=st.integers(0, 2**32 - 1),
+)
+# numpy sums a batch axis of 8 or more rows pairwise when the other axis has
+# size 1 and row by row when it is longer. The first two examples run each
+# order at rates where a last-bit change reaches the metric; the third has a
+# single class and the other metric.
+@example(methods=[Method.ADAM, Method.AVAGRAD], alphas={1.0, 10.0}, epsilons={1e-8, 1e-1},
+         n_seeds=2, n_in=2, n_hidden=1, n_classes=3, n_per_class=10, batch=12,
+         metric="holdout_ce", T=5, width=3, workers=2, base_seed=0)
+@example(methods=[Method.SGD, Method.AVAGRAD], alphas={1.0, 10.0}, epsilons={1e-8, 1e-1},
+         n_seeds=2, n_in=2, n_hidden=3, n_classes=3, n_per_class=10, batch=12,
+         metric="holdout_ce", T=5, width=3, workers=3, base_seed=0)
+@example(methods=[Method.ADAM], alphas={1e-1, 1.0}, epsilons={1e-8, 1e-1},
+         n_seeds=2, n_in=1, n_hidden=1, n_classes=1, n_per_class=20, batch=12,
+         metric="holdout_error", T=5, width=2, workers=2, base_seed=0)
+def test_mlp_cells_independent_of_workers_and_block_width(methods, alphas, epsilons, n_seeds,
+                                                         n_in, n_hidden, n_classes, n_per_class,
+                                                         batch, metric, T, width, workers,
+                                                         base_seed):
+    train = gaussian_blobs(n_per_class, n_classes, n_in, 1.5, RngStream(base_seed))
+    holdout = gaussian_blobs(n_per_class, n_classes, n_in, 1.5, RngStream(base_seed + 1))
+    problem = MlpProblem(n_in, n_hidden, n_classes, train, batch_size=min(batch, len(train)))
+    spec = GridSpec(problem=problem, methods=methods, alphas=sorted(alphas),
+                    epsilons=sorted(epsilons), seeds=list(range(n_seeds)), T=T,
+                    base_seed=base_seed, metric=metric, holdout=holdout)
+    assert_cells_independent_of_workers_and_block_width(spec, width, workers)
+
+
+def test_criterion9_share_is_one_block_within_memory_budget():
+    """Each method's share of criterion 9's grid on 2 workers, 74 cells, runs
+    as one block; its traced peak at T = 50 stays within the budget that
+    BLOCK_SCALARS exists for (1.9 MB measured)."""
+    spec = dataclasses.replace(criterion9.spec(), T=50)
+    blocks = sweep._blocks(spec, 0, 2)
+    assert [len(block) for block in blocks] == [74, 74]
+    sweep._run_block(spec, blocks[0][:1])  # lazy imports and the library first
+    tracemalloc.start()
+    try:
+        sweep._run_block(spec, blocks[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def cell(method, alpha, eps, seed=0, metric=1.0, status="finished"):

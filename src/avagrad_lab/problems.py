@@ -235,6 +235,8 @@ class LabeledSet:
             raise ValueError("features and labels length mismatch")
         if self.features.shape[0] < 1:
             raise ValueError("dataset is empty")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValueError(f"labels must have an integer dtype, got {self.labels.dtype}")
 
     def __len__(self):
         return self.labels.shape[0]
@@ -289,41 +291,59 @@ class MlpProblem(StochasticProblem):
         self.batch_size = self.draw_size = batch_size
         self.dim = (n_in + 1) * n_hidden + (n_hidden + 1) * n_classes
         self._one_hot = (dataset.labels[:, None] == np.arange(n_classes)).astype(np.float64)
+        # activation buffers are batch-major, (b, n, width), unless a width is
+        # 1: then numpy's sum over b and its @ path depend on the layout
+        self._axes = (0, 1, 2) if min(n_in, n_hidden, n_classes) == 1 else (1, 0, 2)
 
     def _unpack(self, w):
-        """Per lane: w1 (..., n_in, h), b1 (..., 1, h), w2 (..., h, k), b2 (..., 1, k)."""
+        """Per lane of w (n, dim) or (dim,): w1 (n, n_in, h), w2 (n, h, k), and
+        contiguous copies of b1 (n, 1, h) and b2 (n, 1, k); 1 lane for (dim,)."""
         n_in, h, k = self.n_in, self.n_hidden, self.n_classes
-        lanes = w.shape[:-1]
+        w = w.reshape(-1, self.dim)
         i = 0
-        w1 = w[..., i : i + n_in * h].reshape(lanes + (n_in, h))
+        w1 = w[:, i : i + n_in * h].reshape(-1, n_in, h)
         i += n_in * h
-        b1 = w[..., None, i : i + h]
+        b1 = w[:, None, i : i + h].copy()
         i += h
-        w2 = w[..., i : i + h * k].reshape(lanes + (h, k))
+        w2 = w[:, i : i + h * k].reshape(-1, h, k)
         i += h * k
-        b2 = w[..., None, i : i + k]
+        b2 = w[:, None, i : i + k].copy()
         return w1, b1, w2, b2
+
+    def _buffer(self, n, b, width):
+        """An (n, b, width) lane view of a new buffer laid out by _axes; its rows."""
+        buf = np.empty(tuple((n, b, width)[a] for a in self._axes))
+        return buf.transpose(self._axes), buf.reshape(-1, width)
 
     def _forward(self, weights, x):
         """Hidden activations and log-softmax of inputs x under _unpack's
-        weights. Gathers, the row max and in-place arithmetic keep every bit of
-        the plain formulas; the softmax sum and each @ keep numpy's and BLAS's
-        own order, which defines the bytes."""
+        weights, as (n, b, .) views of batch-major (b, n, .) buffers, lane-major
+        where a width of 1 makes numpy's path depend on the layout (_axes). Each
+        @ is BLAS's gemm a lane through those views. Biases (contiguous copies
+        broadcast over the b rows), the row max, the shift and the normalisation
+        keep every bit; the softmax sum keeps numpy's order, which defines the
+        bytes: a left-to-right chain of columns for k < 8, np.sum from 8 on."""
         w1, b1, w2, b2 = weights
-        hidden = x @ w1
+        n, b = w1.shape[0], x.shape[-2]
+        hidden, _ = self._buffer(n, b, self.n_hidden)
+        np.matmul(x, w1, out=hidden)
         hidden += b1
         np.tanh(hidden, out=hidden)
-        logits = hidden @ w2
+        logits, rows = self._buffer(n, b, self.n_classes)
+        np.matmul(hidden, w2, out=logits)
         logits += b2
-        # the max over k class columns in k - 1 calls, not one inner loop per
-        # row; it can flip only the sign of a tied zero max, whose two entries
-        # exp to 1, so log_norm >= log 2 absorbs the sign
-        top = logits[..., 0].copy()
-        for j in range(1, self.n_classes):
-            np.maximum(top, logits[..., j], out=top)
-        logits -= top[..., None]
-        log_norm = np.log(np.sum(np.exp(logits), axis=-1))
-        logits -= log_norm[..., None]
+        # the max of a tied zero row may take either sign; its two entries exp
+        # to 1, so log_norm >= log 2 absorbs the sign
+        top = rows[:, 0].copy()
+        for col in rows.T[1:]:
+            np.maximum(top, col, out=top)
+        for col in rows.T:
+            col -= top
+        exps = np.exp(rows)
+        log_norm = np.log(sum(exps.T[1:], exps[:, 0]) if self.n_classes < 8
+                          else np.sum(exps, axis=-1))
+        for col in rows.T:
+            col -= log_norm
         return hidden, logits
 
     def sample(self, rng: RngStream, size: int | None = None):
@@ -335,23 +355,30 @@ class MlpProblem(StochasticProblem):
                                                self.dataset.labels.take(token, axis=0)))
 
     def grad(self, w, token):
+        """Mean backprop gradient over the minibatch rows `token`, per lane. A
+        batch sum adds the batch-major rows in turn, numpy's order over the batch
+        axis of width > 1; width-1 buffers stay lane-major and sum pairwise."""
         x = self.dataset.features.take(token, axis=0)
         weights = self._unpack(w)
         hidden, g_logits = self._forward(weights, x)
-        # softmax minus the one-hot labels, averaged over the batch
+        # softmax minus the one-hot labels (gathered in the buffer's layout),
+        # averaged over the batch
         np.exp(g_logits, out=g_logits)
-        g_logits -= self._one_hot.take(token, axis=0)
+        index = np.broadcast_to(token, g_logits.shape[:2]).transpose(self._axes[:2])
+        g_logits -= self._one_hot.take(index, axis=0).transpose(self._axes)
         g_logits /= x.shape[-2]
         g_w2 = hidden.swapaxes(-1, -2) @ g_logits
         g_b2 = g_logits.sum(axis=-2)
-        g_pre = g_logits @ weights[2].swapaxes(-1, -2)
+        g_pre, _ = self._buffer(*hidden.shape)
+        np.matmul(g_logits, weights[2].swapaxes(-1, -2), out=g_pre)
         np.multiply(hidden, hidden, out=hidden)
         np.subtract(1.0, hidden, out=hidden)
         g_pre *= hidden
         g_w1 = x.swapaxes(-1, -2) @ g_pre
         g_b1 = g_pre.sum(axis=-2)
-        flat = g_logits.shape[:-2] + (-1,)
-        return np.concatenate([g_w1.reshape(flat), g_b1, g_w2.reshape(flat), g_b2], axis=-1)
+        flat = (len(g_b1), -1)
+        return np.concatenate([g_w1.reshape(flat), g_b1, g_w2.reshape(flat), g_b2],
+                              axis=-1).reshape(w.shape)
 
     def full_grad(self, w):
         return self.grad(w, np.arange(len(self.dataset)))
@@ -363,14 +390,16 @@ class MlpProblem(StochasticProblem):
         """Mean cross-entropy of the network on an arbitrary labelled set; for
         lanes w (n, dim), one value per lane."""
         _, log_probs = self._forward(self._unpack(w), dataset.features)
-        y = dataset.labels
-        return _per_lane(log_probs[..., np.arange(len(y)), y], lambda r: -np.mean(r))
+        picked = log_probs[:, np.arange(len(dataset)), dataset.labels]
+        picked = picked.reshape(w.shape[:-1] + (-1,))
+        return _per_lane(picked, lambda r: -np.mean(r))
 
     def dataset_error(self, w, dataset: LabeledSet):
         """Misclassification rate of the argmax prediction on a labelled set;
         for lanes w (n, dim), one value per lane."""
         _, log_probs = self._forward(self._unpack(w), dataset.features)
-        return _per_lane(np.argmax(log_probs, axis=-1) != dataset.labels, np.mean)
+        wrong = np.argmax(log_probs, axis=-1) != dataset.labels
+        return _per_lane(wrong.reshape(w.shape[:-1] + (-1,)), np.mean)
 
 
 mlp_make = MlpProblem

@@ -31,7 +31,7 @@ from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_tr
 METRICS = ("full_objective", "holdout_ce", "holdout_error")
 
 #: scalars of per-lane state one block may hold: lanes x (dim + draw_size).
-#: An MLP block step costs about 50 us fixed plus 7-8 us a lane. The bound
+#: An MLP block step costs 7-8 us a lane at 37-74 lanes, 10 at 125. The bound
 #: fits 125 lanes at dim 99, batch 32, so criterion 9's grid on 2 workers runs
 #: one block per method and process; peak memory grows with the block width.
 BLOCK_SCALARS = 16384

@@ -1,12 +1,19 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core import _multiarray_umath
 
+import avagrad_lab
 from avagrad_lab.core import RngStream
 from avagrad_lab.problems import (
     COMMON,
@@ -244,6 +251,18 @@ class TestMlpProblem:
         with pytest.raises(ValueError):
             mlp_make(2, 4, 2, data)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_labels_rejected(self, dtype):
+        # float labels once built a network whose objective raised IndexError
+        with pytest.raises(ValueError, match="integer dtype"):
+            LabeledSet(np.zeros((6, 2)), np.array([0, 1, 2, 0, 1, 2]).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_labels_accepted(self, dtype):
+        data = LabeledSet(np.zeros((6, 2)), np.array([0, 1, 2, 0, 1, 2], dtype=dtype))
+        prob = mlp_make(2, 3, 3, data, 2)
+        assert prob.objective(np.zeros(prob.dim)) == pytest.approx(math.log(3.0), rel=1e-12)
+
     def test_batch_size_bounds(self):
         data = gaussian_blobs(2, 2, 2, 1.0, RngStream(0))
         with pytest.raises(ValueError):
@@ -263,52 +282,132 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got[real]), np.signbit(want[real])), (got, want)
 
 
+@st.composite
+def mlp_oracle_cases(draw):
+    """Arguments of assert_mlp_oracle_bits: up to 12 classes, so the softmax
+    sum runs numpy's 8-accumulator branch too, and in half the cases one
+    infinite weight in one of the four blocks."""
+    dims = n_in, h, k = draw(st.integers(1, 4)), draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, 40))
+    batch = draw(st.integers(1, n_rows))
+    lanes = draw(st.one_of(st.none(), st.integers(1, 5)))
+    log_scale, rounded = draw(st.floats(-3.0, 3.0)), draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    inf = None
+    if draw(st.booleans()):
+        blocks = [(0, n_in * h), (n_in * h, h), (n_in * h + h, h * k), ((n_in + 1 + k) * h, k)]
+        start, size = draw(st.sampled_from(blocks))
+        inf = (start + draw(st.integers(0, size - 1)), draw(st.sampled_from([np.inf, -np.inf])))
+    return dims, n_rows, batch, lanes, log_scale, rounded, seed, inf
+
+
+def assert_mlp_oracle_bits(dims, n_rows, batch, lanes, log_scale, rounded, seed, inf=None):
+    """grad, full_grad, loss, objective and the dataset metrics of a network of
+    `dims` on `n_rows` random rows give the bits of the plain formulas. The
+    weights are `lanes` lanes (None: one 1-D w) at scale 10**log_scale,
+    rounded if `rounded`, with `inf` = (coordinate, value) set in lane 0."""
+    n_in, n_hidden, n_classes = dims
+    gen = np.random.default_rng(seed)
+    dataset = LabeledSet(gen.normal(size=(n_rows, n_in)), gen.integers(0, n_classes, n_rows))
+    prob = mlp_make(n_in, n_hidden, n_classes, dataset, batch_size=batch)
+    w = gen.normal(size=(prob.dim,) if lanes is None else (lanes, prob.dim))
+    w *= 10.0 ** log_scale
+    if rounded:  # tied and zero logits, and signed zeros
+        w = np.round(w)
+    if inf is not None:
+        w.reshape(-1, prob.dim)[0, inf[0]] = inf[1]
+    token = np.stack([gen.permutation(n_rows)[:batch] for _ in range(lanes or 1)])
+    token = token[0] if lanes is None else token
+    holdout = LabeledSet(gen.normal(size=(n_rows, n_in)), gen.integers(0, n_classes, n_rows))
+    feats, labels = dataset.features, dataset.labels
+    one = token if lanes is None else token[0]
+    with np.errstate(all="ignore"):
+        assert_same_bits(prob.grad(w, token), mlp_grad(w, feats, labels, token, dims))
+        assert_same_bits(prob.full_grad(w), mlp_grad(w, feats, labels, np.arange(n_rows), dims))
+        assert_same_bits(prob.loss(w, one), mlp_dataset_loss(w, feats[one], labels[one], dims))
+        assert_same_bits(prob.objective(w), mlp_dataset_loss(w, feats, labels, dims))
+        for metric, plain in ((prob.dataset_loss, mlp_dataset_loss),
+                              (prob.dataset_error, mlp_dataset_error)):
+            assert_same_bits(metric(w, holdout), plain(w, holdout.features, holdout.labels, dims))
+
+
+def mlp_parity_slice(seed, count):
+    """assert_mlp_oracle_bits on `count` cases drawn from numpy's generator at
+    `seed`, a quarter of them at the sweep's network and block width."""
+    gen = np.random.default_rng(seed)
+    for i in range(count):
+        dims = tuple(int(gen.integers(1, top + 1)) for top in (4, 20, 12))
+        n_rows = int(gen.integers(1, 41))
+        batch, lanes = int(gen.integers(1, n_rows + 1)), [None, 1, 5, 74][i % 4]
+        if lanes == 74:
+            dims, n_rows, batch = (2, 16, 3), 40, 32
+        dim = (dims[0] + 1) * dims[1] + (dims[1] + 1) * dims[2]
+        inf = (int(gen.integers(dim)), np.inf) if gen.random() < 0.2 else None
+        assert_mlp_oracle_bits(dims, n_rows, batch, lanes, float(gen.uniform(-3.0, 3.0)),
+                               bool(gen.random() < 0.3), int(gen.integers(2**32)), inf)
+
+
+def openblas_core():
+    """The kernel set of numpy's bundled OpenBLAS, or None where none is found."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 class TestMlpOracleBits:
     """grad, full_grad, loss and the dataset metrics give the bits of the
     plain formulas in reference_impl."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n_in=st.integers(1, 4), n_hidden=st.integers(1, 20),
-           n_classes=st.integers(1, 12), n_rows=st.integers(1, 40),
-           lanes=st.one_of(st.none(), st.integers(1, 5)), log_scale=st.floats(-3.0, 3.0),
-           rounded=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_plain_formulas(self, data, n_in, n_hidden, n_classes, n_rows, lanes,
-                                    log_scale, rounded, seed):
-        # up to 12 classes, so the softmax sum runs numpy's 8-accumulator branch too
-        gen = np.random.default_rng(seed)
-        dataset = LabeledSet(gen.normal(size=(n_rows, n_in)),
-                             gen.integers(0, n_classes, n_rows))
-        batch = data.draw(st.integers(1, n_rows), label="batch")
-        prob = mlp_make(n_in, n_hidden, n_classes, dataset, batch_size=batch)
-        dims = (n_in, n_hidden, n_classes)
-        w = gen.normal(size=(prob.dim,) if lanes is None else (lanes, prob.dim))
-        w *= 10.0 ** log_scale
-        if rounded:  # tied and zero logits, and signed zeros
-            w = np.round(w)
-        if data.draw(st.booleans(), label="inject inf"):
-            # one infinite weight in one of the four blocks, in one lane
-            h, k = n_hidden, n_classes
-            blocks = [(0, n_in * h), (n_in * h, h), (n_in * h + h, h * k), (prob.dim - k, k)]
-            start, size = data.draw(st.sampled_from(blocks), label="block")
-            spot = start + data.draw(st.integers(0, size - 1), label="coordinate")
-            w.reshape(-1, prob.dim)[0, spot] = data.draw(st.sampled_from([np.inf, -np.inf]))
-        token = np.stack([gen.permutation(n_rows)[:batch] for _ in range(lanes or 1)])
-        token = token[0] if lanes is None else token
-        holdout = LabeledSet(gen.normal(size=(n_rows, n_in)),
-                             gen.integers(0, n_classes, n_rows))
-        feats, labels = dataset.features, dataset.labels
-        one = token if lanes is None else token[0]
-        with np.errstate(all="ignore"):
-            assert_same_bits(prob.grad(w, token), mlp_grad(w, feats, labels, token, dims))
-            assert_same_bits(prob.full_grad(w),
-                             mlp_grad(w, feats, labels, np.arange(n_rows), dims))
-            assert_same_bits(prob.loss(w, one),
-                             mlp_dataset_loss(w, feats[one], labels[one], dims))
-            assert_same_bits(prob.objective(w), mlp_dataset_loss(w, feats, labels, dims))
-            for metric, plain in ((prob.dataset_loss, mlp_dataset_loss),
-                                  (prob.dataset_error, mlp_dataset_error)):
-                assert_same_bits(metric(w, holdout),
-                                 plain(w, holdout.features, holdout.labels, dims))
+    @given(case=mlp_oracle_cases())
+    # the sweep's block widths; a width of 1 in each place where numpy's @ or
+    # batch sum changes path; 8 classes, numpy's 8-accumulator softmax sum
+    @example(case=((2, 16, 3), 40, 32, 74, 0.0, False, 1, None))
+    @example(case=((2, 16, 3), 40, 32, 125, 0.0, False, 2, None))
+    @example(case=((1, 3, 3), 40, 32, 74, 0.0, False, 3, None))
+    @example(case=((2, 1, 3), 40, 32, 74, 0.0, False, 4, None))
+    @example(case=((2, 16, 1), 40, 32, 74, 0.0, False, 5, None))
+    @example(case=((2, 16, 3), 40, 1, 74, 0.0, False, 6, None))
+    @example(case=((2, 16, 8), 40, 32, 74, 0.0, False, 7, None))
+    def test_matches_plain_formulas(self, case):
+        assert_mlp_oracle_bits(*case)
+
+    def test_matches_plain_formulas_under_other_cpu_kernels(self):
+        """A fixed slice of the parity cases, rerun in child processes under
+        the BLAS kernels of older CPUs and under numpy's AVX2 loops. Each
+        child compares the oracle with the plain formulas itself, so the test
+        holds on any machine; a kernel set the CPU cannot run is left out."""
+        have = _multiarray_umath.__cpu_features__
+        avx512 = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                  if have.get(f) and f in _multiarray_umath.__cpu_dispatch__]
+        envs = [(name, value) for name, value, needs in (
+            ("OPENBLAS_CORETYPE", "Haswell", ["AVX2", "FMA3"]),
+            ("OPENBLAS_CORETYPE", "Sandybridge", ["AVX"]),
+            ("NPY_DISABLE_CPU_FEATURES", " ".join(avx512), avx512),
+        ) if needs and all(have.get(f) for f in needs)]
+        if not envs:
+            pytest.skip("this CPU runs none of the other kernel sets")
+        paths = [str(Path(avagrad_lab.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+        code = ("import sys, test_problems as t; from numpy._core import _multiarray_umath as m; "
+                "t.mlp_parity_slice(int(sys.argv[1]), 100); "
+                "print(t.openblas_core(), *[f for f in m.__cpu_dispatch__ if m.__cpu_features__[f]])")
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(seed)], text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env={**os.environ, name: value,
+                                       "PYTHONPATH": os.pathsep.join(filter(None, paths))})
+                 for seed, (name, value) in enumerate(envs)]
+        for (name, value), proc in zip(envs, procs):
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, (name, value, err)
+            core, *dispatch = out.split()
+            if name == "OPENBLAS_CORETYPE":
+                assert core in (value, "None"), (value, out)
+            else:
+                assert not set(value.split()) & set(dispatch), (value, out)
 
 
 def index_mlp(n, batch_size):

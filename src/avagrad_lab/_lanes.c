@@ -12,11 +12,14 @@
  * its divergence mask, flush and compaction, and then calls here again.
  *
  * philox_uniform, philox_normal and philox_choice, the draws of
- * core.RngStream: a numpy bit generator (bitgen_t) over a stream's own Philox
- * words, handed to the distribution functions of numpy's libnpyrandom.a,
- * which this library links statically. The first two are the code that
- * Generator(Philox) runs; philox_choice runs Generator.choice's own loops
- * around numpy's bounded draw. So the bits and the state left are numpy's.
+ * core.lane_draws: one call draws the next k steps of n streams, stream by
+ * stream, step-major into (k, n, ...) output, through a numpy bit generator
+ * (bitgen_t) over each stream's own Philox words, handed to the distribution
+ * functions of numpy's libnpyrandom.a, which this library links statically.
+ * The first two are the code that Generator(Philox) runs; philox_choice runs
+ * Generator.choice's own loops around numpy's bounded draw. So each stream's
+ * bits and the state it is left in are its own Generator's. A single
+ * RngStream draw is the n = 1 case.
  */
 #include <math.h>
 #include <stdbool.h>
@@ -285,60 +288,81 @@ uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rn
 
 #define BITGEN(st) {(st), philox_next64, philox_next32, philox_next_double, philox_next64}
 
-/* Generator.random(n) into out, on the stream state st */
-int64_t philox_uniform(int64_t n, double *out, uint64_t *st)
+typedef void fill_t(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+
+/* k steps of m draws of fill on each of the n streams st: step i of stream p
+ * at out[(i * n + p) * m] */
+static void lanes_fill(fill_t *fill, intptr_t n, uint64_t *const *st, intptr_t k, intptr_t m,
+                       double *out)
 {
-    bitgen_t bg = BITGEN(st);
-    random_standard_uniform_fill(&bg, n, out);
+    intptr_t p, i;
+    for (p = 0; p < n; p++) {
+        bitgen_t bg = BITGEN(st[p]);
+        for (i = 0; i < k; i++)
+            fill(&bg, m, out + (i * n + p) * m);
+    }
+}
+
+/* Generator.random((k, m)) of each stream, into the (k, n, m) out */
+int64_t philox_uniform(intptr_t n, uint64_t *const *st, intptr_t k, intptr_t m, double *out)
+{
+    lanes_fill(random_standard_uniform_fill, n, st, k, m, out);
     return 0;
 }
 
-/* Generator.standard_normal(n) into out, on the stream state st */
-int64_t philox_normal(int64_t n, double *out, uint64_t *st)
+/* Generator.standard_normal((k, m)) of each stream, into the (k, n, m) out */
+int64_t philox_normal(intptr_t n, uint64_t *const *st, intptr_t k, intptr_t m, double *out)
 {
-    bitgen_t bg = BITGEN(st);
-    random_standard_normal_fill(&bg, n, out);
+    lanes_fill(random_standard_normal_fill, n, st, k, m, out);
     return 0;
 }
 
-/* k draws of Generator.choice(n, b, replace=False) into the (k, b) out, as
- * numpy makes them: Floyd's algorithm (Bentley & Floyd, "A sample of
- * brilliance", CACM 1987) and then a shuffle of the b picks, or, when
- * n > 10000 and b > n / 50, a shuffle of the tail of 0 ... n - 1. table is n
- * zeroed words of scratch: the picks' membership, cleared after each draw, or
- * the population of the tail shuffle. A shape that numpy rejects draws
- * nothing and returns -1. */
-int64_t philox_choice(int64_t k, int64_t *out, uint64_t *st, int64_t n, int64_t b,
-                      int64_t *table)
+/* One draw of Generator.choice(n, b, replace=False) into out, as numpy makes
+ * it: Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+ * 1987) and then a shuffle of the b picks, or, when n > 10000 and
+ * b > n / 50, a shuffle of the tail of 0 ... n - 1. table is n zeroed words
+ * of scratch: the picks' membership, cleared after the draw, or the
+ * population of the tail shuffle. */
+static void choice(bitgen_t *bg, int64_t *out, int64_t n, int64_t b, int64_t *table)
 {
-    bitgen_t bg = BITGEN(st);
-    const int tail = n > 10000 && b > n / 50;
     int64_t i, j, held;
-    if (b < 0 || b > n)
-        return -1;
-    for (; k > 0; k--, out += b) {
-        if (tail) {
-            for (i = 0; i < n; i++)
-                table[i] = i;
-            for (i = n - 1; i >= (n - b > 1 ? n - b : 1); i--) {
-                j = (int64_t)random_bounded_uint64(&bg, 0, i, 0, false);
-                held = table[j], table[j] = table[i], table[i] = held;
-            }
-            for (i = 0; i < b; i++)
-                out[i] = table[n - b + i];
-            continue;
-        }
-        for (i = 0; i < b; i++) {  /* the pick, or n - b + i if it is already drawn */
-            j = (int64_t)random_bounded_uint64(&bg, 0, n - b + i, 0, false);
-            out[i] = table[j] ? n - b + i : j;
-            table[out[i]] = 1;
+    if (n > 10000 && b > n / 50) {
+        for (i = 0; i < n; i++)
+            table[i] = i;
+        for (i = n - 1; i >= (n - b > 1 ? n - b : 1); i--) {
+            j = (int64_t)random_bounded_uint64(bg, 0, i, 0, false);
+            held = table[j], table[j] = table[i], table[i] = held;
         }
         for (i = 0; i < b; i++)
-            table[out[i]] = 0;
-        for (i = b - 1; i > 0; i--) {
-            j = (int64_t)random_bounded_uint64(&bg, 0, i, 0, false);
-            held = out[j], out[j] = out[i], out[i] = held;
-        }
+            out[i] = table[n - b + i];
+        return;
+    }
+    for (i = 0; i < b; i++) {  /* the pick, or n - b + i if it is already drawn */
+        j = (int64_t)random_bounded_uint64(bg, 0, n - b + i, 0, false);
+        out[i] = table[j] ? n - b + i : j;
+        table[out[i]] = 1;
+    }
+    for (i = 0; i < b; i++)
+        table[out[i]] = 0;
+    for (i = b - 1; i > 0; i--) {
+        j = (int64_t)random_bounded_uint64(bg, 0, i, 0, false);
+        held = out[j], out[j] = out[i], out[i] = held;
+    }
+}
+
+/* k draws of Generator.choice(pop, b, replace=False) on each of the n
+ * streams st, into the (k, n, b) out; table is pop words of choice's
+ * scratch. A shape that numpy rejects draws nothing and returns -1. */
+int64_t philox_choice(intptr_t n, uint64_t *const *st, intptr_t k, int64_t *out, intptr_t pop,
+                      intptr_t b, int64_t *table)
+{
+    intptr_t p, i;
+    if (b < 0 || b > pop)
+        return -1;
+    for (p = 0; p < n; p++) {
+        bitgen_t bg = BITGEN(st[p]);
+        for (i = 0; i < k; i++)
+            choice(&bg, out + (i * n + p) * b, pop, b, table);
     }
     return 0;
 }

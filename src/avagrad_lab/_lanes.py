@@ -1,5 +1,5 @@
 """Build and load _lanes.c: the compiled lane loop of runner.run_trials and
-the uniform, normal and choice draws of core.RngStream.
+the uniform, normal and choice draws of core.lane_draws and core.RngStream.
 
 The source ships next to this module and is compiled with the system C
 compiler on first use, linked statically against the libnpyrandom.a that the
@@ -9,9 +9,11 @@ archive, the compiler command, the interpreter's cache tag and the machine,
 then loaded with ctypes. A build writes into a temporary directory in the
 cache and moves the library into place with os.replace, so processes that race
 to build it each load a whole file. Each load, of a cached library or a new
-build, removes the other _lanes-*.so libraries in the cache. Without a
-compiler, the archive or a writable cache there is no library: the runner
-uses its numpy loop, and RngStream draws through numpy's Generator.
+build, removes the other _lanes-*.so libraries in the cache. A loaded
+library must then give numpy's known answers for each kind of draw. Without
+a compiler, the archive or a writable cache, or with a library that misses
+an answer, there is no library: the runner uses its numpy loop, and
+RngStream draws through numpy's Generator.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import os
 import platform
 import shutil
+import struct
 import sys
 import tempfile
 import zlib
@@ -37,9 +40,14 @@ CC = "gcc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
+# The draws take their counts as c_void_p (intptr_t in C) and their output as
+# a typed pointer, passed c_double.from_buffer(array): ctypes converts those
+# quicker than c_int64 and byref, by about 0.2 us a single draw on a 2-core
+# x86-64 VM, and a single draw is mostly its ctypes call.
+_F, _L = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(_I64)
 _ARGTYPES = {"lanes_run": (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P),
-             "philox_uniform": (_I64, _P, _P), "philox_normal": (_I64, _P, _P),
-             "philox_choice": (_I64, _P, _P, _I64, _I64, _P)}
+             "philox_uniform": (_P, _P, _P, _P, _F), "philox_normal": (_P, _P, _P, _P, _F),
+             "philox_choice": (_P, _P, _P, _L, _P, _P, _L)}
 
 
 def cache_dir() -> Path:
@@ -82,12 +90,48 @@ def _build(cc: str, directory: Path) -> Path:
     return lib
 
 
+# what numpy's Generator(Philox) draws in _answers_hold (tests/test_core.py
+# draws them again): the floats, the picks, and the tail shuffle's CRC-32
+KNOWN_ANSWERS = ((0.8720734548204873, 0.29536538151378355, 0.6142833637530732,
+                  0.2978597381915409),
+                 (2, 4, 13, 20, 23, 28, 29, 8, 21, 23, 5, 9, 10, 29, 15, 19, 22, 20, 13, 6),
+                 1259923410)
+
+
+def _answers_hold(lib: ctypes.CDLL) -> bool:
+    """Whether the library's draws give KNOWN_ANSWERS, those of numpy's
+    Generator(Philox): on a stream keyed 7, random(2), standard_normal(2) and
+    choice(30, 4) (Floyd's branch); two choice(30, 4) draws of streams keyed
+    8, with the 32-bit half 0xDEADBEEF buffered, and 9, as one lane draw; then
+    choice(10001, 201) of the first stream (the tail shuffle), by the CRC-32
+    of its little-endian words. A library that links numpy's code under
+    declarations, or with a bit generator, that numpy no longer matches fails
+    them. The buffers are bytearrays, not numpy arrays, whose first
+    operations in a process cost more than the draws."""
+    words = bytearray(struct.pack("39Q", *(0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 4, 0, 0),
+                                  *(0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 4, 1, 0xDEADBEEF),
+                                  *(0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 4, 0, 0)))
+    at = ctypes.addressof(ctypes.c_char.from_buffer(words))
+    refs = bytearray(struct.pack("3Q", at, at + 104, at + 208))  # the states' addresses
+    first, rest = (ctypes.byref(ctypes.c_char.from_buffer(refs, i)) for i in (0, 8))
+    floats, picks, tail = bytearray(32), bytearray(160), bytearray(1608)
+    f, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+    table = i64(bytearray(240))
+    lib.philox_uniform(1, first, 1, 2, f(floats))
+    lib.philox_normal(1, first, 1, 2, f(floats, 16))
+    lib.philox_choice(1, first, 1, i64(picks), 30, 4, table)
+    lib.philox_choice(2, rest, 2, i64(picks, 32), 30, 4, table)
+    lib.philox_choice(1, first, 1, i64(tail), 10001, 201, i64(bytearray(80008)))
+    return (struct.unpack("4d", floats), struct.unpack("20q", picks),
+            zlib.crc32(struct.pack("<201q", *struct.unpack("201q", tail)))) == KNOWN_ANSWERS
+
+
 @functools.cache
 def library() -> ctypes.CDLL | None:
     """The loaded library, building it first if the cache lacks it; None when
-    it cannot be built or loaded, and RngStream then draws through numpy's
-    Generator. Looked up once per process, since finding the cache costs more
-    than a draw."""
+    it cannot be built or loaded, or when its draws miss their known answers,
+    and RngStream then draws through numpy's Generator. Looked up once per
+    process, since finding the cache costs more than a draw."""
     try:
         lib = ctypes.CDLL(str(_build(CC, cache_dir())))
         for name, argtypes in _ARGTYPES.items():
@@ -95,7 +139,7 @@ def library() -> ctypes.CDLL | None:
             getattr(lib, name).restype = _I64
     except OSError:  # no compiler or archive, a failed build, an unwritable cache
         return None
-    return lib
+    return lib if _answers_hold(lib) else None
 
 
 def kernel():

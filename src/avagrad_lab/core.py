@@ -6,9 +6,10 @@ module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
 per-trial streams (seeds mixed from ints or uint64 arrays; uniform, normal
 and choice draws through numpy's own distribution code, compiled into
-_lanes.c's library, on the stream's own Philox words, the others through a
-scratch numpy Philox engine per thread, loaded with those words), and the CSV
-writer every output file goes through.
+_lanes.c's library, on the stream's own Philox words, for a whole batch of
+streams in one lane_draws call, the others through a scratch numpy Philox
+engine per thread, loaded with those words), and the CSV writer every output
+file goes through.
 """
 
 from __future__ import annotations
@@ -50,14 +51,20 @@ def clamp_box(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def write_csv(path, header, rows, what: str) -> None:
     """Write a header and rows as LF-terminated UTF-8 CSV. Floats print with 17
-    significant digits, so the bytes are fixed for a fixed seed; other fields
-    print with str()."""
+    significant digits (%.17g), so the bytes are fixed for a fixed seed; other
+    fields print with str() (%s). Each row is formatted by one % template,
+    made once per tuple of field types."""
+    templates = {}
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join([f"{v:.17g}" if isinstance(v, float) else str(v)
-                                   for v in row]) + "\n")
+                types = tuple(map(type, row))
+                template = templates.get(types)
+                if template is None:
+                    template = templates[types] = ",".join(
+                        ["%.17g" if issubclass(t, float) else "%s" for t in types]) + "\n"
+                fh.write(template % tuple(row))
     except OSError as exc:
         raise OSError(f"writing {what} to {path}: {exc}") from exc
 
@@ -164,20 +171,33 @@ class RngStream:
     13 words in a ctypes array, not a Generator. With _lanes.c's library,
     random, normal and choice without replacement run on those words, through
     numpy's own distribution code (libnpyrandom.a, linked into the library):
-    numpy's Generator(Philox) draws bit for bit. The other draws, and every
-    draw without that library, load the state into the calling thread's
-    scratch Generator, draw and store its state back: no engine or lock is
-    shared between threads, so a fork never copies one held. Philox is
-    counter-based, so the bits are those of a Generator of the stream's own,
-    and making a stream costs 13 words, not the OS entropy that numpy's
-    constructor gathers and then discards for the key. Instances are
-    single-owner; never share one across threads.
+    numpy's Generator(Philox) draws bit for bit. Each is the one-stream case
+    of :func:`lane_draws`. The other draws, and every draw without that
+    library, load the state into the calling thread's scratch Generator, draw
+    and store its state back: no engine or lock is shared between threads, so
+    a fork never copies one held. Philox is counter-based, so the bits are
+    those of a Generator of the stream's own, and making a stream costs 13
+    words, not the OS entropy that numpy's constructor gathers and then
+    discards for the key. Instances are single-owner; never share one across
+    threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._words = _Words()
         self._words[4], self._words[10] = self.seed, 4
+
+    def __getstate__(self):  # not _one: it holds the address of this stream's words
+        return {"seed": self.seed, "_words": self._words}
+
+    def _alone(self):
+        """This stream alone, as _lanes.c's array of stream states; made on its
+        first compiled draw, since most streams only ever draw in lanes."""
+        try:
+            return self._one
+        except AttributeError:
+            self._one = (ctypes.c_void_p * 1)(ctypes.addressof(self._words))
+            return self._one
 
     @property
     def state(self) -> dict:
@@ -205,14 +225,14 @@ class RngStream:
         return out
 
     def _compiled(self, name: str, size):
-        """Run _lanes.c's `name` on this stream's words into a new float array
+        """Run _lanes.c's `name` on this stream alone into a new float array
         of `size` (0-d for None); None without the library."""
         lib = _lanes.library()
         if lib is None:
             return None
         out = np.empty(() if size is None else size)
         if out.size:
-            getattr(lib, name)(out.size, _at(out), self._words)
+            getattr(lib, name)(1, self._alone(), 1, out.size, ctypes.c_double.from_buffer(out))
         return out
 
     def random(self, size=None):
@@ -233,17 +253,41 @@ class RngStream:
     def choice(self, n: int, size: int, replace: bool = False):
         if replace:
             return self._numpy(lambda g: g.choice(n, size, replace=True))
-        return self.choices(n, size, 1)[0]
+        return lane_draws([self], "choice", 1, (size,), n)[0, 0]
 
     def choices(self, n: int, size: int, k: int) -> np.ndarray:
-        """k draws of choice(n, size) without replacement, stacked (k, size): with
-        the library one call of _lanes.c's philox_choice, which marks each
-        draw's picks in one n-entry table and clears them after it."""
-        lib = _lanes.library()
-        if lib is None or not 0 <= size <= n:  # numpy raises its own errors
-            return self._numpy(lambda g: np.array(
-                [g.choice(n, size, replace=False) for _ in range(k)], np.int64).reshape(k, size))
-        out = np.empty((k, size), np.int64)
-        if out.size:
-            lib.philox_choice(k, _at(out), self._words, n, size, _at(np.zeros(n, np.int64)))
-        return out
+        """k draws of choice(n, size) without replacement, stacked (k, size)."""
+        return lane_draws([self], "choice", k, (size,), n)[:, 0]
+
+
+def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
+               n: int = 0) -> np.ndarray:
+    """The next k draws of each stream, step-major: out[i, p] is stream p's
+    i-th draw of `kind`, "uniform" (random(shape)), "normal" (normal(shape))
+    or "choice" (choice(n, *shape) without replacement, int64). With
+    _lanes.c's library one call makes them all, stream by stream, into the
+    C-contiguous (k, len(streams), *shape) array, through numpy's own code;
+    choice marks each draw's picks in one n-entry table and clears them after
+    it. Without the library, or for a choice that numpy rejects (which then
+    raises numpy's own error before it draws), each stream draws through
+    numpy in turn."""
+    choice = kind == "choice"
+    out = np.empty((k, len(streams), *shape), np.int64 if choice else np.float64)
+    lib = _lanes.library()
+    if lib is None or choice and not 0 <= shape[0] <= n:
+        draw = {"uniform": lambda g: g.random((k, *shape)),
+                "normal": lambda g: g.standard_normal((k, *shape)),
+                "choice": lambda g: np.array([g.choice(n, *shape, replace=False)
+                                              for _ in range(k)], np.int64).reshape(k, *shape)}[kind]
+        for p, rng in enumerate(streams):
+            out[:, p] = rng._numpy(draw)
+    elif out.size:
+        refs = streams[0]._alone() if len(streams) == 1 else _at(
+            np.fromiter([ctypes.addressof(s._words) for s in streams], np.uint64, len(streams)))
+        if choice:
+            lib.philox_choice(len(streams), refs, k, ctypes.c_int64.from_buffer(out), n, *shape,
+                              ctypes.c_int64.from_buffer(np.zeros(n, np.int64)))
+        else:
+            getattr(lib, "philox_" + kind)(len(streams), refs, k, out[0, 0].size,
+                                           ctypes.c_double.from_buffer(out))
+    return out

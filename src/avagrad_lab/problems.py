@@ -11,8 +11,11 @@ sample_lanes(streams, k) draws the next k tokens of n lanes' streams as one
 (k, n, ...) block. Problems are immutable after construction; all randomness
 flows through the caller-provided RngStream.
 
-The MLP's minibatch is numpy's Generator.choice without replacement;
-sample(rng, k) makes its k draws in one RngStream.choices call.
+A token is made from one draw: a uniform (synth) or a standard normal
+vector (quadratic), passed through the problem's _tokens transform, or the
+indices of numpy's Generator.choice without replacement (the MLP's
+minibatch). sample makes the draws on one stream, and sample_lanes on all
+lanes' streams in one core.lane_draws call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, ensure_vector
+from .core import RngStream, ensure_vector, lane_draws
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class StochasticProblem:
 
     def sample_lanes(self, streams: list[RngStream], k: int) -> np.ndarray:
         """The next k tokens of each stream: tokens[i, p] is sample(streams[p])
-        the i-th time it would be called."""
+        the i-th time it would be called. This default draws stream by stream;
+        the problems here override it with one lane_draws call."""
         return np.stack([self.sample(rng, k) for rng in streams], axis=1)
 
     def grad(self, w: np.ndarray, token) -> np.ndarray:
@@ -90,13 +94,13 @@ class StochasticProblem:
 
 
 def _per_lane(values: np.ndarray, reduce):
-    """float(reduce(row)) for 1-D `values`, else an array of it for each lane
-    row of (n, m) `values`. Each row is reduced on its own: a 2-D reduction
-    along the last axis may add in another order than the 1-D one, as it does
-    on the Fortran-ordered array that fancy indexing makes of lanes' log-probs."""
-    if values.ndim == 1:
-        return float(reduce(values))
-    return np.array([reduce(row) for row in values], dtype=np.float64)
+    """float(reduce(values, axis=-1)) for 1-D `values`, else its value for each
+    lane row of (n, m) `values`, from one call on a C-contiguous copy: numpy
+    then adds each row in the order of a 1-D call. Only a reduction axis that
+    is not contiguous, as in the Fortran-ordered array that fancy indexing
+    makes of lanes' log-probs, would add in another order."""
+    out = reduce(np.ascontiguousarray(values), axis=-1)
+    return float(out) if values.ndim == 1 else out
 
 
 RARE, COMMON = True, False  # a synth token: was the rare outcome drawn (a mask shaped like w)
@@ -133,8 +137,14 @@ class SynthProblem(StochasticProblem):
         self.dim = 1
         self.box = (0.0, 1.0)
 
+    def _tokens(self, u):
+        return u < self.p
+
     def sample(self, rng: RngStream, size: int | None = None):
-        return rng.random(1 if size is None else (size, 1)) < self.p
+        return self._tokens(rng.random(1 if size is None else (size, 1)))
+
+    def sample_lanes(self, streams, k):
+        return self._tokens(lane_draws(streams, "uniform", k, (1,)))
 
     def grad(self, w, token):
         return np.where(token, self.big_c * w, -1.0)
@@ -189,9 +199,14 @@ class QuadraticProblem(StochasticProblem):
             raise ValueError("w_star length must match curvatures")
         self.dim = self.draw_size = c.shape[0]
 
+    def _tokens(self, z):
+        return self.w_star + self.noise_std * z
+
     def sample(self, rng: RngStream, size: int | None = None):
-        return self.w_star + self.noise_std * rng.normal(self.dim if size is None
-                                                         else (size, self.dim))
+        return self._tokens(rng.normal(self.dim if size is None else (size, self.dim)))
+
+    def sample_lanes(self, streams, k):
+        return self._tokens(lane_draws(streams, "normal", k, (self.dim,)))
 
     def grad(self, w, token):
         return self.curvatures * (w - token)
@@ -208,7 +223,8 @@ class QuadraticProblem(StochasticProblem):
         spread = self.noise_std * self.noise_std
         with np.errstate(over="ignore"):  # a huge finite iterate has an infinite objective
             diff = w - self.w_star
-            return _per_lane(self.curvatures * (diff * diff + spread), lambda r: 0.5 * np.sum(r))
+            return _per_lane(self.curvatures * (diff * diff + spread),
+                             lambda r, axis: 0.5 * np.sum(r, axis=axis))
 
     def constants(self, w1):
         w1 = ensure_vector(w1, "w1")
@@ -350,6 +366,9 @@ class MlpProblem(StochasticProblem):
         tokens = rng.choices(len(self.dataset), self.batch_size, 1 if size is None else size)
         return tokens[0] if size is None else tokens
 
+    def sample_lanes(self, streams, k):
+        return lane_draws(streams, "choice", k, (self.batch_size,), len(self.dataset))
+
     def loss(self, w, token):
         return self.dataset_loss(w, LabeledSet(self.dataset.features.take(token, axis=0),
                                                self.dataset.labels.take(token, axis=0)))
@@ -392,7 +411,7 @@ class MlpProblem(StochasticProblem):
         _, log_probs = self._forward(self._unpack(w), dataset.features)
         picked = log_probs[:, np.arange(len(dataset)), dataset.labels]
         picked = picked.reshape(w.shape[:-1] + (-1,))
-        return _per_lane(picked, lambda r: -np.mean(r))
+        return _per_lane(picked, lambda r, axis: -np.mean(r, axis=axis))
 
     def dataset_error(self, w, dataset: LabeledSet):
         """Misclassification rate of the argmax prediction on a labelled set;

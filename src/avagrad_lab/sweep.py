@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, Schedule, mix_seed, write_csv
+from .core import RngStream, Schedule, lane_draws, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
 from .problems import LabeledSet, MlpProblem, StochasticProblem
 from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
@@ -138,16 +138,18 @@ class HeatmapCell:
 def _block_configs(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> list[TrialConfig]:
     """The trial configs of a block of cells, seeded by three array calls of
     mix_seed: a cell's seed mixes its identity, and the seeds of its random
-    start and of its stream mix the cell's seed with 0 and with 1."""
+    start and of its stream mix the cell's seed with 0 and with 1. The random
+    starts are one lane draw of the block's start streams."""
     cell_seeds = mix_seed(spec.base_seed, *np.array(block, dtype=np.uint64).T)
     start_seeds, seeds = mix_seed(cell_seeds, 0).tolist(), mix_seed(cell_seeds, 1).tolist()
     shared = spec.hyper_params(spec.alphas[0], spec.epsilons[0])  # one pair of beta schedules
+    if spec.w1 is not None:
+        starts = np.array([spec.w1] * len(block), dtype=np.float64)
+    else:
+        starts = spec.init_scale * lane_draws([RngStream(s) for s in start_seeds], "normal", 1,
+                                              (spec.problem.dim,))[0]
     cfgs = []
-    for (mi, ai, ei, _), start_seed, seed in zip(block, start_seeds, seeds):
-        if spec.w1 is not None:
-            w1 = np.array(spec.w1, dtype=np.float64)
-        else:
-            w1 = spec.init_scale * RngStream(start_seed).normal(spec.problem.dim)
+    for (mi, ai, ei, _), seed, w1 in zip(block, seeds, starts):
         hp = HyperParams(Schedule.constant(spec.alphas[ai]), spec.epsilons[ei], shared.beta1,
                          shared.beta2, shared.weight_decay, shared.decay_mode)
         cfgs.append(TrialConfig(method=spec.methods[mi], hp=hp, problem=spec.problem, T=spec.T,

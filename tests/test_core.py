@@ -4,9 +4,11 @@ import math
 import os
 import pickle
 import sys
+import tempfile
 import threading
 import time
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from avagrad_lab.core import (
     RngStream,
     Schedule,
     clamp_box,
+    lane_draws,
     mix_seed,
     schedule_eval,
+    write_csv,
 )
 from engines import numpy_engine
 
@@ -101,6 +105,7 @@ class TestRngStream:
 
     def test_copied_and_pickled_streams_continue_the_sequence(self):
         rng = RngStream(12)
+        rng.random(1)  # with the library, makes the stream's own array of states
         rng.integers(0, 1000)  # leaves half an output buffered
         copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
         want = rng.integers(0, 1000, size=3), rng.normal(5)
@@ -346,3 +351,174 @@ class TestCompiledDraws:
         rng.random(9)
         assert np.array_equal(before["state"]["counter"], counter)
         assert np.array_equal(before["buffer"], buffer) and before["buffer_pos"] == 2
+
+
+def state_words(state) -> list[int]:
+    """A Philox state dict's 13 words, as RngStream.state and numpy give it."""
+    return [*map(int, [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+
+def odd_streams(n: int) -> list[RngStream]:
+    """n streams, every other one (the first included) with the other half of a
+    32-bit draw buffered."""
+    streams = [RngStream(mix_seed(17, p)) for p in range(n)]
+    for rng in streams[::2]:
+        rng.integers(0, 1000)
+        assert rng.state["has_uint32"] == 1
+    return streams
+
+
+def numpy_lane_step(g, kind: str, k: int, shape: tuple, n: int) -> np.ndarray:
+    """One stream's k draws of lane_draws(kind), made by numpy's Generator g."""
+    if kind == "uniform":
+        return g.random((k, *shape))
+    if kind == "normal":
+        return g.standard_normal((k, *shape))
+    return np.array([g.choice(n, *shape, replace=False) for _ in range(k)],
+                    np.int64).reshape(k, *shape)
+
+
+def engine_context(engine: str):
+    if engine == "compiled" and _lanes.library() is None:
+        pytest.skip("no C compiler: the library cannot be built")
+    return numpy_engine() if engine == "numpy" else contextlib.nullcontext()
+
+
+class TestLaneDraws:
+    """One lane_draws call gives every stream the bits, and leaves it in the
+    state, of its own Generator(Philox) making the same draws, under both
+    engines."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @pytest.mark.parametrize("lanes", [0, 1, 3, 441])
+    @pytest.mark.parametrize("kind, shape, n", [  # choice on both of numpy's branches
+        ("uniform", (), 0), ("uniform", (2,), 0), ("normal", (3,), 0), ("normal", (2, 2), 0),
+        ("choice", (5,), 40), ("choice", (201,), 10001)])
+    def test_equal_each_streams_own_generator(self, kind, shape, n, lanes, engine):
+        k = 3
+        streams = odd_streams(lanes)
+        gens = [np.random.Generator(np.random.Philox(0)) for _ in streams]
+        for rng, g in zip(streams, gens):
+            g.bit_generator.state = rng.state
+        with engine_context(engine):
+            got = lane_draws(streams, kind, k, shape, n)
+        want = np.empty(got.shape, got.dtype)
+        for p, g in enumerate(gens):
+            want[:, p] = numpy_lane_step(g, kind, k, shape, n)
+        assert got.shape == (k, lanes, *shape) and got.flags.c_contiguous
+        assert got.dtype == (np.int64 if kind == "choice" else np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert [state_words(r.state) for r in streams] == \
+            [state_words(g.bit_generator.state) for g in gens]
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @pytest.mark.parametrize("kind, shape, n", [
+        ("uniform", (-1,), 0), ("normal", (2, -3), 0), ("choice", (6,), 5), ("choice", (1,), 0),
+        ("choice", (-1,), 5), ("choice", (0,), -1)])
+    def test_rejected_shapes_raise_numpys_error_and_draw_nothing(self, kind, shape, n, engine):
+        with pytest.raises(ValueError) as spec:
+            numpy_lane_step(np.random.Generator(np.random.Philox(0)), kind, 2, shape, n)
+        streams = odd_streams(3)
+        before = [state_words(r.state) for r in streams]
+        with engine_context(engine):
+            with pytest.raises(ValueError) as got:
+                lane_draws(streams, kind, 2, shape, n)
+        assert str(got.value) == str(spec.value)
+        assert [state_words(r.state) for r in streams] == before
+
+    def test_single_draws_are_the_one_stream_case(self):
+        """random, normal and choices of a stream equal a lane draw of it alone."""
+        draws = [(lambda r: r.random((4, 2)), ("uniform", 1, (4, 2), 0)),
+                 (lambda r: r.normal(3), ("normal", 1, (3,), 0)),
+                 (lambda r: r.choices(50, 7, 3), ("choice", 3, (7,), 50))]
+        for single, (kind, k, shape, n) in draws:
+            a, b = odd_streams(1), odd_streams(1)
+            got, want = single(a[0]), lane_draws(b, kind, k, shape, n)
+            assert got.tobytes() == want.tobytes()
+            assert state_words(a[0].state) == state_words(b[0].state)
+
+
+class TestLibraryCheck:
+    def test_known_answers_are_numpys(self):
+        """KNOWN_ANSWERS, drawn again by numpy's Generator(Philox) as
+        _lanes._answers_hold describes them."""
+        g = np.random.Generator(np.random.Philox(key=7))
+        floats = (*g.random(2).tolist(), *g.standard_normal(2).tolist())
+        picks = g.choice(30, 4, replace=False).tolist()
+        tail = g.choice(10001, 201, replace=False).astype("<i8")
+        lane = [np.random.Generator(np.random.Philox(key=key)) for key in (8, 9)]
+        state = lane[0].bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0xDEADBEEF
+        lane[0].bit_generator.state = state
+        for _ in range(2):
+            for h in lane:
+                picks += h.choice(30, 4, replace=False).tolist()
+        assert _lanes.KNOWN_ANSWERS == (floats, tuple(picks), zlib.crc32(tail.tobytes()))
+
+    @pytest.mark.parametrize("mutant", [False, True], ids=["as_shipped", "high_half_first"])
+    def test_library_that_misses_an_answer_is_refused(self, mutant, tmp_path, monkeypatch):
+        """A library built from a source whose 32-bit draw returns the high half
+        of an output first is refused at load, and every draw still equals
+        numpy's; built from the source as shipped, the same load keeps it."""
+        if _lanes.library() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        source = _lanes.SOURCE.read_text()
+        if mutant:
+            low_first = "    s[S_UINT] = next >> 32;\n    return (uint32_t)next;"
+            assert low_first in source
+            source = source.replace(low_first,
+                                    "    s[S_UINT] = (uint32_t)next;\n    return (uint32_t)(next >> 32);")
+        (tmp_path / "_lanes.c").write_text(source)
+        monkeypatch.setattr(_lanes, "SOURCE", tmp_path / "_lanes.c")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _lanes.library.cache_clear()
+        try:
+            assert (_lanes.library() is None) == mutant
+            streams = odd_streams(3)
+            gens = [np.random.Generator(np.random.Philox(0)) for _ in streams]
+            for rng, g in zip(streams, gens):
+                g.bit_generator.state = rng.state
+            got = [streams[0].choice(240, 32), streams[1].random(3), streams[2].normal(2),
+                   lane_draws(streams, "choice", 2, (5,), 40)]
+            want = [gens[0].choice(240, 32, replace=False), gens[1].random(3),
+                    gens[2].standard_normal(2),
+                    np.stack([numpy_lane_step(g, "choice", 2, (5,), 40) for g in gens], axis=1)]
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        finally:
+            _lanes.library.cache_clear()
+
+
+def per_field_row(row) -> str:
+    """A CSV row as write_csv formatted it field by field before its templates."""
+    return ",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]) + "\n"
+
+
+_FIELDS = [
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1e308, -1e308, 0.1, 1 / 3]),
+    st.integers(-2**70, 2**70), st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),  # "%" included
+    st.sampled_from(["%s", "%.17g", "%%", "a,b"]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+    st.sampled_from([math.nan, -0.0, 5e-324, 1e308, -math.inf]).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+]
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), columns=st.lists(st.sampled_from(_FIELDS), max_size=7))
+    def test_bytes_equal_the_per_field_formula(self, data, columns):
+        """Rows that share a tuple of field types (as an export's do), mixed with
+        rows of any others, list and tuple rows alike."""
+        rows = data.draw(st.lists(st.one_of(st.tuples(*columns),
+                                            st.lists(st.one_of(*_FIELDS), max_size=7)),
+                                  max_size=12))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            write_csv(path, ("a", "b"), rows, "rows")
+            with open(path, "rb") as fh:
+                got = fh.read()
+        assert got == ("a,b\n" + "".join(map(per_field_row, rows))).encode("utf-8")

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import ctypes
 import math
 import os
@@ -26,6 +28,7 @@ from avagrad_lab.problems import (
     quadratic_make,
     synth_make,
 )
+from engines import numpy_engine
 from reference_impl import mlp_dataset_error, mlp_dataset_loss, mlp_grad
 
 
@@ -496,6 +499,50 @@ class TestMlpSampleLanes:
         assert_bulk_draw_equals_single_draws(n, 16, 16, seeds, [True, False, True, False])
 
 
+def sampling_problems():
+    """A problem of each kind, by the name of its draw."""
+    return {"uniform": synth_make(999.0, 1.0),
+            "normal": quadratic_make([1.0, 2.0, 3.0], 0.5, [0.1, -0.2, 0.3]),
+            "choice": index_mlp(70, 6)}
+
+
+class TestSampleLanes:
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @pytest.mark.parametrize("kind", ["uniform", "normal", "choice"])
+    @pytest.mark.parametrize("lanes", [1, 5])
+    def test_equal_each_streams_sample(self, kind, lanes, engine):
+        """sample_lanes equals each stream's sample(rng, k), drawn on a copy of
+        it, and leaves each stream as that copy; synth tokens are the
+        C-contiguous bool (k, n, 1) array that the compiled loop reads."""
+        if engine == "compiled" and avagrad_lab._lanes.library() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        prob, k = sampling_problems()[kind], 7
+        streams = lane_streams(range(lanes), [p % 2 == 0 for p in range(lanes)])
+        copies = copy.deepcopy(streams)
+        with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
+            got = prob.sample_lanes(streams, k)
+            want = np.stack([prob.sample(rng, k) for rng in copies], axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert [state_words(r.state) for r in streams] == [state_words(r.state) for r in copies]
+        if kind == "uniform":
+            assert got.dtype == np.bool_ and got.shape == (k, lanes, 1)
+
+    def test_one_compiled_call_draws_every_lane(self, monkeypatch):
+        lib = avagrad_lab._lanes.library()
+        if lib is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        calls = []
+        for name in ("philox_uniform", "philox_normal", "philox_choice"):
+            def counted(*args, draw=getattr(lib, name), name=name):
+                calls.append((name, args[0]))
+                return draw(*args)
+            monkeypatch.setattr(lib, name, counted)
+        for prob in sampling_problems().values():
+            prob.sample_lanes(lane_streams(range(441), [False] * 441), 14)
+        assert calls == [("philox_uniform", 441), ("philox_normal", 441), ("philox_choice", 441)]
+
+
 class TestLaneMetrics:
     """A metric of lanes w (n, d), one call for the block, equals its calls on
     each lane bit for bit."""
@@ -518,6 +565,24 @@ class TestLaneMetrics:
         w[4] = 1e300
         got = self.assert_lanes_match(prob.objective, w)
         assert math.isinf(got[4]) and np.isfinite(np.delete(got, 4)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lanes=st.integers(1, 9), dim=st.integers(1, 300), rows=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+    @example(lanes=5, dim=257, rows=129, seed=1, fortran=True)
+    def test_one_reduction_equals_each_lanes(self, lanes, dim, rows, seed, fortran):
+        """The quadratic objective and the MLP's dataset metrics of C- and
+        Fortran-ordered lanes, with row lengths on both sides of numpy's
+        pairwise blocks (8 and 128 elements)."""
+        gen = np.random.default_rng(seed)
+        quad = quadratic_make(1.0 + gen.random(dim), 0.3, gen.normal(size=dim))
+        prob = mlp_make(2, 3, 3, gaussian_blobs(5, 3, 2, 1.5, RngStream(seed)), batch_size=4)
+        holdout = LabeledSet(gen.normal(size=(rows, 2)), gen.integers(0, 3, rows))
+        order = np.asfortranarray if fortran else np.ascontiguousarray
+        self.assert_lanes_match(quad.objective, order(gen.normal(size=(lanes, dim))))
+        w = order(gen.normal(size=(lanes, prob.dim)) * 3.0)
+        self.assert_lanes_match(lambda v: prob.dataset_loss(v, holdout), w)
+        self.assert_lanes_match(lambda v: prob.dataset_error(v, holdout), w)
 
     def test_mlp_holdout_metrics(self):
         """The shapes of criterion 9: 15 lanes scored on 120 holdout points."""

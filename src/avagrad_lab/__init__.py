@@ -2,6 +2,8 @@
 rare-event benchmark where sample-coupled rates stall, convergence-bound
 diagnostics, and a deterministic hyperparameter sweep harness."""
 
+import importlib
+
 from .core import (
     NonFiniteError,
     RngStream,
@@ -24,16 +26,11 @@ from .optim import (
     step,
 )
 from .problems import (
-    LabeledSet,
-    MlpProblem,
     ProblemConstants,
     QuadraticProblem,
     StochasticProblem,
     SynthProblem,
     fd_check,
-    gaussian_blobs,
-    load_csv_dataset,
-    mlp_make,
     quadratic_make,
     synth_make,
 )
@@ -51,14 +48,23 @@ from .runner import (
     run_trials,
     summary_line,
 )
-from .sweep import (
-    GridSpec,
-    HeatmapCell,
-    default_grid,
-    export_heatmap,
-    run_sweep,
-    separability_index,
-)
+
+# loaded on first use (PEP 562), so that a command that does not sweep, or
+# has no MLP, never compiles `sweep` or `mlp`
+_LAZY = {
+    "sweep": ("GridSpec", "HeatmapCell", "default_grid", "export_heatmap", "run_sweep",
+              "separability_index"),
+    "mlp": ("LabeledSet", "MlpProblem", "gaussian_blobs", "load_csv_dataset", "mlp_make"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -21,9 +21,9 @@ diverged or a check failed.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import gc
+import importlib
 import math
 import os
 import sys
@@ -33,16 +33,7 @@ import numpy as np
 
 from .core import SCHEDULE_KINDS, NonFiniteError, RngStream, Schedule, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method, init_state
-from .problems import (
-    MlpProblem,
-    QuadraticProblem,
-    SynthProblem,
-    fd_check,
-    load_csv_dataset,
-    mlp_make,
-    quadratic_make,
-    synth_make,
-)
+from .problems import METRICS, QuadraticProblem, SynthProblem, fd_check, quadratic_make, synth_make
 from .runner import (
     GRAD_METRICS,
     STATUS_DIVERGED,
@@ -56,9 +47,32 @@ from .runner import (
     run_trials,
     summary_line,
 )
-from .sweep import METRICS, GridSpec, default_grid, export_heatmap, run_sweep, separability_index
 
 ENV_SEED = "AVAGRAD_LAB_SEED"
+
+#: names bound here on first use, by module: only `sweep` compiles the sweep,
+#: and only an mlp problem or a [grid] holdout the MLP. perfbench/tracer.py
+#: replaces some of them by setattr, so each command calls them through this
+#: module's globals, and _load keeps a name already bound.
+_LAZY = {
+    "sweep": ("GridSpec", "default_grid", "export_heatmap", "run_sweep", "separability_index"),
+    "mlp": ("MlpProblem", "load_csv_dataset", "mlp_make"),
+}
+
+
+def _load(module: str) -> None:
+    """Import `module` and bind its _LAZY names here, keeping any already bound."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -73,6 +87,8 @@ def _finite(raw: str) -> float:
 
 
 def _bool(raw: str) -> bool:
+    import configparser  # loaded by _load_config, the one caller of a key's parse
+
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     except KeyError:
@@ -144,6 +160,8 @@ def _parse(what: str, key_type, raw: str):
 
 def _load_config(path: str) -> dict[str, dict]:
     """Read an INI file into {section: {key: typed value}} for the keys it sets."""
+    import configparser  # only here: synthfig, which reads no file, never loads it
+
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
@@ -196,6 +214,7 @@ def _build_problem(cfg: dict):
             return synth_make(cfg.get("c", 999.0), cfg.get("delta", 1.0))
         if kind == "quadratic":
             return quadratic_make(cfg["curvatures"], **_given(cfg, "noise_std", "w_star"))
+        _load("mlp")
         dataset = load_csv_dataset(cfg["dataset"], cfg["n_in"], cfg["n_classes"])
         return mlp_make(cfg["n_in"], cfg["n_hidden"], cfg["n_classes"], dataset,
                         **_given(cfg, "batch_size"))
@@ -328,6 +347,7 @@ def cmd_synthfig(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _load("sweep")
     config = _load_config(args.config)
     problem = _build_problem(config.get("problem", {}))
     grid = config.get("grid")
@@ -346,6 +366,7 @@ def cmd_sweep(args) -> int:
     _require_positive(workers, "workers")
     holdout = None
     if "holdout" in grid:
+        _load("mlp")
         if not isinstance(problem, MlpProblem):
             raise ConfigError("[grid] holdout only applies to mlp problems")
         try:

@@ -20,15 +20,17 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import RngStream, Schedule, lane_draws, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
-from .problems import LabeledSet, MlpProblem, StochasticProblem
+from .problems import METRICS, StochasticProblem
 from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
 
-METRICS = ("full_objective", "holdout_ce", "holdout_error")
+if TYPE_CHECKING:
+    from .mlp import LabeledSet
 
 #: scalars of per-lane state one block may hold: lanes x (dim + draw_size).
 #: An MLP block step costs 7-8 us a lane at 37-74 lanes, 10 at 125. The bound
@@ -98,6 +100,8 @@ class GridSpec:
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.metric.startswith("holdout"):
+            from .mlp import MlpProblem  # only a holdout sweep loads the MLP
+
             if self.holdout is None:
                 raise ValueError("holdout metrics need a holdout dataset")
             if not isinstance(self.problem, MlpProblem):

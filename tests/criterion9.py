@@ -9,7 +9,7 @@ invariance.
 
 from avagrad_lab.core import RngStream
 from avagrad_lab.optim import Method
-from avagrad_lab.problems import gaussian_blobs, mlp_make
+from avagrad_lab.mlp import gaussian_blobs, mlp_make
 from avagrad_lab.sweep import GridSpec
 
 WORKERS = 8

@@ -24,13 +24,8 @@ from avagrad_lab.optim import (
     normalized_eta,
     step,
 )
-from avagrad_lab.problems import (
-    fd_check,
-    gaussian_blobs,
-    mlp_make,
-    quadratic_make,
-    synth_make,
-)
+from avagrad_lab.mlp import gaussian_blobs, mlp_make
+from avagrad_lab.problems import fd_check, quadratic_make, synth_make
 from avagrad_lab.runner import bias_gap, eval_bound, run_synth_replicas
 from avagrad_lab.sweep import (
     GridSpec,

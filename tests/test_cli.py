@@ -14,7 +14,7 @@ import pytest
 from avagrad_lab import _lanes, cli
 from avagrad_lab.cli import _FLOAT, _KEYS, main
 from avagrad_lab.core import RngStream
-from avagrad_lab.problems import gaussian_blobs
+from avagrad_lab.mlp import gaussian_blobs
 from avagrad_lab.runner import run_trials
 from avagrad_lab.sweep import default_grid
 
@@ -361,7 +361,7 @@ steps = 5
         # nor do choice draws on each of numpy's branches, a k-draw and an MLP minibatch
         code = "\n".join([
             "import sys", "import numpy as np", "from avagrad_lab.core import RngStream",
-            "from avagrad_lab.problems import LabeledSet, MlpProblem", "rng = RngStream(3)",
+            "from avagrad_lab.mlp import LabeledSet, MlpProblem", "rng = RngStream(3)",
             "rng.choice(240, 32); rng.choice(10001, 201); rng.choices(10001, 200, 3)",
             "data = LabeledSet(np.zeros((240, 1)), np.zeros(240, np.int64))",
             "MlpProblem(1, 1, 1, data, 32).sample(rng)", loaded])
@@ -375,6 +375,39 @@ steps = 5
         lines = run_python(["-c", code], check=True).stdout.splitlines()
         assert [line for line in lines if line.startswith("loaded ")] == [
             "loaded []", "loaded ['_hashlib', 'numpy.random']"]
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        """Each command kind, in a process of its own, loads `sweep` only to
+        sweep, `mlp` only for an MLP problem or a holdout, and configparser
+        only to read a config file, which synthfig has none of."""
+        train = write_blobs_csv(tmp_path, "train.csv", seed=5)
+        hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
+        mlp = (f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\n"
+               f"dataset = {train}\nbatch_size = 8\n\n[optimizer]\nmethod = adam\n\n"
+               f"[run]\nsteps = 20\nseeds = 0\n\n[grid]\nalphas = 0.01,0.1\n"
+               f"epsilons = 0.001,0.1\nmethods = adam\nmetric = holdout_ce\n"
+               f"holdout = {hold}\n")
+        synth, quadratic, mlp = (write_config(tmp_path, text, name) for text, name in (
+            (SYNTH_CONFIG, "synth.ini"), (SWEEP_CONFIG, "quadratic.ini"), (mlp, "mlp.ini")))
+        out = str(tmp_path / "out")
+        common = ["avagrad_lab", "avagrad_lab._lanes", "avagrad_lab.cli", "avagrad_lab.core",
+                  "avagrad_lab.optim", "avagrad_lab.problems", "avagrad_lab.runner"]
+        cases = [  # argv, the package modules past `common`, whether configparser loads
+            (["synthfig", "--steps", "20", "--num-seeds", "2", "--out", out], [], False),
+            (["run", "--config", synth, "--out", out], [], True),
+            (["check", "--config", synth], [], True),
+            (["sweep", "--config", quadratic, "--out", out], ["avagrad_lab.sweep"], True),
+            (["run", "--config", mlp, "--out", out], ["avagrad_lab.mlp"], True),
+            (["sweep", "--config", mlp, "--out", out],
+             ["avagrad_lab.mlp", "avagrad_lab.sweep"], True),
+        ]
+        for argv, extra, parses in cases:
+            code = "\n".join([
+                "import sys", "from avagrad_lab.cli import main", f"status = main({argv!r})",
+                "print(status, sorted(m for m in sys.modules if m.startswith('avagrad_lab')),"
+                " 'configparser' in sys.modules)"])
+            last = run_python(["-c", code], check=True).stdout.splitlines()[-1]
+            assert last == f"0 {sorted(common + extra)} {parses}", argv
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,

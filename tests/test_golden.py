@@ -31,7 +31,8 @@ from avagrad_lab import cli
 from avagrad_lab.cli import main
 from avagrad_lab.core import RngStream, Schedule, write_csv
 from avagrad_lab.optim import HyperParams, Method
-from avagrad_lab.problems import gaussian_blobs, mlp_make, quadratic_make, synth_make
+from avagrad_lab.mlp import gaussian_blobs, mlp_make
+from avagrad_lab.problems import quadratic_make, synth_make
 from avagrad_lab.runner import TrialConfig, export_trajectory, run_trial
 from avagrad_lab.sweep import GridSpec, default_grid, export_heatmap, run_sweep, separability_index
 

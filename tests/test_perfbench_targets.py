@@ -5,6 +5,10 @@ through each class's own __dict__; a name that a change deletes or moves
 breaks only the traced benchmark run, which this suite does not run. The
 tables are read from the file's source, so nothing under perfbench/ is
 imported or written.
+
+`cli` binds the names of `sweep` and of the MLP on first use, so the tracer's
+setattr on `cli` must still reach the commands: each command calls those
+names through `cli`'s globals.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import avagrad_lab
-import avagrad_lab.cli  # noqa: F401  (loads every module the tables name)
+from avagrad_lab import cli  # `sweep` and the MLP load on the tables' first getattr
+from test_cli import SWEEP_CONFIG, write_blobs_csv, write_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +41,44 @@ def test_function_target_resolves(namespace, attr):
 def test_method_target_is_defined_on_its_class(module, cls_name, method):
     cls = getattr(getattr(avagrad_lab, module), cls_name)
     assert callable(cls.__dict__.get(method))
+
+
+def test_patched_cli_names_are_the_ones_commands_call(tmp_path):
+    """As tracer.install does: setattr on `cli`, run the commands, restore."""
+    quadratic = write_config(tmp_path, SWEEP_CONFIG, "quadratic.ini")
+    mlp = write_config(tmp_path, (
+        f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 3\nn_classes = 3\n"
+        f"dataset = {write_blobs_csv(tmp_path, 'train.csv')}\nbatch_size = 4\n\n"
+        f"[optimizer]\nmethod = adam\n\n[run]\nsteps = 5\n"), "mlp.ini")
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    saved = [(name, getattr(cli, name)) for name in ("run_sweep", "mlp_make")]
+    for name, original in saved:
+        setattr(cli, name, recording(name, original))
+    try:
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", quadratic, "--out", out]) == 0
+        assert cli.main(["run", "--config", mlp, "--out", out]) == 0
+    finally:
+        for name, original in saved:
+            setattr(cli, name, original)
+    assert calls == ["run_sweep", "mlp_make"]
+    assert [getattr(cli, name) for name, _ in saved] == [fn for _, fn in saved]
+
+
+def test_lazy_names_resolve_where_they_did():
+    from avagrad_lab import MlpProblem, run_sweep
+    from avagrad_lab.problems import MlpProblem as problems_mlp
+    from avagrad_lab.problems import gaussian_blobs, mlp_make
+
+    assert run_sweep is avagrad_lab.sweep.run_sweep
+    assert MlpProblem is problems_mlp is mlp_make is avagrad_lab.mlp.MlpProblem
+    assert gaussian_blobs is avagrad_lab.mlp.gaussian_blobs
+    with pytest.raises(AttributeError):
+        avagrad_lab.problems.no_such_name  # noqa: B018

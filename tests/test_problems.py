@@ -17,17 +17,8 @@ from numpy._core import _multiarray_umath
 
 import avagrad_lab
 from avagrad_lab.core import RngStream
-from avagrad_lab.problems import (
-    COMMON,
-    RARE,
-    LabeledSet,
-    fd_check,
-    gaussian_blobs,
-    load_csv_dataset,
-    mlp_make,
-    quadratic_make,
-    synth_make,
-)
+from avagrad_lab.mlp import LabeledSet, gaussian_blobs, load_csv_dataset, mlp_make
+from avagrad_lab.problems import COMMON, RARE, fd_check, quadratic_make, synth_make
 from engines import numpy_engine
 from reference_impl import mlp_dataset_error, mlp_dataset_loss, mlp_grad
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from avagrad_lab import _lanes, runner
 from avagrad_lab.core import NonFiniteError, RngStream, Schedule, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
-from avagrad_lab.problems import (StochasticProblem, gaussian_blobs, mlp_make, quadratic_make,
-                                  synth_make)
+from avagrad_lab.mlp import gaussian_blobs, mlp_make
+from avagrad_lab.problems import StochasticProblem, quadratic_make, synth_make
 from avagrad_lab.runner import (
     BOUND_VARIANTS,
     ROW_COLUMNS,

@@ -18,7 +18,8 @@ import criterion9
 from avagrad_lab import sweep
 from avagrad_lab.optim import Method
 from avagrad_lab.core import RngStream
-from avagrad_lab.problems import MlpProblem, QuadraticProblem, gaussian_blobs, quadratic_make
+from avagrad_lab.mlp import MlpProblem, gaussian_blobs
+from avagrad_lab.problems import QuadraticProblem, quadratic_make
 from avagrad_lab.runner import run_trial, run_trials
 from avagrad_lab.sweep import (
     BLOCK_SCALARS,

@@ -20,10 +20,18 @@
  * Generator.choice's own loops around numpy's bounded draw. So each stream's
  * bits and the state it is left in are its own Generator's. A single
  * RngStream draw is the n = 1 case.
+ *
+ * csv_g17, the float tables of core.write_csv: one call prints a chunk of
+ * rows, each field exactly as Python's '%.17g' % x does, by integer
+ * arithmetic alone (no floating-point operation, no printf). It declines
+ * subnormals, infinities, NaN and the values whose exact quotient does not
+ * fit in 128 bits, |x| outside about [1.1e-16, 7.3e47]; Python's % then prints
+ * that chunk, and stays the spec.
  */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <string.h>
 
 /* rows of the state block st (each n lanes long), as runner.run_trials lays
  * them out */
@@ -365,4 +373,135 @@ int64_t philox_choice(intptr_t n, uint64_t *const *st, intptr_t k, int64_t *out,
             choice(&bg, out + (i * n + p) * b, pop, b, table);
     }
     return 0;
+}
+
+/* 10^16 and 10^17: the 17-digit integers lie between them */
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+
+typedef unsigned __int128 u128;
+
+/* |x| = m * 2^e, a normal double, to 17 significant digits: N * 10^(X - 16),
+ * with 10^16 <= N < 10^17, rounded half to even as Python rounds. With
+ * p = 16 - X, N is the quotient m * 5^p * 2^(e + p), computed exactly as
+ * num / den in 128 bits. The estimate x starts at floor(log10 2^(e + 52)),
+ * which is X or X - 1, and moves by one while N lies outside
+ * [10^16, 10^17), which also takes a round-up to 10^17 to the next X. pow5
+ * holds 5^0 ... 5^55. Returns 0, declining the value, when num or den would
+ * not fit, which is when |x| is below about 1.1e-16 or above about 7.3e47. */
+static int digits17(uint64_t m, int e, const u128 *pow5, int *X, uint64_t *N)
+{
+    /* 78913 / 2^18 ~ log10(2); gcc shifts a negative product arithmetically */
+    int x = (int)(((int64_t)(e + 52) * 78913) >> 18);
+    for (;;) {
+        const int p = 16 - x, s = e + p;
+        u128 num = m, den = 1, q, r;
+        if (p > 32 || p < -55)  /* m >= 2^52 and 5^33 > 2^76; pow5 ends at 5^55 */
+            return 0;
+        if (p >= 0)
+            num *= pow5[p];
+        else
+            den = pow5[-p];
+        if (s > 0) {
+            if (s >= 128 || num >> (128 - s))
+                return 0;
+            num <<= s;
+        } else if (s < 0) {
+            if (-s >= 128 || den >> (128 + s))
+                return 0;
+            den <<= -s;
+        }
+        q = num / den;
+        r = num - q * den;
+        if (r > den - r || (r == den - r && (q & 1)))
+            q++;
+        if (q >= TEN17)
+            x++;
+        else if (q < TEN16)
+            x--;
+        else {
+            *X = x;
+            *N = (uint64_t)q;
+            return 1;
+        }
+    }
+}
+
+/* The double x of bits b at o, as '%.17g' % x prints it: exponent form when
+ * X < -4 or X >= 17, with two exponent digits as Python gives for |X| < 100,
+ * else fixed form; trailing zeros and a trailing point stripped. Returns the
+ * end, or NULL when it declines x. */
+static char *g17(uint64_t b, char *o, const u128 *pow5)
+{
+    const int be = (int)(b >> 52 & 0x7FF);
+    const uint64_t frac = b & ((1ULL << 52) - 1);
+    uint64_t n;
+    int X, k, i;
+    char d[17];
+    if (b >> 63)
+        *o++ = '-';
+    if (be == 0 && frac == 0) {  /* 0 and -0 */
+        *o++ = '0';
+        return o;
+    }
+    if (be == 0 || be == 0x7FF || !digits17(frac | 1ULL << 52, be - 1075, pow5, &X, &n))
+        return NULL;  /* subnormal, inf or nan, or out of range */
+    for (i = 16; i >= 0; i--, n /= 10)
+        d[i] = (char)('0' + n % 10);
+    for (k = 17; d[k - 1] == '0'; k--)  /* d[0] is not '0' */
+        ;
+    if (X < -4 || X >= 17) {
+        *o++ = d[0];
+        if (k > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, k - 1);
+            o += k - 1;
+        }
+        *o++ = 'e';
+        *o++ = X < 0 ? '-' : '+';
+        i = X < 0 ? -X : X;  /* at most 47: digits17 declines the rest */
+        *o++ = (char)('0' + i / 10);
+        *o++ = (char)('0' + i % 10);
+    } else if (X >= 0) {  /* X + 1 integer digits, then the fraction's */
+        if (k <= X + 1) {
+            memcpy(o, d, k);
+            memset(o + k, '0', X + 1 - k);
+            o += X + 1;
+        } else {
+            memcpy(o, d, X + 1);
+            o[X + 1] = '.';
+            memcpy(o + X + 2, d + X + 1, k - X - 1);
+            o += k + 1;
+        }
+    } else {  /* 0. and -X - 1 zeros */
+        memcpy(o, "0.000", 1 - X);
+        memcpy(o + 1 - X, d, k);
+        o += 1 - X + k;
+    }
+    return o;
+}
+
+/* The rows x cols table x of float64 bits, row-major, as CSV rows into out:
+ * fields as '%.17g' prints them, joined by commas, each row ended by LF: 24
+ * bytes a field at most (23 and a comma), and 1 a row. Returns the bytes written,
+ * or -1 - i when it declines cell i, and then out holds no whole table. */
+int64_t csv_g17(int64_t rows, int64_t cols, const uint64_t *x, char *out)
+{
+    u128 pow5[56];
+    char *o = out;
+    int64_t i, j;
+    pow5[0] = 1;
+    for (i = 1; i < 56; i++)
+        pow5[i] = pow5[i - 1] * 5;
+    for (i = 0; i < rows; i++) {
+        for (j = 0; j < cols; j++) {
+            if (j)
+                *o++ = ',';
+            o = g17(x[i * cols + j], o, pow5);
+            if (o == NULL)
+                return -1 - (i * cols + j);
+        }
+        *o++ = '\n';
+    }
+    return o - out;
 }

@@ -1,5 +1,6 @@
-"""Build and load _lanes.c: the compiled lane loop of runner.run_trials and
-the uniform, normal and choice draws of core.lane_draws and core.RngStream.
+"""Build and load _lanes.c: the compiled lane loop of runner.run_trials, the
+uniform, normal and choice draws of core.lane_draws and core.RngStream, and
+csv_g17, which prints the float tables of core.write_csv as '%.17g' does.
 
 The source ships next to this module and is compiled with the system C
 compiler on first use, linked statically against the libnpyrandom.a that the
@@ -10,10 +11,11 @@ then loaded with ctypes. A build writes into a temporary directory in the
 cache and moves the library into place with os.replace, so processes that race
 to build it each load a whole file. Each load, of a cached library or a new
 build, removes the other _lanes-*.so libraries in the cache. A loaded
-library must then give numpy's known answers for each kind of draw. Without
-a compiler, the archive or a writable cache, or with a library that misses
-an answer, there is no library: the runner uses its numpy loop, and
-RngStream draws through numpy's Generator.
+library must then give numpy's known answers for each kind of draw, and
+Python's for one row of the formatter. Without a compiler, the archive or a
+writable cache, or with a library that misses an answer, there is no
+library: the runner uses its numpy loop, RngStream draws through numpy's
+Generator, and write_csv prints every row through its % templates.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 _F, _L = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(_I64)
 _ARGTYPES = {"lanes_run": (_I64, _I64, _P, _P, _P, _P, _I64, _P, _P, _P),
              "philox_uniform": (_P, _P, _P, _P, _F), "philox_normal": (_P, _P, _P, _P, _F),
-             "philox_choice": (_P, _P, _P, _L, _P, _P, _L)}
+             "philox_choice": (_P, _P, _P, _L, _P, _P, _L), "csv_g17": (_I64, _I64, _P, _P)}
 
 
 def cache_dir() -> Path:
@@ -90,12 +92,21 @@ def _build(cc: str, directory: Path) -> Path:
     return lib
 
 
+# the row csv_g17 formats in _answers_hold: a half-even tie (its 18th digit a
+# 5 and nothing after), 1e-14 (a double just below 10^-14, which rounds up to
+# N = 10^17), 1e-05, 1e+17, -0, a negative value, and 1e+100, which it declines
+CSV_ROW = (100000000000000.125, 1e-14, 1e-05, 1e+17, -0.0, -0.1, 1e+100)
+
 # what numpy's Generator(Philox) draws in _answers_hold (tests/test_core.py
-# draws them again): the floats, the picks, and the tail shuffle's CRC-32
+# draws them again): the floats, the picks, and the tail shuffle's CRC-32; then
+# what Python's '%.17g' % prints of CSV_ROW less its last value, and -1 - 6,
+# csv_g17's report that it declines cell 6 of the whole row
 KNOWN_ANSWERS = ((0.8720734548204873, 0.29536538151378355, 0.6142833637530732,
                   0.2978597381915409),
                  (2, 4, 13, 20, 23, 28, 29, 8, 21, 23, 5, 9, 10, 29, 15, 19, 22, 20, 13, 6),
-                 1259923410)
+                 1259923410,
+                 (b"100000000000000.12,1e-14,1.0000000000000001e-05,1e+17,-0,"
+                  b"-0.10000000000000001\n", -7))
 
 
 def _answers_hold(lib: ctypes.CDLL) -> bool:
@@ -106,8 +117,9 @@ def _answers_hold(lib: ctypes.CDLL) -> bool:
     choice(10001, 201) of the first stream (the tail shuffle), by the CRC-32
     of its little-endian words. A library that links numpy's code under
     declarations, or with a bit generator, that numpy no longer matches fails
-    them. The buffers are bytearrays, not numpy arrays, whose first
-    operations in a process cost more than the draws."""
+    them. Then csv_g17 formats CSV_ROW less its last value, and declines the
+    whole row at that value. The buffers are bytearrays, not numpy arrays,
+    whose first operations in a process cost more than the draws."""
     words = bytearray(struct.pack("39Q", *(0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 4, 0, 0),
                                   *(0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 4, 1, 0xDEADBEEF),
                                   *(0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 4, 0, 0)))
@@ -122,8 +134,12 @@ def _answers_hold(lib: ctypes.CDLL) -> bool:
     lib.philox_choice(1, first, 1, i64(picks), 30, 4, table)
     lib.philox_choice(2, rest, 2, i64(picks, 32), 30, 4, table)
     lib.philox_choice(1, first, 1, i64(tail), 10001, 201, i64(bytearray(80008)))
+    row, text = bytearray(struct.pack("7d", *CSV_ROW)), bytearray(7 * 24)
+    at = [ctypes.byref(ctypes.c_char.from_buffer(b)) for b in (row, text)]
+    size = lib.csv_g17(1, 6, *at)
     return (struct.unpack("4d", floats), struct.unpack("20q", picks),
-            zlib.crc32(struct.pack("<201q", *struct.unpack("201q", tail)))) == KNOWN_ANSWERS
+            zlib.crc32(struct.pack("<201q", *struct.unpack("201q", tail))),
+            (bytes(text[:max(size, 0)]), lib.csv_g17(1, 7, *at))) == KNOWN_ANSWERS
 
 
 @functools.cache

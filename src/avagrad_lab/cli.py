@@ -334,14 +334,13 @@ def cmd_synthfig(args) -> int:
         problem, SYNTHFIG_METHODS, hp, w1=0.5, T=steps, base_seed=base_seed,
         n_replicas=n_seeds, record_every=stride, capture_trace=False,
     )
-    t_grid = records[0].rows[:, 0].astype(np.int64).tolist()
     groups = [records[j * n_seeds:(j + 1) * n_seeds] for j in range(len(SYNTHFIG_METHODS))]
     names = [m.value for m in SYNTHFIG_METHODS]
     for fname, col in (("fig1_left.csv", 1), ("fig1_right.csv", 2)):
         # the seed mean of one row column per method: iterate, then grad-norm-sq
-        curves = [np.stack([r.rows[:, col] for r in group]).mean(axis=0).tolist()
-                  for group in groups]
-        write_csv(out_dir / fname, ["t", *names], zip(t_grid, *curves), "synthfig curves")
+        curves = [np.stack([r.rows[:, col] for r in group]).mean(axis=0) for group in groups]
+        write_csv(out_dir / fname, ["t", *names],
+                  np.column_stack([records[0].rows[:, 0], *curves]), "synthfig curves")
     print(f"# synthfig steps={steps} seeds={n_seeds} base_seed={base_seed} out={out_dir}")
     return 0
 

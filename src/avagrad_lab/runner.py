@@ -502,9 +502,10 @@ def bias_gap(
 
 def export_trajectory(record: TrialRecord, path) -> None:
     """Write the strided rows as CSV with a fixed header; bytes are
-    deterministic for a fixed seed (17 significant digit float format)."""
-    rows = ([int(row[0]), *row[1:]] for row in record.rows.tolist())
-    write_csv(path, ROW_COLUMNS, rows, "trajectory")
+    deterministic for a fixed seed (17 significant digit float format). The
+    step column prints as an integer: '%.17g' % t == str(int(t)) for every
+    integer-valued float t below 10^17."""
+    write_csv(path, ROW_COLUMNS, record.rows, "trajectory")
 
 
 def summary_line(record: TrialRecord) -> str:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import ctypes
 import math
 import os
 import pickle
@@ -7,15 +8,17 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 import zlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avagrad_lab import _lanes
+from avagrad_lab import _lanes, core
 from avagrad_lab.core import (
     RngStream,
     Schedule,
@@ -439,6 +442,16 @@ class TestLaneDraws:
             assert state_words(a[0].state) == state_words(b[0].state)
 
 
+# edits of _lanes.c that its known answers catch: (text, replacement)
+_SOURCE_MUTANTS = {
+    "high_half_first": ("    s[S_UINT] = next >> 32;\n    return (uint32_t)next;",
+                        "    s[S_UINT] = (uint32_t)next;\n    return (uint32_t)(next >> 32);"),
+    "half_up": ("if (r > den - r || (r == den - r && (q & 1)))", "if (r >= den - r)"),
+    "one_exponent_digit": ("        *o++ = (char)('0' + i / 10);\n",
+                           "        if (i >= 10)\n            *o++ = (char)('0' + i / 10);\n"),
+}
+
+
 class TestLibraryCheck:
     def test_known_answers_are_numpys(self):
         """KNOWN_ANSWERS, drawn again by numpy's Generator(Philox) as
@@ -454,27 +467,40 @@ class TestLibraryCheck:
         for _ in range(2):
             for h in lane:
                 picks += h.choice(30, 4, replace=False).tolist()
-        assert _lanes.KNOWN_ANSWERS == (floats, tuple(picks), zlib.crc32(tail.tobytes()))
+        assert _lanes.KNOWN_ANSWERS[:3] == (floats, tuple(picks), zlib.crc32(tail.tobytes()))
 
-    @pytest.mark.parametrize("mutant", [False, True], ids=["as_shipped", "high_half_first"])
+    def test_csv_known_answer_is_pythons(self):
+        """The formatter's entry of KNOWN_ANSWERS, printed again by Python's %,
+        and CSV_ROW holds the cases it names: an exact tie at the 18th digit,
+        a double below 10^-14 that rounds up to it, and last a value out of
+        the integer method's range, which is declined as cell 6."""
+        text = ",".join("%.17g" % v for v in _lanes.CSV_ROW[:-1]) + "\n"
+        assert _lanes.KNOWN_ANSWERS[3] == (text.encode(), -1 - 6)
+        tie = Decimal(_lanes.CSV_ROW[0]).as_tuple().digits  # exact: 18 digits, the 17th even
+        assert len(tie) == 18 and tie[-1] == 5 and tie[-2] % 2 == 0
+        assert Decimal(_lanes.CSV_ROW[1]) < Decimal("1e-14")
+        assert abs(_lanes.CSV_ROW[-1]) > 1e47
+
+    @pytest.mark.parametrize("mutant", [None, "high_half_first", "half_up", "one_exponent_digit"],
+                             ids=["as_shipped", "high_half_first", "half_up", "one_exponent_digit"])
     def test_library_that_misses_an_answer_is_refused(self, mutant, tmp_path, monkeypatch):
         """A library built from a source whose 32-bit draw returns the high half
-        of an output first is refused at load, and every draw still equals
+        of an output first, or whose formatter rounds ties up or prints a
+        single exponent digit, is refused at load, and every draw still equals
         numpy's; built from the source as shipped, the same load keeps it."""
         if _lanes.library() is None:
             pytest.skip("no C compiler: the library cannot be built")
         source = _lanes.SOURCE.read_text()
         if mutant:
-            low_first = "    s[S_UINT] = next >> 32;\n    return (uint32_t)next;"
-            assert low_first in source
-            source = source.replace(low_first,
-                                    "    s[S_UINT] = (uint32_t)next;\n    return (uint32_t)(next >> 32);")
+            old, new = _SOURCE_MUTANTS[mutant]
+            assert old in source
+            source = source.replace(old, new)
         (tmp_path / "_lanes.c").write_text(source)
         monkeypatch.setattr(_lanes, "SOURCE", tmp_path / "_lanes.c")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         _lanes.library.cache_clear()
         try:
-            assert (_lanes.library() is None) == mutant
+            assert (_lanes.library() is None) == bool(mutant)
             streams = odd_streams(3)
             gens = [np.random.Generator(np.random.Philox(0)) for _ in streams]
             for rng, g in zip(streams, gens):
@@ -522,3 +548,162 @@ class TestWriteCsv:
             with open(path, "rb") as fh:
                 got = fh.read()
         assert got == ("a,b\n" + "".join(map(per_field_row, rows))).encode("utf-8")
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(0, 9), st.integers(0, 4)))
+    def test_float_table_bytes_equal_the_per_field_formula(self, engine, data, shape):
+        """A 2-D float64 array, three rows a chunk, with any float (one that
+        the formatter declines among them) in up to two cells: the bytes of
+        its rows as lists of floats."""
+        values = st.floats(-1e40, 1e40)
+        table = np.array(data.draw(st.lists(values, min_size=shape[0] * shape[1],
+                                            max_size=shape[0] * shape[1])), np.float64)
+        for _ in range(data.draw(st.integers(0, 2)) if table.size else 0):
+            table[data.draw(st.integers(0, table.size - 1))] = data.draw(st.floats())
+        table = table.reshape(shape)
+        with engine_context(engine), pytest.MonkeyPatch.context() as mp, \
+                tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(core, "_CHUNK_ROWS", 3)
+            path = os.path.join(tmp, "table.csv")
+            write_csv(path, ("a", "b"), table, "table")
+            with open(path, "rb") as fh:
+                got = fh.read()
+        assert got == ("a,b\n" + "".join(map(per_field_row, table.tolist()))).encode("utf-8")
+
+    def test_chunks_of_a_strided_table(self, tmp_path, monkeypatch):
+        """A strided (not C-contiguous) view of two and a half chunks, with a
+        nan in the second: one csv_g17 call a chunk, the second declined at
+        the nan's cell and printed by the templates, the bytes the formula's."""
+        lib = _lanes.library()
+        if lib is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        calls = []
+
+        class Counted:
+            def csv_g17(self, *args):
+                calls.append(lib.csv_g17(*args))
+                return calls[-1]
+
+        monkeypatch.setattr(_lanes, "library", Counted)
+        n = core._CHUNK_ROWS
+        lanes = np.random.default_rng(5).normal(size=(2 * n + n // 2, 7, 2))
+        lanes[:, 0] = np.arange(1, len(lanes) + 1)[:, None]
+        lanes[n + 7, 3, 1] = math.nan
+        table = lanes[:, :, 1]
+        write_csv(tmp_path / "t.csv", ("a",), table, "table")
+        want = "a\n" + "".join(per_field_row([int(row[0]), *row[1:]]) for row in table.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert calls[0] > 0 and calls[1] == -1 - (7 * 7 + 3) and calls[2] > 0 and len(calls) == 3
+
+    @pytest.mark.parametrize("engine, rows", [("compiled", 200_000), ("numpy", 20_000)])
+    def test_memory_does_not_grow_with_rows(self, engine, rows):
+        """tracemalloc's peak while writing a (rows, 7) table, whose text is
+        about 3 MB every 20,000 rows: a chunk's buffers (0.8-0.95 MB), not the
+        file's. The templates take 0.35 ms a row under tracemalloc, so the
+        numpy engine writes fewer."""
+        table = np.random.default_rng(1).normal(size=(rows, 7))
+        with engine_context(engine):
+            tracemalloc.start()
+            try:
+                write_csv(os.devnull, ("a",), table, "table")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2e6
+
+
+@pytest.fixture(scope="module")
+def g17():
+    """One value through csv_g17 of the built library, loaded without the
+    known-answer check, so a formatter that misses one fails here instead of
+    leaving write_csv on its templates: the printed field, or None when the
+    call declines the value."""
+    try:
+        lib = ctypes.CDLL(str(_lanes._build(_lanes.CC, _lanes.cache_dir())))
+    except OSError:
+        pytest.skip("no C compiler: the formatter cannot be built")
+    lib.csv_g17.argtypes, lib.csv_g17.restype = _lanes._ARGTYPES["csv_g17"], ctypes.c_int64
+    text = bytearray(24)
+    out = ctypes.byref(ctypes.c_char.from_buffer(text))
+
+    def fmt(x: float) -> str | None:
+        size = lib.csv_g17(1, 1, np.array([x]).ctypes.data, out)
+        if size < 0:
+            assert size == -1
+            return None
+        assert text[size - 1:size] == b"\n"
+        return text[:size - 1].decode("ascii")
+
+    return fmt
+
+
+def assert_g17(fmt, x: float) -> None:
+    """fmt prints x as '%.17g' % x does, or declines it, and declines only
+    inf, nan or a nonzero value outside [1e-15, 1e47] in magnitude (the
+    subnormals among them)."""
+    got = fmt(x)
+    if got is None:
+        assert not math.isfinite(x) or 0 < abs(x) < 1e-15 or abs(x) > 1e47, x
+    else:
+        assert got == "%.17g" % x, x
+
+
+def _ulps(x: float):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+# odd M / 2^j whose exact decimal has 18 significant digits, ending in 5: a
+# tie at 17 digits for each j, with a 17th digit both odd and even
+_TIES = [m / 2**j for j in range(2, 24)
+         for m in (10**17 // 5**j + 1 | 1, 10**17 // 5**j + 3 | 1, 10**17 // 5**j + 5 | 1)
+         if m < 2**53 and len(str(m * 5**j)) == 18]
+
+
+class TestCsvFormatter:
+    @settings(max_examples=400, deadline=None)
+    @given(bits=st.integers(0, 2**64 - 1))
+    @example(bits=0)
+    @example(bits=2**63)  # -0
+    @example(bits=1)  # subnormals
+    @example(bits=2**63 + 2**52 - 1)
+    @example(bits=0x7FF << 52)  # inf, -inf, nan
+    @example(bits=0xFFF << 52)
+    @example(bits=0x7FF8 << 48)
+    def test_raw_bit_patterns(self, g17, bits):
+        assert_g17(g17, float(np.uint64(bits).view(np.float64)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.floats(1e-16, 1e48), negative=st.booleans())
+    def test_values_in_range(self, g17, x, negative):
+        assert_g17(g17, -x if negative else x)
+
+    def test_powers_of_ten_and_their_neighbours(self, g17):
+        for k in range(-30, 61):
+            for x in _ulps(float(f"1e{k}")):
+                assert_g17(g17, x)
+                assert_g17(g17, -x)
+        assert g17(1e-05) == "1.0000000000000001e-05" and g17(1e17) == "1e+17"
+
+    def test_ties_round_half_to_even(self, g17):
+        digits = {Decimal(x).as_tuple().digits[16] % 2 for x in _TIES}
+        assert len(_TIES) > 40 and digits == {0, 1}  # ties that round down and up
+        for x in _TIES:
+            assert g17(x) is not None
+            assert_g17(g17, x)
+            assert_g17(g17, -x)
+
+    def test_integers(self, g17):
+        for i in range(65):
+            for t in (2**i - 1, 2**i, 2**i + 1):
+                assert_g17(g17, float(t))
+        for t in np.random.default_rng(3).integers(0, 2**63, 2000).tolist():
+            assert_g17(g17, float(t))
+
+    def test_round_up_to_ten_to_the_17(self, g17):
+        """A double just below a power of ten that 17 digits round up to it:
+        1e-14 in range, the others declined."""
+        for x in (1e-14, 1e-79, 1e-70, 1e+98, 1e+129):
+            assert Decimal(x) < Decimal(f"{x:e}")
+            assert_g17(g17, x)
+        assert g17(1e-14) == "1e-14"

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, runner
@@ -951,6 +952,37 @@ class TestExportTrajectory:
         export_trajectory(rec, path)
         ts = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
         assert ts == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.integers(0, 2**53))
+    @example(t=0)
+    @example(t=1)
+    @example(t=2**53 - 1)
+    @example(t=10**16)
+    @example(t=2**53)
+    @example(t=99999999999999984)  # the largest double below 10^17
+    def test_step_column_prints_as_its_integer(self, t):
+        """%.17g of an integer-valued float below 10^17 is its integer's str()."""
+        assert "%.17g" % float(t) == str(t)
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    def test_bytes_of_integer_step_rows(self, engine, tmp_path):
+        """The bytes of the rows with t as an int, as export_trajectory wrote
+        them before it passed the float table, for records of both engines:
+        one trial of 5,000 rows (past a chunk of the formatter) and the
+        strided rows of a two-seed batch."""
+        if engine == "compiled" and _lanes.library() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
+            problem = synth_make(999.0, 1.0)
+            records = [run_trial(synth_cfg(T=5000, record_every=1, seed=3)), *run_trials(
+                [synth_cfg(T=300, seed=s, record_every=7, problem=problem) for s in (1, 2)])]
+            for i, rec in enumerate(records):
+                export_trajectory(rec, tmp_path / f"{i}.csv")
+        for i, rec in enumerate(records):
+            want = "".join(",".join([str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]]) + "\n"
+                           for row in rec.rows.tolist())
+            assert (tmp_path / f"{i}.csv").read_text() == ",".join(ROW_COLUMNS) + "\n" + want
 
     def test_io_error_has_path_context(self, tmp_path):
         rec = run_trial(synth_cfg(T=2))

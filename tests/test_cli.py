@@ -1,3 +1,4 @@
+import atexit
 import gc
 import math
 import os
@@ -65,13 +66,16 @@ def assert_one_error(stderr, word):
     assert len(err) == 1 and err[0].startswith("error: ") and word in err[0], err
 
 
-def run_python(args, **kwargs):
-    """Run `python <args>` in a child process that imports this checkout's avagrad_lab."""
+def run_python(args, stdout=subprocess.PIPE, **kwargs):
+    """Run `python <args>` in a child process that imports this checkout's
+    avagrad_lab, with PYTHONUNBUFFERED unset: its stdout is block-buffered, as
+    in a pipeline, so output that is never flushed is missing."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 class TestCmdRun:
@@ -656,11 +660,55 @@ LIST_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items()
              if t[1].startswith("comma-separated")]
 
 
+QUADRATIC_SWEEP_CONFIG = """\
+[problem]
+kind = quadratic
+curvatures = 1,2
+noise_std = 0.1
+
+[run]
+steps = 5
+
+[grid]
+alphas = 0.01,0.1
+epsilons = 1e-3,1
+methods = adam,delayed_adam
+"""
+
+# (config text or None, command line without --config and --out, exit status)
+ENTRY_CASES = {
+    "run": (SYNTH_CONFIG, ["run", "--steps", "40"], 0),
+    "run-diverged": (SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = 1e306"), ["run"], 2),
+    "synthfig": (None, ["synthfig", "--steps", "200", "--num-seeds", "2"], 0),
+    "sweep": (QUADRATIC_SWEEP_CONFIG, ["sweep", "--workers", "2"], 0),
+    "check": (SYNTH_CONFIG, ["check", "--steps", "200"], 0),
+    "check-failed": (SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = 1e306"), ["check"], 2),
+    "config-error": (SYNTH_CONFIG.replace("kind = synth", "kind = cubic"), ["run"], 1),
+}
+
+
+def entry_argv(cwd, config, argv):
+    """The case's command line, run from `cwd` into `cwd/o`, its config written there."""
+    cwd.mkdir()
+    if config is None:
+        return [*argv, "--out", "o"]
+    (cwd / "config.ini").write_text(config)
+    return [*argv, "--config", "config.ini", "--out", "o"]
+
+
+def output_files(cwd):
+    return {str(p.relative_to(cwd)): p.read_bytes()
+            for p in sorted((cwd / "o").rglob("*")) if p.is_file()}
+
+
 class TestEntryPoint:
     """`python -m avagrad_lab.cli` and the `avagrad-lab` script go through
-    cli.script(), which freezes the heap after main() returns; main() itself
-    leaves the collector alone. The golden run fixtures also run through the
-    module (tests/test_golden.py)."""
+    cli.script(), which ends the process once main() returns: it runs the
+    atexit callbacks, flushes stdout and stderr, and leaves through os._exit,
+    skipping module teardown. main() itself returns and leaves the collector
+    and the process alone. A bad command line is a configuration error (exit
+    1, one `error:` line). The golden run fixtures also run through the module
+    (tests/test_golden.py)."""
 
     def test_missing_config_exits_one_with_one_error_line(self, tmp_path):
         out = run_python(["-m", "avagrad_lab.cli", "run", "--config",
@@ -668,22 +716,97 @@ class TestEntryPoint:
         assert out.returncode == 1 and out.stdout == ""
         assert_one_error(out.stderr, "absent.ini")
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["fit"], "argument command: invalid choice: 'fit'"),
+        (["run"], "the following arguments are required: --config"),
+        (["run", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["synthfig", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ], ids=["no-command", "unknown-command", "no-config", "non-integer-steps", "unknown-flag"])
+    def test_bad_command_line_exits_one_with_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error(err, message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0 and "--config CONFIG" in capsys.readouterr().out
+
     def test_main_freezes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)
-        before = gc.get_freeze_count()
-        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--steps", "20"]) == 0
-        assert gc.get_freeze_count() == before
+        ran = []
+        atexit.register(ran.append, "atexit")
+        try:
+            before = gc.get_freeze_count()
+            assert main(["run", "--config", cfg, "--out", str(tmp_path), "--steps", "20"]) == 0
+            assert gc.get_freeze_count() == before and ran == []
+        finally:
+            atexit.unregister(ran.append)
 
-    def test_module_entry_freezes_the_heap(self, tmp_path):
-        code = ("import gc, runpy, sys\n"
+    @pytest.mark.parametrize("case", ENTRY_CASES)
+    def test_module_entry_matches_main(self, tmp_path, capsys, monkeypatch, case):
+        config, argv, status = ENTRY_CASES[case]
+        cwd = tmp_path / "module"
+        child = run_python(["-m", "avagrad_lab.cli", *entry_argv(cwd, config, argv)], cwd=cwd)
+        module = (child.returncode, child.stdout, child.stderr, output_files(cwd))
+        cwd = tmp_path / "main"
+        argv = entry_argv(cwd, config, argv)
+        monkeypatch.chdir(cwd)
+        code = main(argv)
+        assert module == (code, *capsys.readouterr(), output_files(cwd))
+        assert code == status
+
+    def test_module_entry_runs_atexit_callbacks(self, tmp_path):
+        code = ("import atexit, runpy, sys\n"
+                "atexit.register(print, 'atexit callback ran')\n"
                 "sys.argv[1:] = ['synthfig', '--steps', '20', '--num-seeds', '1', "
                 f"'--out', {str(tmp_path)!r}]\n"
-                "try:\n"
-                "    runpy.run_module('avagrad_lab.cli', run_name='__main__')\n"
-                "except SystemExit as exc:\n"
-                "    print(exc.code, gc.get_freeze_count())\n")
-        status, frozen = run_python(["-c", code], check=True).stdout.split()[-2:]
-        assert status == "0" and int(frozen) > 0
+                "runpy.run_module('avagrad_lab.cli', run_name='__main__')\n"
+                "print('not reached')\n")
+        out = run_python(["-c", code])
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.splitlines()[-2:] == [
+            f"# synthfig steps=20 seeds=1 base_seed=0 out={tmp_path}", "atexit callback ran"]
+
+    @pytest.mark.parametrize("case", ["run", "synthfig", "sweep", "check"])
+    def test_module_entry_exits_with_one_thread(self, tmp_path, case):
+        # os._exit reports the threads alive, in script() and in the sweep's
+        # forked workers, which leave through it too
+        config, argv, _ = ENTRY_CASES[case]
+        argv = entry_argv(tmp_path / "cwd", config, argv)
+        code = ("import os, runpy, sys, threading\n"
+                "exit_ = os._exit\n"
+                "def report(status):\n"
+                "    os.write(1, f'threads={threading.active_count()}\\n'.encode())\n"
+                "    exit_(status)\n"
+                "os._exit = report\n"
+                f"sys.argv[1:] = {argv!r}\n"
+                "runpy.run_module('avagrad_lab.cli', run_name='__main__')\n")
+        out = run_python(["-c", code], cwd=tmp_path / "cwd")
+        assert out.returncode == 0
+        reports = [line for line in out.stdout.splitlines() if line.startswith("threads=")]
+        assert reports == ["threads=1"] * (2 if case == "sweep" else 1)
+
+    def test_failed_stdout_flush_exits_one_with_one_error_line(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # a reader that has gone: the flush at exit fails with EPIPE
+        try:
+            out = run_python(["-m", "avagrad_lab.cli", "synthfig", "--steps", "20",
+                              "--num-seeds", "1", "--out", str(tmp_path)], stdout=write)
+        finally:
+            os.close(write)
+        assert out.returncode == 1
+        assert_one_error(out.stderr, "cannot write standard output")
+        assert (tmp_path / "fig1_right.csv").is_file()
+
+    def test_module_entry_with_stdout_closed_exits_zero(self, tmp_path):
+        # a process started with fd 1 closed has sys.stdout None, and print() drops its text
+        out = run_python(["-m", "avagrad_lab.cli", "synthfig", "--steps", "20", "--num-seeds",
+                          "1", "--out", str(tmp_path)], stdout=None, preexec_fn=lambda: os.close(1))
+        assert out.returncode == 0 and out.stderr == ""
+        assert (tmp_path / "fig1_right.csv").is_file()
 
     def test_script_entry_point_is_the_module_entry(self):
         tomllib = pytest.importorskip("tomllib")

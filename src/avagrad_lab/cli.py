@@ -21,6 +21,11 @@ command line is a configuration error too. The `avagrad-lab` script and
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # the `-m` entry holds the collector until main(); see script()
+    gc.disable()
+
 import argparse
 import atexit
 import dataclasses
@@ -97,6 +102,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if not 0 <= seed < 2**64:  # the library masks seeds to 64 bits: -1 would alias 2^64 - 1
+        raise ValueError(raw)
+    return seed
+
+
 def _bool(raw: str) -> bool:
     import configparser  # loaded by _load_config, the one caller of a key's parse
 
@@ -128,7 +140,8 @@ def _list_of(key_type, plural: str):
 # A key type is (parse, noun): parse raises ValueError on bad text, and the
 # error reads "<[section] key> must be <noun>, got '<text>'".
 _FLOAT, _INT, _TEXT = (_finite, "a finite float"), (int, "an integer"), (str, "text")
-_FLOATS, _INTS = _list_of(_FLOAT, "finite floats"), _list_of(_INT, "integers")
+_SEED = (_seed, "an integer in [0, 2^64)")
+_FLOATS, _SEEDS = _list_of(_FLOAT, "finite floats"), _list_of(_SEED, "integers in [0, 2^64)")
 _METHOD_NAMES = tuple(m.value for m in Method)
 _METHOD = _one_of(_METHOD_NAMES, Method)
 _DECAY = _one_of(tuple(m.value for m in DecayMode), DecayMode)
@@ -148,13 +161,13 @@ _KEYS = {
         "beta2_schedule": _BETA_SCHEDULE, "weight_decay": _FLOAT, "decay_mode": _DECAY,
     },
     "run": {
-        "steps": _INT, "seeds": _INTS, "record_every": _INT, "out_dir": _TEXT, "w1": _FLOATS,
+        "steps": _INT, "seeds": _SEEDS, "record_every": _INT, "out_dir": _TEXT, "w1": _FLOATS,
         "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _FLOAT, "init_scale": _FLOAT,
     },
     "grid": {
         "default": (_bool, "a boolean"), "alphas": _FLOATS, "epsilons": _FLOATS,
         "methods": _list_of(_METHOD, "names from " + ", ".join(_METHOD_NAMES)),
-        "seeds": _INTS, "workers": _INT, "metric": _one_of(METRICS), "holdout": _TEXT,
+        "seeds": _SEEDS, "workers": _INT, "metric": _one_of(METRICS), "holdout": _TEXT,
         "beta1": _FLOAT, "beta2": _FLOAT, "weight_decay": _FLOAT, "decay_mode": _DECAY,
         "init_scale": _FLOAT,
     },
@@ -259,12 +272,7 @@ def _base_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     raw = os.environ.get(ENV_SEED)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-    return 0
+    return 0 if raw is None else _parse(ENV_SEED, _SEED, raw)
 
 
 def _default_w1(problem, seed_label: int, init_scale: float = 0.1) -> np.ndarray:
@@ -330,9 +338,9 @@ def cmd_synthfig(args) -> int:
     n_seeds = args.num_seeds
     _require_positive(steps, "steps")
     _require_positive(n_seeds, "--num-seeds")
+    base_seed = _base_seed(args)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = _base_seed(args)
     stride = max(1, steps // 1000)
     problem = _build_problem({"kind": "synth"})
     hp = HyperParams(
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         if config_required:
             p.add_argument("--config", required=True, help="configuration file path")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=lambda raw: _parse("--seed", _SEED, raw), default=None,
                        help=f"base seed (falls back to ${ENV_SEED}, then 0)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--steps", type=int, default=None, help="override step count T")
@@ -556,7 +564,17 @@ def script() -> NoReturn:
     SystemExit (`--help`) or an uncaught exception leaves through the
     interpreter. main() never ends the process, because tests and the
     benchmark's traced passes call it in one long-lived process.
+
+    Run as `__main__` (`python -m avagrad_lab.cli`), this module disables the
+    cyclic collector in its first statement, so the imports of numpy and the
+    package run no collection: everything they build lives until exit anyway.
+    Here those objects are frozen, and only then is the collector enabled for
+    main(), so that no collection walks them. The console script imports this
+    module under its own name and leaves the collector alone, as main() does.
     """
+    if __name__ == "__main__":
+        gc.freeze()
+        gc.enable()
     status = main()
     atexit._run_exitfuncs()
     try:

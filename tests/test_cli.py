@@ -1,5 +1,6 @@
 import atexit
 import gc
+import json
 import math
 import os
 import re
@@ -262,7 +263,31 @@ steps = 5
         monkeypatch.setenv("AVAGRAD_LAB_SEED", "seven")
         cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1\n", ""))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert_one_error_line(capsys, "AVAGRAD_LAB_SEED must be an integer, got 'seven'")
+        assert_one_error_line(capsys, "AVAGRAD_LAB_SEED must be an integer in [0, 2^64), "
+                                      "got 'seven'")
+
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("source", ["--seed", "AVAGRAD_LAB_SEED", "[run] seeds",
+                                        "[grid] seeds"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, monkeypatch, source, seed):
+        # the library masks seeds to 64 bits, so -1 and 2^64 would alias 2^64 - 1 and 0
+        out = str(tmp_path / "o")
+        argv = {
+            "--seed": ["synthfig", "--num-seeds", "1", "--seed", str(seed)],
+            "AVAGRAD_LAB_SEED": ["synthfig", "--num-seeds", "1"],
+            "[run] seeds": ["run", "--config", write_config(
+                tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", f"seeds = {seed}"), "run.ini")],
+            "[grid] seeds": ["sweep", "--config", write_config(
+                tmp_path, SWEEP_CONFIG.replace("seeds = 0,1,2", f"seeds = {seed}"), "grid.ini")],
+        }[source]
+        monkeypatch.setenv("AVAGRAD_LAB_SEED", str(seed))
+        code = main([*argv, "--steps", "2", "--out", out])
+        if 0 <= seed < 2**64:
+            assert code == 0
+        else:
+            assert code == 1 and not (tmp_path / "o").exists()
+            noun = "comma-separated integers" if "]" in source else "an integer"
+            assert_one_error_line(capsys, f"{source} must be {noun} in [0, 2^64), got '{seed}'")
 
     def test_unparsable_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "method = adam\n")  # a key before any section
@@ -687,6 +712,37 @@ ENTRY_CASES = {
 }
 
 
+# Child code that runs `python -m avagrad_lab.cli` as runpy does, with argv
+# filled in by format(). It empties generation 0, counts the collector's runs,
+# and notes them with the collector's state where the package's body returns,
+# where cli's module body starts and where main() is called; an atexit
+# callback, which script() runs, prints the notes as one JSON line.
+STARTUP_PROBE = """\
+import atexit, gc, json, os, runpy, sys
+runs, notes = [], {{}}
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and runs.append(info["generation"]))
+PLACES = {{("return", "<module>", "__init__.py", "avagrad_lab"): "package",
+          ("call", "<module>", "cli.py", "__main__"): "entry",
+          ("call", "main", "cli.py", "__main__"): "main"}}
+
+def note(frame, event, arg):
+    code = frame.f_code
+    where = PLACES.get((event, code.co_name, os.path.basename(code.co_filename),
+                        frame.f_globals.get("__name__")))
+    if where:
+        notes[where] = {{"runs": list(runs), "enabled": gc.isenabled(),
+                        "frozen": gc.get_freeze_count()}}
+    if where == "main":
+        sys.setprofile(None)
+
+sys.setprofile(note)
+atexit.register(lambda: print(json.dumps(notes)))
+sys.argv[1:] = {argv!r}
+runpy.run_module("avagrad_lab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def entry_argv(cwd, config, argv):
     """The case's command line, run from `cwd` into `cwd/o`, its config written there."""
     cwd.mkdir()
@@ -705,10 +761,12 @@ class TestEntryPoint:
     """`python -m avagrad_lab.cli` and the `avagrad-lab` script go through
     cli.script(), which ends the process once main() returns: it runs the
     atexit callbacks, flushes stdout and stderr, and leaves through os._exit,
-    skipping module teardown. main() itself returns and leaves the collector
-    and the process alone. A bad command line is a configuration error (exit
-    1, one `error:` line). The golden run fixtures also run through the module
-    (tests/test_golden.py)."""
+    skipping module teardown. Under `-m`, cli holds the cyclic collector from
+    its first statement, and script() freezes the heap and enables the
+    collector just before main(). main() itself, the console script and a
+    library import leave the collector and the process alone. A bad command
+    line is a configuration error (exit 1, one `error:` line). The golden run
+    fixtures also run through the module (tests/test_golden.py)."""
 
     def test_missing_config_exits_one_with_one_error_line(self, tmp_path):
         out = run_python(["-m", "avagrad_lab.cli", "run", "--config",
@@ -807,6 +865,61 @@ class TestEntryPoint:
                           "1", "--out", str(tmp_path)], stdout=None, preexec_fn=lambda: os.close(1))
         assert out.returncode == 0 and out.stderr == ""
         assert (tmp_path / "fig1_right.csv").is_file()
+
+    @pytest.mark.parametrize("case", ["run", "check", "synthfig", "sweep"])
+    def test_module_entry_runs_no_collection_before_main(self, tmp_path, case):
+        config, argv, status = ENTRY_CASES[case]
+        argv = entry_argv(tmp_path / "cwd", config, argv)
+        out = run_python(["-c", STARTUP_PROBE.format(argv=argv)], cwd=tmp_path / "cwd")
+        assert out.returncode == status, out.stderr
+        notes = json.loads(out.stdout.splitlines()[-1])
+        package, entry, at_main = (notes[where] for where in ("package", "entry", "main"))
+        assert package["runs"] == []  # the package's import loads nothing
+        # compiling cli.py, which precedes its first statement, may run young collections
+        assert set(entry["runs"]) <= {0}
+        assert at_main["runs"] == entry["runs"]
+        assert at_main["enabled"] and at_main["frozen"] > 0
+
+    def test_package_import_loads_no_submodule_or_numpy(self):
+        code = ("import sys, avagrad_lab\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'numpy' or m.startswith('avagrad_lab.')))\n")
+        assert run_python(["-c", code], check=True).stdout == "[]\n"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_library_import_and_main_leave_the_collector_alone(self, tmp_path, enabled):
+        argv = ["synthfig", "--steps", "20", "--num-seeds", "1", "--out", str(tmp_path)]
+        code = ("import gc, json\n"
+                f"if not {enabled}: gc.disable()\n"
+                "gc.freeze()\n"
+                "state = lambda: [gc.isenabled(), gc.get_freeze_count()]\n"
+                "seen = [state()]\n"
+                "import avagrad_lab.cli\n"
+                "seen.append(state())\n"
+                f"assert avagrad_lab.cli.main({argv!r}) == 0\n"
+                "seen.append(state())\n"
+                "print(json.dumps(seen))\n")
+        seen = json.loads(run_python(["-c", code], check=True).stdout.splitlines()[-1])
+        assert seen[0][0] is enabled and seen[0][1] > 0
+        assert seen == [seen[0]] * 3
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_console_script_leaves_the_collector_alone(self, tmp_path, enabled):
+        # the `avagrad-lab` script imports cli under its own name and calls script()
+        argv = ["synthfig", "--steps", "20", "--num-seeds", "1", "--out", str(tmp_path)]
+        code = ("import atexit, gc, json, sys\n"
+                f"if not {enabled}: gc.disable()\n"
+                "state = lambda: [gc.isenabled(), gc.get_freeze_count()]\n"
+                "seen = [state()]\n"
+                "from avagrad_lab import cli\n"
+                "main = cli.main\n"
+                "cli.main = lambda: seen.append(state()) or main()\n"
+                "atexit.register(lambda: print(json.dumps(seen + [state()])))\n"
+                f"sys.argv[1:] = {argv!r}\n"
+                "cli.script()\n")
+        out = run_python(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [[enabled, 0]] * 3
 
     def test_script_entry_point_is_the_module_entry(self):
         tomllib = pytest.importorskip("tomllib")

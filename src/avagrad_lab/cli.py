@@ -7,12 +7,13 @@ Subcommands:
   check     gradient, bias-gap and bound diagnostics for a configuration
 
 Configuration is a sectioned key=value file ([problem] / [optimizer] / [run] /
-[grid]); unknown keys or sections are hard errors so typos cannot silently
-change an experiment. Every value is parsed by its key's type when the file
-is read: a float must be finite and a list non-empty. Command-line flags
-override file values and every effective setting is echoed in the summary
-header. Exit codes: 0 success, 1 configuration or I/O error, 2 a trial
-diverged or a check failed.
+[grid]) in the strict INI subset that _read_ini reads; unknown keys or
+sections are hard errors so typos cannot silently change an experiment.
+Every value is parsed by its key's type when the file is read: a float must
+be finite and a list non-empty. Command-line flags, declared once in
+_COMMANDS, are parsed by the same key types; they override file values and
+every effective setting is echoed in the summary header. Exit codes: 0
+success, 1 configuration or I/O error, 2 a trial diverged or a check failed.
 
 `main(argv)` runs one command in-process and returns its exit code; a bad
 command line is a configuration error too. The `avagrad-lab` script and
@@ -26,7 +27,6 @@ import gc
 if __name__ == "__main__":  # the `-m` entry holds the collector until main(); see script()
     gc.disable()
 
-import argparse
 import atexit
 import dataclasses
 import importlib
@@ -34,6 +34,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn
 
 import numpy as np
@@ -86,15 +87,6 @@ class ConfigError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are ConfigErrors, so a bad command line
-    exits 1 with one `error:` line like any configuration error; the
-    subparsers that add_subparsers makes are of this class too."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -109,11 +101,14 @@ def _seed(raw: str) -> int:
     return seed
 
 
-def _bool(raw: str) -> bool:
-    import configparser  # loaded by _load_config, the one caller of a key's parse
+#: the boolean words configparser accepts, in any case
+_BOOLEANS = dict.fromkeys(("1", "yes", "true", "on"), True) | dict.fromkeys(
+    ("0", "no", "false", "off"), False)
 
+
+def _bool(raw: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        return _BOOLEANS[raw.lower()]
     except KeyError:
         raise ValueError(raw) from None
 
@@ -182,29 +177,64 @@ def _parse(what: str, key_type, raw: str):
         raise ConfigError(f"{what} must be {noun}, got {raw!r}") from None
 
 
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """The sections of INI text as {section: {key: raw value}}, in file order.
+
+    It reads the subset the repository's configs use: `[section]` headers,
+    `key = value` lines, and full-line `#` or `;` comments and blank lines.
+    A key is lower-cased and stripped, and a value stripped and read
+    literally (a `%` is a `%`). Any other line raises a ValueError that names
+    it: a key outside a section, a line without `=` or with a `:` in its key,
+    an indented (continuation) line, and a repeated section or key.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    keys = None
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        key, eq, value = stripped.partition("=")
+        key = key.rstrip().lower()
+        if line[0].isspace():
+            error = "indented line (continuation lines are not read)"
+        elif stripped[0] == "[" and stripped[-1] == "]":
+            if stripped[1:-1] not in sections:
+                keys = sections[stripped[1:-1]] = {}
+                continue
+            error = "repeated section"
+        elif not eq or not key or ":" in key:
+            error = "expected [section] or key = value"
+        elif keys is None:
+            error = "key outside a section"
+        elif key in keys:
+            error = f"repeated key {key!r}"
+        else:
+            keys[key] = value.strip()
+            continue
+        raise ValueError(f"line {number}: {error}: {stripped!r}")
+    return sections
+
+
 def _load_config(path: str) -> dict[str, dict]:
     """Read an INI file into {section: {key: typed value}} for the keys it sets."""
-    import configparser  # only here: synthfig, which reads no file, never loads it
-
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except (configparser.Error, OSError) as exc:
-        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
+        with open(path, encoding="utf-8") as fh:
+            sections = _read_ini(fh.read())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
     config = {}
-    for section in cp.sections():
+    for section, raw_values in sections.items():
         if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(cp[section]) - set(_KEYS[section])
+        unknown = set(raw_values) - set(_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-        config[section] = {key: _parse(f"[{section}] {key}", _KEYS[section][key], raw.strip())
-                           for key, raw in cp[section].items()}
+        config[section] = {key: _parse(f"[{section}] {key}", _KEYS[section][key], raw)
+                           for key, raw in raw_values.items()}
     return config
 
 
@@ -251,7 +281,7 @@ def _schedule(kind: str, base: float) -> Schedule:
 
 
 def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
-    method = _parse("--method", _METHOD, args.method) if args.method else cfg.get("method")
+    method = args.method if args.method is not None else cfg.get("method")
     if method is None:
         raise ConfigError("[optimizer] method is required")
     alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.001)
@@ -269,7 +299,7 @@ def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
 
 
 def _base_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get(ENV_SEED)
     return 0 if raw is None else _parse(ENV_SEED, _SEED, raw)
@@ -335,7 +365,7 @@ SYNTHFIG_METHODS = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
 
 def cmd_synthfig(args) -> int:
     steps = args.steps if args.steps is not None else 1_000_000
-    n_seeds = args.num_seeds
+    n_seeds = args.num_seeds if args.num_seeds is not None else 10
     _require_positive(steps, "steps")
     _require_positive(n_seeds, "--num-seeds")
     base_seed = _base_seed(args)
@@ -502,49 +532,99 @@ def cmd_check(args) -> int:
     return 2 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="avagrad-lab",
-        description="Adaptive-gradient experiments: trials, sweeps, and diagnostics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMON_FLAGS = (("--seed", _SEED, f"base seed (falls back to ${ENV_SEED}, then 0)"),
+                 ("--out", _TEXT, "output directory"),
+                 ("--steps", _INT, "override step count T"))
+_CONFIG_FLAG = (("--config", _TEXT, "configuration file path"),)
+_OPTIMIZER_FLAGS = (("--alpha", _FLOAT, "override learning rate"),
+                    ("--epsilon", _FLOAT, "override epsilon"),
+                    ("--method", _METHOD, "override optimizer method"))
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="configuration file path")
-        p.add_argument("--seed", type=lambda raw: _parse("--seed", _SEED, raw), default=None,
-                       help=f"base seed (falls back to ${ENV_SEED}, then 0)")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--steps", type=int, default=None, help="override step count T")
+#: each command's function, help line and flags; a flag is (name, key type,
+#: help), it defaults to None, and a command that has --config requires it
+_COMMANDS = {
+    "run": (cmd_run, "run the configured trial per seed",
+            _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
+    "synthfig": (cmd_synthfig, "scalar benchmark comparison CSVs",
+                 _COMMON_FLAGS + (("--num-seeds", _INT, "replicas per method (default 10)"),)),
+    "sweep": (cmd_sweep, "alpha x epsilon grid sweep",
+              _CONFIG_FLAG + _COMMON_FLAGS + (("--workers", _INT, "parallel workers"),)),
+    "check": (cmd_check, "gradient / bias / bound diagnostics",
+              _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
+}
 
-    p_run = sub.add_parser("run", help="run the configured trial per seed")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
-    p_fig = sub.add_parser("synthfig", help="scalar benchmark comparison CSVs")
-    common(p_fig, config_required=False)
-    p_fig.add_argument("--num-seeds", type=int, default=10, help="replicas per method")
-    p_fig.set_defaults(func=cmd_synthfig)
+def _help(command: str | None) -> str:
+    if command is None:
+        return (f"usage: avagrad-lab {{{','.join(_COMMANDS)}}} ...\n\n"
+                "Adaptive-gradient experiments: trials, sweeps, and diagnostics.\n\n"
+                "commands:\n" + "".join(f"  {name:<10}{about}\n"
+                                         for name, (_, about, _) in _COMMANDS.items()))
+    _, about, flags = _COMMANDS[command]
+    usage = [f"{name} {name[2:].upper().replace('-', '_')}" for name, _, _ in flags]
+    return (f"usage: avagrad-lab {command} "
+            + " ".join(u if u.startswith("--config") else f"[{u}]" for u in usage)
+            + f"\n\n{about}\n\noptions:\n  -h, --help{'':<15}show this help and exit\n"
+            + "".join(f"  {u:<25}{text}\n" for u, (_, _, text) in zip(usage, flags)))
 
-    p_sweep = sub.add_parser("sweep", help="alpha x epsilon grid sweep")
-    common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=None, help="parallel workers")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_check = sub.add_parser("check", help="gradient / bias / bound diagnostics")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
+def _flag(name: str, names) -> str | None:
+    """The flag that `name` is or is a unique prefix of; None for no flag."""
+    if name in names:
+        return name
+    matches = [flag for flag in names if flag.startswith(name)]
+    if len(matches) > 1:
+        raise ConfigError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    return matches[0] if matches else None
 
-    for p in (p_run, p_check):  # the commands that build an optimizer from [optimizer]
-        p.add_argument("--alpha", type=float, default=None, help="override learning rate")
-        p.add_argument("--epsilon", type=float, default=None, help="override epsilon")
-        p.add_argument("--method", default=None, help="override optimizer method")
-    return parser
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The command of a command line and its flags, as the `args` of its function.
+
+    A flag's value is the next argument, or follows `=` in the same one, and
+    goes through _parse with the flag's key type. A flag may be shortened to a
+    unique prefix and, given twice, keeps its last value. -h or --help prints
+    the usage and raises SystemExit(0); any other error is a ConfigError.
+    """
+    if not argv:
+        raise ConfigError("the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        print(_help(None), end="")
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {command!r}"
+                          f" (choose from {', '.join(_COMMANDS)})")
+    func, _, flags = _COMMANDS[command]
+    key_types = {name: key_type for name, key_type, _ in flags}
+    args = SimpleNamespace(func=func, **{name[2:].replace("-", "_"): None for name in key_types})
+    unrecognized = []
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, raw = token.partition("=")
+        flag = (_flag(name, [*key_types, "--help"]) if name.startswith("--") and name != "--"
+                else "--help" if token == "-h" else None)
+        if flag is None:
+            unrecognized.append(token)
+            continue
+        if flag == "--help":
+            print(_help(command), end="")
+            raise SystemExit(0)
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None or raw.startswith("--"):
+                raise ConfigError(f"argument {flag}: expected one argument")
+        setattr(args, flag[2:].replace("-", "_"), _parse(flag, key_types[flag], raw))
+    if "--config" in key_types and args.config is None:
+        raise ConfigError("the following arguments are required: --config")
+    if unrecognized:
+        raise ConfigError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

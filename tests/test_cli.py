@@ -1,4 +1,6 @@
+import ast
 import atexit
+import configparser
 import gc
 import json
 import math
@@ -6,18 +8,23 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, cli
-from avagrad_lab.cli import _FLOAT, _KEYS, main
-from avagrad_lab.core import RngStream
+from avagrad_lab.cli import _FLOAT, _KEYS, ConfigError, _parse, main
+from avagrad_lab.core import SCHEDULE_KINDS, RngStream
 from avagrad_lab.mlp import gaussian_blobs
-from avagrad_lab.runner import run_trials
+from avagrad_lab.optim import DecayMode, Method
+from avagrad_lab.problems import METRICS
+from avagrad_lab.runner import GRAD_METRICS, run_trials
 from avagrad_lab.sweep import default_grid
 
 
@@ -407,8 +414,9 @@ steps = 5
 
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
         """Each command kind, in a process of its own, loads `sweep` only to
-        sweep, `mlp` only for an MLP problem or a holdout, and configparser
-        only to read a config file, which synthfig has none of."""
+        sweep and `mlp` only for an MLP problem or a holdout; none loads the
+        stdlib's argument or INI parsers, or the gettext and locale modules
+        that argparse pulls in."""
         train = write_blobs_csv(tmp_path, "train.csv", seed=5)
         hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
         mlp = (f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\n"
@@ -421,22 +429,22 @@ steps = 5
         out = str(tmp_path / "out")
         common = ["avagrad_lab", "avagrad_lab._lanes", "avagrad_lab.cli", "avagrad_lab.core",
                   "avagrad_lab.optim", "avagrad_lab.problems", "avagrad_lab.runner"]
-        cases = [  # argv, the package modules past `common`, whether configparser loads
-            (["synthfig", "--steps", "20", "--num-seeds", "2", "--out", out], [], False),
-            (["run", "--config", synth, "--out", out], [], True),
-            (["check", "--config", synth], [], True),
-            (["sweep", "--config", quadratic, "--out", out], ["avagrad_lab.sweep"], True),
-            (["run", "--config", mlp, "--out", out], ["avagrad_lab.mlp"], True),
-            (["sweep", "--config", mlp, "--out", out],
-             ["avagrad_lab.mlp", "avagrad_lab.sweep"], True),
+        front_end = ("argparse", "gettext", "locale", "_locale", "configparser")
+        cases = [  # argv, the package modules past `common`
+            (["synthfig", "--steps", "20", "--num-seeds", "2", "--out", out], []),
+            (["run", "--config", synth, "--out", out], []),
+            (["check", "--config", synth], []),
+            (["sweep", "--config", quadratic, "--out", out], ["avagrad_lab.sweep"]),
+            (["run", "--config", mlp, "--out", out], ["avagrad_lab.mlp"]),
+            (["sweep", "--config", mlp, "--out", out], ["avagrad_lab.mlp", "avagrad_lab.sweep"]),
         ]
-        for argv, extra, parses in cases:
+        for argv, extra in cases:
             code = "\n".join([
                 "import sys", "from avagrad_lab.cli import main", f"status = main({argv!r})",
                 "print(status, sorted(m for m in sys.modules if m.startswith('avagrad_lab')),"
-                " 'configparser' in sys.modules)"])
+                f" [m for m in {front_end!r} if m in sys.modules])"])
             last = run_python(["-c", code], check=True).stdout.splitlines()[-1]
-            assert last == f"0 {sorted(common + extra)} {parses}", argv
+            assert last == f"0 {sorted(common + extra)} []", argv
 
     def test_each_seed_matches_its_own_run(self, tmp_path, capsys):
         # a batch with a diverging seed is checked by the golden run fixtures,
@@ -778,7 +786,7 @@ class TestEntryPoint:
         ([], "the following arguments are required: command"),
         (["fit"], "argument command: invalid choice: 'fit'"),
         (["run"], "the following arguments are required: --config"),
-        (["run", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["run", "--steps", "abc"], "--steps must be an integer, got 'abc'"),
         (["synthfig", "--workers", "2"], "unrecognized arguments: --workers 2"),
     ], ids=["no-command", "unknown-command", "no-config", "non-integer-steps", "unknown-flag"])
     def test_bad_command_line_exits_one_with_one_error_line(self, capsys, argv, message):
@@ -999,3 +1007,209 @@ def test_readme_names_every_config_key():
     named = {section: set(re.findall(r"(?<![\w.])(\w+) =", body))
              for section, body in zip(parts[::2], parts[1::2])}
     assert named == {section: set(keys) for section, keys in _KEYS.items()}
+
+
+# flag -> (a good value, what it parses to, a bad value); a text flag's bad
+# value is None: the flag given last, without a value
+FLAG_VALUES = {
+    "--config": ("config.ini", "config.ini", None), "--out": ("o", "o", None),
+    "--seed": ("3", 3, "-1"), "--steps": ("3", 3, "abc"), "--alpha": ("0.01", 0.01, "nan"),
+    "--epsilon": ("1e-3", 1e-3, "inf"), "--method": ("adam", Method.ADAM, "bogus"),
+    "--workers": ("2", 2, "two"), "--num-seeds": ("2", 2, "1.5"),
+}
+FLAG_CASES = [(command, flag, key_type) for command, (_, _, flags) in cli._COMMANDS.items()
+              for flag, key_type, _ in flags]
+
+
+class TestFlags:
+    """Each command's flags come from one table, cli._COMMANDS, and each value
+    is parsed by its flag's key type, so an error names the flag."""
+
+    def test_table_covers_every_flag(self):
+        assert {flag for _, flag, _ in FLAG_CASES} == set(FLAG_VALUES)
+
+    @pytest.mark.parametrize("good", [True, False], ids=["good", "bad"])
+    @pytest.mark.parametrize("command, flag, key_type", FLAG_CASES,
+                             ids=[f"{c}{f}" for c, f, _ in FLAG_CASES])
+    def test_each_flag_value_is_typed(self, tmp_path, capsys, monkeypatch, command, flag,
+                                      key_type, good):
+        monkeypatch.chdir(tmp_path)
+        flags = {"--steps": "2", "--out": "o"}
+        if command == "synthfig":
+            flags["--num-seeds"] = "1"
+        else:
+            write_config(tmp_path, SWEEP_CONFIG if command == "sweep" else SYNTH_CONFIG)
+            flags["--config"] = "config.ini"
+        raw, value, bad = FLAG_VALUES[flag]
+        flags.pop(flag, None)
+        argv = [command, *(part for item in flags.items() for part in item), flag]
+        if good:
+            argv.append(raw)
+            assert getattr(cli._parse_argv(argv), flag[2:].replace("-", "_")) == value
+            assert main(argv) == 0
+        else:
+            argv += [] if bad is None else [bad]
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and not (tmp_path / "o").exists()
+            assert_one_error(err, f"error: argument {flag}: expected one argument" if bad is None
+                             else f"error: {flag} must be {key_type[1]}, got {bad!r}")
+
+    def test_equals_form_and_unique_prefixes_parse(self, tmp_path, capsys):
+        assert main(["synthfig", "--steps=20", "--num", "2", "--se=4", f"--o={tmp_path}"]) == 0
+        assert capsys.readouterr().out == (
+            f"# synthfig steps=20 seeds=2 base_seed=4 out={tmp_path}\n")
+
+    def test_ambiguous_prefix_rejected(self, capsys):
+        assert main(["synthfig", "--s", "20"]) == 1
+        assert_one_error_line(capsys, "ambiguous option: --s could match --seed, --steps")
+
+    def test_help_lists_every_flag(self, capsys):
+        for command, (_, _, flags) in cli._COMMANDS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-h"])
+            out = capsys.readouterr().out
+            assert exc.value.code == 0
+            assert all(f"{flag} {flag[2:].upper().replace('-', '_')}" in out
+                       for flag, _, _ in flags), out
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and all(f"  {command} " in out for command in cli._COMMANDS)
+
+
+def configparser_config(path):
+    """The typed config of an INI file as configparser and _parse read it,
+    the way the CLI read files before it had its own reader."""
+    parser = configparser.ConfigParser()
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
+    return {section: {key: _parse(f"[{section}] {key}", _KEYS[section][key], raw.strip())
+                      for key, raw in parser[section].items()}
+            for section in parser.sections()}
+
+
+def suite_config_texts():
+    """Every string constant in the test files that reads as an INI text, but
+    for those with a `%`, which configparser would interpolate."""
+    texts = []
+    for path in sorted(ROOT.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.match(r"\[(problem|optimizer|run|grid)\]\n", node.value)
+                    and "%" not in node.value):
+                texts.append(node.value)
+    return texts
+
+
+# INI texts outside the reader's subset, with the error each gives
+OUTSIDE_SUBSET = {
+    "continuation": ("[problem]\nkind = synth\n  c = 999\n", "line 3: indented line"),
+    "colon": ("[problem]\nkind: synth\n", "line 2: expected [section] or key = value"),
+    "no-equals": ("[problem]\nkind\n", "line 2: expected [section] or key = value"),
+    "open-header": ("[problem\nkind = synth\n", "line 1: expected [section] or key = value"),
+    "no-section": ("kind = synth\n[problem]\n", "line 1: key outside a section"),
+    "repeated-section": ("[problem]\nkind = synth\n[run]\n[problem]\n",
+                         "line 4: repeated section"),
+    "repeated-key": ("[problem]\nkind = synth\nKIND = quadratic\n",
+                     "line 3: repeated key 'kind'"),
+    "default-section": ("[DEFAULT]\nsteps = 5\n", "unknown section [DEFAULT]"),
+}
+SUITE_CONFIGS = [text for text in suite_config_texts()
+                 if text not in {text for text, _ in OUTSIDE_SUBSET.values()}]
+
+# values for the generated configs: every choice a key takes, and some that no key does
+CONFIG_VALUES = sorted({
+    "0", "1", "7", "-2", "0.5", "1e-3", "2, 3", "0,1 ,2", "nan", "1e400", "", "true", "No",
+    "ON", "data.csv", "a = b", "x # not a comment", "tr;ain", "c:/d", "[run]",
+    "synth", "quadratic", "mlp", "constant", "inverse_sqrt", "sgd,adam", *METRICS,
+    *GRAD_METRICS, *SCHEDULE_KINDS, *(m.value for m in Method), *(m.value for m in DecayMode),
+})
+
+
+def _parses(key_type, raw):
+    try:
+        key_type[0](raw)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def config_texts(draw):
+    """INI text in the reader's subset: the known sections in any order, each
+    with some of its keys in mixed case, whitespace around `=` and at line
+    ends, LF or CRLF, and comment and blank lines anywhere. A value is one its
+    key parses, or now and then any value."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    filler = st.lists(st.sampled_from(["", "# a comment", "; a comment = 1", "  # indented",
+                                       "\t", "#[grid]"]), max_size=2)
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    lines = draw(filler)
+    sections = draw(st.permutations(list(_KEYS)))[:draw(st.integers(0, len(_KEYS)))]
+    for section in sections:
+        lines.append(f"[{section}]" + draw(space))
+        for key in draw(st.lists(st.sampled_from(list(_KEYS[section])), unique=True)):
+            good = [v for v in CONFIG_VALUES if _parses(_KEYS[section][key], v)]
+            value = draw(st.sampled_from(good) if good and draw(st.integers(0, 9))
+                         else st.sampled_from(CONFIG_VALUES))
+            upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+            key = "".join(c.upper() if up else c for c, up in zip(key, upper))
+            lines.append(f"{key}{draw(space)}={draw(space)}{value}{draw(space)}")
+            lines += draw(filler)
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except ConfigError as exc:
+        return f"error: {exc}"
+
+
+class TestIniReader:
+    """cli._read_ini reads the INI subset the configs use, to the same typed
+    dict that configparser and _parse gave; input outside it gives one
+    `error:` line."""
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "demos" / "configs").glob("*.ini")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_read_as_configparser_reads_them(self, path):
+        assert cli._load_config(str(path)) == configparser_config(path)
+
+    def test_suite_configs_read_as_configparser_reads_them(self, tmp_path):
+        assert len(SUITE_CONFIGS) >= 15  # the walk found them
+        path = tmp_path / "config.ini"
+        for text in SUITE_CONFIGS:
+            path.write_text(text)
+            assert outcome(cli._load_config, path) == outcome(configparser_config, path), text
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_texts())
+    def test_generated_configs_read_as_configparser_reads_them(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.ini"
+            path.write_bytes(text.encode())
+            assert outcome(cli._load_config, path) == outcome(configparser_config, path)
+
+    @pytest.mark.parametrize("text, message", OUTSIDE_SUBSET.values(), ids=OUTSIDE_SUBSET)
+    def test_outside_the_subset_is_one_error_line(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, message)
+
+    def test_percent_is_read_literally(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = ("[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\n"
+                "dataset = tr%ain.csv\n\n[optimizer]\nmethod = adam\n\n[run]\nsteps = 5\n")
+        argv = ["run", "--config", write_config(tmp_path, text), "--out", "o"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "No such file or directory: 'tr%ain.csv'")
+        write_blobs_csv(tmp_path, "tr%ain.csv")
+        assert main(argv) == 0
+
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_bytes(b"# r\xe9sum\xe9\n" + SYNTH_CONFIG.encode())
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert_one_error_line(capsys, f"cannot parse {cfg}: 'utf-8' codec can't decode byte 0xe9")

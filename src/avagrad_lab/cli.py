@@ -28,7 +28,6 @@ if __name__ == "__main__":  # the `-m` entry holds the collector until main(); s
     gc.disable()
 
 import atexit
-import dataclasses
 import importlib
 import math
 import os
@@ -94,13 +93,6 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _seed(raw: str) -> int:
-    seed = int(raw)
-    if not 0 <= seed < 2**64:  # the library masks seeds to 64 bits: -1 would alias 2^64 - 1
-        raise ValueError(raw)
-    return seed
-
-
 #: the boolean words configparser accepts, in any case
 _BOOLEANS = dict.fromkeys(("1", "yes", "true", "on"), True) | dict.fromkeys(
     ("0", "no", "false", "off"), False)
@@ -132,11 +124,30 @@ def _list_of(key_type, plural: str):
     return parse_list, f"comma-separated {plural}"
 
 
-# A key type is (parse, noun): parse raises ValueError on bad text, and the
-# error reads "<[section] key> must be <noun>, got '<text>'".
+def _where(key_type, holds, span: str):
+    """key_type narrowed to the values for which holds(value) is true."""
+    parse, noun = key_type
+
+    def parse_where(raw: str):
+        value = parse(raw)
+        if not holds(value):
+            raise ValueError(raw)
+        return value
+    return parse_where, f"{noun} {span}"
+
+
+# A key type is (parse, noun): parse raises ValueError on bad text, or on a
+# value out of the type's range, and the error reads "<source> must be
+# <noun>, got '<text>'", where the source is a flag or "[section] key".
 _FLOAT, _INT, _TEXT = (_finite, "a finite float"), (int, "an integer"), (str, "text")
-_SEED = (_seed, "an integer in [0, 2^64)")
-_FLOATS, _SEEDS = _list_of(_FLOAT, "finite floats"), _list_of(_SEED, "integers in [0, 2^64)")
+_POSITIVE = _where(_FLOAT, lambda x: x > 0.0, "> 0")
+_NONNEGATIVE = _where(_FLOAT, lambda x: x >= 0.0, ">= 0")
+_BETA = _where(_FLOAT, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+_COUNT = _where(_INT, lambda n: n >= 1, ">= 1")
+# the library masks seeds to 64 bits: -1 would alias 2^64 - 1
+_SEED = _where(_INT, lambda n: 0 <= n < 2**64, "in [0, 2^64)")
+_SEEDS = _list_of(_SEED, "integers in [0, 2^64)")
+_FLOATS, _POSITIVES = _list_of(_FLOAT, "finite floats"), _list_of(_POSITIVE, "finite floats > 0")
 _METHOD_NAMES = tuple(m.value for m in Method)
 _METHOD = _one_of(_METHOD_NAMES, Method)
 _DECAY = _one_of(tuple(m.value for m in DecayMode), DecayMode)
@@ -145,25 +156,26 @@ _BETA_SCHEDULE = _one_of(SCHEDULE_KINDS)
 #: every config key by section, with its type; unknown sections and keys are errors
 _KEYS = {
     "problem": {
-        "kind": _one_of(("synth", "quadratic", "mlp")), "c": _FLOAT, "delta": _FLOAT,
-        "curvatures": _FLOATS, "noise_std": _FLOAT, "w_star": _FLOATS, "n_in": _INT,
-        "n_hidden": _INT, "n_classes": _INT, "dataset": _TEXT, "batch_size": _INT,
+        "kind": _one_of(("synth", "quadratic", "mlp")), "c": _FLOAT, "delta": _NONNEGATIVE,
+        "curvatures": _POSITIVES, "noise_std": _NONNEGATIVE, "w_star": _FLOATS, "n_in": _COUNT,
+        "n_hidden": _COUNT, "n_classes": _COUNT, "dataset": _TEXT, "batch_size": _COUNT,
     },
     "optimizer": {
-        "method": _METHOD, "alpha": _FLOAT,
-        "alpha_schedule": _one_of(("constant", "inverse_sqrt")), "epsilon": _FLOAT,
-        "beta1": _FLOAT, "beta1_schedule": _BETA_SCHEDULE, "beta2": _FLOAT,
-        "beta2_schedule": _BETA_SCHEDULE, "weight_decay": _FLOAT, "decay_mode": _DECAY,
+        "method": _METHOD, "alpha": _POSITIVE,
+        "alpha_schedule": _one_of(("constant", "inverse_sqrt")), "epsilon": _POSITIVE,
+        "beta1": _BETA, "beta1_schedule": _BETA_SCHEDULE, "beta2": _BETA,
+        "beta2_schedule": _BETA_SCHEDULE, "weight_decay": _NONNEGATIVE, "decay_mode": _DECAY,
     },
     "run": {
-        "steps": _INT, "seeds": _SEEDS, "record_every": _INT, "out_dir": _TEXT, "w1": _FLOATS,
-        "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _FLOAT, "init_scale": _FLOAT,
+        "steps": _COUNT, "seeds": _SEEDS, "record_every": _COUNT, "out_dir": _TEXT,
+        "w1": _FLOATS, "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _FLOAT,
+        "init_scale": _FLOAT,
     },
     "grid": {
-        "default": (_bool, "a boolean"), "alphas": _FLOATS, "epsilons": _FLOATS,
+        "default": (_bool, "a boolean"), "alphas": _POSITIVES, "epsilons": _POSITIVES,
         "methods": _list_of(_METHOD, "names from " + ", ".join(_METHOD_NAMES)),
-        "seeds": _SEEDS, "workers": _INT, "metric": _one_of(METRICS), "holdout": _TEXT,
-        "beta1": _FLOAT, "beta2": _FLOAT, "weight_decay": _FLOAT, "decay_mode": _DECAY,
+        "seeds": _SEEDS, "workers": _COUNT, "metric": _one_of(METRICS), "holdout": _TEXT,
+        "beta1": _BETA, "beta2": _BETA, "weight_decay": _NONNEGATIVE, "decay_mode": _DECAY,
         "init_scale": _FLOAT,
     },
 }
@@ -243,15 +255,18 @@ def _given(section: dict, *keys) -> dict:
     return {key: section[key] for key in keys if key in section}
 
 
-def _require_positive(value, what):
-    if value < 1:
-        raise ConfigError(f"{what} must be >= 1, got {value}")
-
-
 def _steps(run: dict, args, default: int) -> int:
-    steps = args.steps if args.steps is not None else run.get("steps", default)
-    _require_positive(steps, "steps")
-    return steps
+    return args.steps if args.steps is not None else run.get("steps", default)
+
+
+def _out_dir(args, run: dict) -> Path:
+    """The output directory, --out or else [run] out_dir, made if missing."""
+    what, path = ("--out", args.out) if args.out else ("[run] out_dir", run.get("out_dir", "."))
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: cannot make the directory: {exc.strerror}") from None
+    return Path(path)
 
 
 def _build_problem(cfg: dict):
@@ -285,16 +300,13 @@ def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
     if method is None:
         raise ConfigError("[optimizer] method is required")
     alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.001)
-    try:
-        hp = HyperParams(
-            alpha=_schedule(cfg.get("alpha_schedule", "constant"), alpha),
-            epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
-            beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", 0.9)),
-            beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", 0.999)),
-            **_given(cfg, "weight_decay", "decay_mode"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[optimizer] {exc}") from None
+    hp = HyperParams(  # in range: every value is typed by its key's or flag's range
+        alpha=_schedule(cfg.get("alpha_schedule", "constant"), alpha),
+        epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
+        beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", 0.9)),
+        beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", 0.999)),
+        **_given(cfg, "weight_decay", "decay_mode"),
+    )
     return hp, method
 
 
@@ -324,12 +336,10 @@ def cmd_run(args) -> int:
     if len(set(seeds)) != len(seeds):  # each seed writes its own trajectory file
         raise ConfigError("[run] seeds must not repeat")
     record_every = run.get("record_every", max(1, steps // 1000))
-    _require_positive(record_every, "[run] record_every")
-    out_dir = Path(args.out or run.get("out_dir", "."))
     fixed_w1 = run.get("w1")
     if fixed_w1 is not None and len(fixed_w1) != problem.dim:
         raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(fixed_w1)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, run)
 
     print(
         f"# run method={method.value} alpha={schedule_repr(hp.alpha)}"
@@ -366,11 +376,8 @@ SYNTHFIG_METHODS = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
 def cmd_synthfig(args) -> int:
     steps = args.steps if args.steps is not None else 1_000_000
     n_seeds = args.num_seeds if args.num_seeds is not None else 10
-    _require_positive(steps, "steps")
-    _require_positive(n_seeds, "--num-seeds")
     base_seed = _base_seed(args)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, {})
     stride = max(1, steps // 1000)
     problem = _build_problem({"kind": "synth"})
     hp = HyperParams(
@@ -411,7 +418,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("[grid] methods is required")
     steps = _steps(config.get("run", {}), args, 1000)
     workers = args.workers if args.workers is not None else grid.get("workers", 1)
-    _require_positive(workers, "workers")
     holdout = None
     if "holdout" in grid:
         _load("mlp")
@@ -435,8 +441,7 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from None
-    out_dir = Path(args.out or config.get("run", {}).get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config.get("run", {}))
 
     cells = run_sweep(spec, workers=workers)
     heatmap_path = out_dir / "heatmap.csv"
@@ -491,8 +496,8 @@ def cmd_check(args) -> int:
             srng = RngStream(mix_seed(base_seed, 3, i))
             lo, hi = problem.box if problem.box else (-1.0, 1.0)
             w = lo + (hi - lo) * srng.random(problem.dim)
-            state = dataclasses.replace(
-                init_state(method, problem.dim), v=100.0 * srng.random(problem.dim), t=10)
+            state = init_state(method, problem.dim)
+            state.v, state.t = 100.0 * srng.random(problem.dim), 10
             gap_d = bias_gap(w, state, hp, problem, "delayed")
             gap_a = bias_gap(w, state, hp, problem, "adam")
             worst_delayed = max(worst_delayed, float(np.max(np.abs(gap_d))))
@@ -534,10 +539,10 @@ def cmd_check(args) -> int:
 
 _COMMON_FLAGS = (("--seed", _SEED, f"base seed (falls back to ${ENV_SEED}, then 0)"),
                  ("--out", _TEXT, "output directory"),
-                 ("--steps", _INT, "override step count T"))
+                 ("--steps", _COUNT, "override step count T"))
 _CONFIG_FLAG = (("--config", _TEXT, "configuration file path"),)
-_OPTIMIZER_FLAGS = (("--alpha", _FLOAT, "override learning rate"),
-                    ("--epsilon", _FLOAT, "override epsilon"),
+_OPTIMIZER_FLAGS = (("--alpha", _POSITIVE, "override learning rate"),
+                    ("--epsilon", _POSITIVE, "override epsilon"),
                     ("--method", _METHOD, "override optimizer method"))
 
 #: each command's function, help line and flags; a flag is (name, key type,
@@ -546,9 +551,9 @@ _COMMANDS = {
     "run": (cmd_run, "run the configured trial per seed",
             _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
     "synthfig": (cmd_synthfig, "scalar benchmark comparison CSVs",
-                 _COMMON_FLAGS + (("--num-seeds", _INT, "replicas per method (default 10)"),)),
+                 _COMMON_FLAGS + (("--num-seeds", _COUNT, "replicas per method (default 10)"),)),
     "sweep": (cmd_sweep, "alpha x epsilon grid sweep",
-              _CONFIG_FLAG + _COMMON_FLAGS + (("--workers", _INT, "parallel workers"),)),
+              _CONFIG_FLAG + _COMMON_FLAGS + (("--workers", _COUNT, "parallel workers"),)),
     "check": (cmd_check, "gradient / bias / bound diagnostics",
               _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
 }

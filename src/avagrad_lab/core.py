@@ -17,7 +17,6 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +105,30 @@ def _write_table(fh, table: np.ndarray) -> None:
 SCHEDULE_KINDS = ("constant", "inverse_sqrt", "inverse_t")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Frozen:
+    """Base of the package's immutable records. A subclass's __init__ checks
+    its arguments and fills vars(self); after that, assigning or deleting an
+    attribute raises AttributeError. Records compare and hash by type and
+    field values (so two equal schedules built apart run as one batch), and
+    pickle as their vars, which unpickling restores without __setattr__."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class Schedule(Frozen):
     """Scalar step-indexed schedule.
 
     constant     -> base
@@ -115,14 +136,12 @@ class Schedule:
     inverse_t    -> 1 - 1/t   (base unused)
     """
 
-    kind: str
-    base: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not math.isfinite(self.base):
+    def __init__(self, kind: str, base: float = 0.0):
+        if kind not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        if not math.isfinite(base):
             raise ValueError("schedule base must be finite")
+        vars(self).update(kind=kind, base=base)
 
     @classmethod
     def constant(cls, base: float) -> "Schedule":

@@ -10,30 +10,26 @@ command that builds an MLP, or scores a sweep on a holdout set, loads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, lane_draws
+from .core import Frozen, RngStream, lane_draws
 from .problems import StochasticProblem, _per_lane
 
 
-@dataclass(frozen=True)
-class LabeledSet:
+class LabeledSet(Frozen):
     """Dense feature matrix (n, n_in) with integer class labels (n,)."""
 
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.labels.ndim != 1:
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        if features.ndim != 2 or labels.ndim != 1:
             raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels length mismatch")
-        if self.features.shape[0] < 1:
+        if features.shape[0] < 1:
             raise ValueError("dataset is empty")
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            raise ValueError(f"labels must have an integer dtype, got {self.labels.dtype}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
+        vars(self).update(features=features, labels=labels)
 
     def __len__(self):
         return self.labels.shape[0]

@@ -24,12 +24,11 @@ faster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import NonFiniteError, Schedule, ensure_vector, schedule_eval
+from .core import Frozen, NonFiniteError, Schedule, ensure_vector, schedule_eval
 
 
 class Method(str, Enum):
@@ -72,8 +71,7 @@ def _validate_beta_schedule(s: Schedule, name: str) -> None:
         raise ValueError(f"{name} must evaluate into [0, 1); got base {s.base}")
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class HyperParams(Frozen):
     """Per-run optimizer settings.
 
     alpha is the global learning-rate schedule, epsilon the additive constant
@@ -82,25 +80,21 @@ class HyperParams:
     weight_decay enters; adamw/avagradw force decoupled decay regardless.
     """
 
-    alpha: Schedule
-    epsilon: float
-    beta1: Schedule = field(default_factory=lambda: Schedule.constant(0.9))
-    beta2: Schedule = field(default_factory=lambda: Schedule.constant(0.999))
-    weight_decay: float = 0.0
-    decay_mode: DecayMode = DecayMode.NONE
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be a positive finite float, got {self.epsilon}")
-        if not (0.0 <= self.weight_decay < math.inf):  # nan > 0 is False: decay skipped
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.alpha.kind in ("constant", "inverse_sqrt") and not (self.alpha.base > 0.0):
-            raise ValueError(f"alpha must be > 0, got base {self.alpha.base}")
-        _validate_beta_schedule(self.beta1, "beta1")
-        _validate_beta_schedule(self.beta2, "beta2")
+    def __init__(self, alpha: Schedule, epsilon: float, beta1: Schedule = Schedule.constant(0.9),
+                 beta2: Schedule = Schedule.constant(0.999), weight_decay: float = 0.0,
+                 decay_mode: DecayMode = DecayMode.NONE):
+        if not (epsilon > 0.0) or not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be a positive finite float, got {epsilon}")
+        if not (0.0 <= weight_decay < math.inf):  # nan > 0 is False: decay skipped
+            raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
+        if alpha.kind in ("constant", "inverse_sqrt") and not (alpha.base > 0.0):
+            raise ValueError(f"alpha must be > 0, got base {alpha.base}")
+        _validate_beta_schedule(beta1, "beta1")
+        _validate_beta_schedule(beta2, "beta2")
+        vars(self).update(alpha=alpha, epsilon=epsilon, beta1=beta1, beta2=beta2,
+                          weight_decay=weight_decay, decay_mode=decay_mode)
 
 
-@dataclass
 class OptimizerState:
     """Buffers for one trial: m, v, and (amsgrad only) the running max of v.
 
@@ -108,15 +102,12 @@ class OptimizerState:
     t counts completed steps, so a state with t = k is about to take step k+1.
     """
 
-    method: Method
-    m: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray | None
-    t: int
+    def __init__(self, method: Method, m: np.ndarray, v: np.ndarray,
+                 v_hat: np.ndarray | None, t: int):
+        vars(self).update(method=method, m=m, v=v, v_hat=v_hat, t=t)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(Frozen):
     """Rates actually used by one step.
 
     eta is the raw parameter-wise rate vector (ones for the sgd variants);
@@ -124,10 +115,8 @@ class StepReport:
     avagrad where it is alpha_t * sqrt(d) / ||eta||.
     """
 
-    eta: np.ndarray
-    alpha_eff: float
-    eta_min: float
-    eta_l2: float
+    def __init__(self, eta: np.ndarray, alpha_eff: float, eta_min: float, eta_l2: float):
+        vars(self).update(eta=eta, alpha_eff=alpha_eff, eta_min=eta_min, eta_l2=eta_l2)
 
 
 def init_state(method: Method, d: int) -> OptimizerState:

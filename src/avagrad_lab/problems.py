@@ -21,15 +21,13 @@ lanes' streams in one core.lane_draws call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, ensure_vector, lane_draws
+from .core import Frozen, RngStream, ensure_vector, lane_draws
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
+class ProblemConstants(Frozen):
     """Closed-form constants used by the convergence-bound evaluator.
 
     m_smooth bounds the gradient Lipschitz constant, d_gap the objective gap
@@ -37,19 +35,12 @@ class ProblemConstants:
     the problem domain. Fields are None when no closed form is available.
     """
 
-    m_smooth: float
-    d_gap: float
-    g_inf: float | None = None
-    g_2: float | None = None
-
-    def __post_init__(self):
-        for name in ("m_smooth", "d_gap"):
-            val = getattr(self, name)
-            if val < 0.0 or not math.isfinite(val):
-                raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        for name in ("g_inf", "g_2"):
-            val = getattr(self, name)
-            if val is not None and (val < 0.0 or not math.isfinite(val)):
+    def __init__(self, m_smooth: float, d_gap: float, g_inf: float | None = None,
+                 g_2: float | None = None):
+        vars(self).update(m_smooth=m_smooth, d_gap=d_gap, g_inf=g_inf, g_2=g_2)
+        for name, val in vars(self).items():
+            if (val is not None or name in ("m_smooth", "d_gap")) and (
+                    val < 0.0 or not math.isfinite(val)):
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
 
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval, write_csv
+from .core import Frozen, NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from . import _lanes
 from .optim import (ADAPTIVE_METHODS, DELAYED_METHODS, FORCED_DECOUPLED, NORMALIZED_METHODS,
                     DecayMode, HyperParams, Method, OptimizerState, lane_norm, lane_update)
@@ -48,51 +47,39 @@ STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 
 
-@dataclass
 class TrialConfig:
-    """Everything needed to reproduce one trial bit-for-bit."""
+    """Everything needed to reproduce one trial bit-for-bit. capture_trace None
+    keeps a trace when record_every == 1; grad_metric is full, batch or none."""
 
-    method: Method
-    hp: HyperParams
-    problem: StochasticProblem
-    T: int
-    w1: np.ndarray
-    seed: int
-    record_every: int = 1
-    capture_trace: bool | None = None  # None: keep a trace when record_every == 1
-    grad_metric: str = "full"  # full | batch | none
-    converge_tol: float | None = None
-
-    def __post_init__(self):
-        self.method = Method(self.method)
+    def __init__(self, method: Method, hp: HyperParams, problem: StochasticProblem, T: int,
+                 w1: np.ndarray, seed: int, record_every: int = 1,
+                 capture_trace: bool | None = None, grad_metric: str = "full",
+                 converge_tol: float | None = None):
+        vars(self).update(method=Method(method), hp=hp, problem=problem, T=T, w1=w1, seed=seed,
+                          record_every=record_every, capture_trace=capture_trace,
+                          grad_metric=grad_metric, converge_tol=converge_tol)
 
 
-@dataclass
 class TrialTrace:
     """Full-resolution per-step series (one entry per completed step)."""
 
-    alpha: np.ndarray
-    eta_min: np.ndarray
-    eta_max: np.ndarray
-    eta_l2: np.ndarray
-    alpha_eff: np.ndarray
-    grad_norm_sq: np.ndarray
+    def __init__(self, alpha: np.ndarray, eta_min: np.ndarray, eta_max: np.ndarray,
+                 eta_l2: np.ndarray, alpha_eff: np.ndarray, grad_norm_sq: np.ndarray):
+        vars(self).update(alpha=alpha, eta_min=eta_min, eta_max=eta_max, eta_l2=eta_l2,
+                          alpha_eff=alpha_eff, grad_norm_sq=grad_norm_sq)
 
 
-@dataclass
 class TrialRecord:
-    """Outcome of one trial: final prefix statistics, strided rows, optional trace."""
+    """Outcome of one trial: final prefix statistics, strided rows (n_rows, 7),
+    with columns per ROW_COLUMNS, and the optional trace."""
 
-    config: TrialConfig
-    status: str
-    steps_done: int
-    w_mean: float
-    grad_norm_sq_mean: float
-    z_weight_sum: float
-    grad_metric_exact: bool
-    w_final: np.ndarray
-    rows: np.ndarray  # shape (n_rows, 7), columns per ROW_COLUMNS
-    trace: TrialTrace | None = None
+    def __init__(self, config: TrialConfig, status: str, steps_done: int, w_mean: float,
+                 grad_norm_sq_mean: float, z_weight_sum: float, grad_metric_exact: bool,
+                 w_final: np.ndarray, rows: np.ndarray, trace: TrialTrace | None = None):
+        vars(self).update(config=config, status=status, steps_done=steps_done, w_mean=w_mean,
+                          grad_norm_sq_mean=grad_norm_sq_mean, z_weight_sum=z_weight_sum,
+                          grad_metric_exact=grad_metric_exact, w_final=w_final, rows=rows,
+                          trace=trace)
 
 
 def run_trial(cfg: TrialConfig) -> TrialRecord:
@@ -378,15 +365,12 @@ def iterate_distribution(record: TrialRecord) -> np.ndarray:
 BOUND_VARIANTS = ("conditional", "momentum", "unconditional")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """One evaluation of the rate bound: realised weighted gradient mass vs limit."""
 
-    variant: str
-    lhs: float
-    rhs: float
-    constants: ProblemConstants
-    steps: int
+    def __init__(self, variant: str, lhs: float, rhs: float, constants: ProblemConstants,
+                 steps: int):
+        vars(self).update(variant=variant, lhs=lhs, rhs=rhs, constants=constants, steps=steps)
 
     @property
     def ratio(self) -> float:

@@ -19,12 +19,11 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RngStream, Schedule, lane_draws, mix_seed, write_csv
+from .core import Frozen, RngStream, Schedule, lane_draws, mix_seed, write_csv
 from .optim import DecayMode, HyperParams, Method
 from .problems import METRICS, StochasticProblem
 from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
@@ -59,28 +58,20 @@ def default_grid() -> tuple[list[float], list[float]]:
     return alphas, epsilons
 
 
-@dataclass
 class GridSpec:
-    """One sweep: the grid axes, per-cell trial settings, and the scoring metric."""
+    """One sweep: the grid axes, per-cell trial settings, and the scoring metric.
+    A w1 of None draws each cell's start from N(0, init_scale^2)."""
 
-    problem: StochasticProblem
-    methods: list[Method]
-    alphas: list[float]
-    epsilons: list[float]
-    seeds: list[int]
-    T: int
-    base_seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.0
-    decay_mode: DecayMode = DecayMode.NONE
-    w1: np.ndarray | None = None  # fixed start; None draws N(0, init_scale^2) per cell
-    init_scale: float = 0.1
-    metric: str = "full_objective"
-    holdout: LabeledSet | None = None
-
-    def __post_init__(self):
-        self.methods = [Method(m) for m in self.methods]
+    def __init__(self, problem: StochasticProblem, methods: list[Method], alphas: list[float],
+                 epsilons: list[float], seeds: list[int], T: int, base_seed: int = 0,
+                 beta1: float = 0.9, beta2: float = 0.999, weight_decay: float = 0.0,
+                 decay_mode: DecayMode = DecayMode.NONE, w1: np.ndarray | None = None,
+                 init_scale: float = 0.1, metric: str = "full_objective",
+                 holdout: LabeledSet | None = None):
+        vars(self).update(problem=problem, methods=[Method(m) for m in methods], alphas=alphas,
+                          epsilons=epsilons, seeds=seeds, T=T, base_seed=base_seed, beta1=beta1,
+                          beta2=beta2, weight_decay=weight_decay, decay_mode=decay_mode, w1=w1,
+                          init_scale=init_scale, metric=metric, holdout=holdout)
         for name in ("methods", "seeds"):
             vals = getattr(self, name)
             if not vals:
@@ -95,22 +86,20 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite and strictly positive")
             if sorted(vals) != list(vals) or len(set(vals)) != len(vals):
                 raise ValueError(f"{name} must be strictly ascending")
-        if self.T < 1:
+        if T < 1:
             raise ValueError("T must be >= 1")
-        if self.metric not in METRICS:
+        if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.metric.startswith("holdout"):
+        if metric.startswith("holdout"):
             from .mlp import MlpProblem  # only a holdout sweep loads the MLP
 
-            if self.holdout is None:
+            if holdout is None:
                 raise ValueError("holdout metrics need a holdout dataset")
-            if not isinstance(self.problem, MlpProblem):
+            if not isinstance(problem, MlpProblem):
                 raise ValueError("holdout metrics only apply to the MLP problem")
-        if self.metric == "full_objective" and self.problem.objective(
-            np.zeros(self.problem.dim)
-        ) is None:
+        if metric == "full_objective" and problem.objective(np.zeros(problem.dim)) is None:
             raise ValueError("problem has no exact objective; pick another metric")
-        self.hyper_params(self.alphas[0], self.epsilons[0])  # rejects bad betas or decay
+        self.hyper_params(alphas[0], epsilons[0])  # rejects bad betas or decay
 
     def hyper_params(self, alpha: float, epsilon: float) -> HyperParams:
         return HyperParams(
@@ -123,16 +112,14 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
-    """Result of one (method, alpha, epsilon, seed) trial."""
+class HeatmapCell(Frozen):
+    """Result of one (method, alpha, epsilon, seed) trial; a final_metric of +inf
+    encodes a diverged or failed cell."""
 
-    method: str
-    alpha: float
-    epsilon: float
-    seed: int
-    final_metric: float  # +inf encodes a diverged or failed cell
-    status: str
+    def __init__(self, method: str, alpha: float, epsilon: float, seed: int,
+                 final_metric: float, status: str):
+        vars(self).update(method=method, alpha=alpha, epsilon=epsilon, seed=seed,
+                          final_metric=final_metric, status=status)
 
     @property
     def sort_key(self):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, cli
-from avagrad_lab.cli import _FLOAT, _KEYS, ConfigError, _parse, main
+from avagrad_lab.cli import _KEYS, ConfigError, _parse, main
 from avagrad_lab.core import SCHEDULE_KINDS, RngStream
 from avagrad_lab.mlp import gaussian_blobs
 from avagrad_lab.optim import DecayMode, Method
@@ -415,8 +415,9 @@ steps = 5
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
         """Each command kind, in a process of its own, loads `sweep` only to
         sweep and `mlp` only for an MLP problem or a holdout; none loads the
-        stdlib's argument or INI parsers, or the gettext and locale modules
-        that argparse pulls in."""
+        stdlib's argument or INI parsers, the gettext and locale modules
+        that argparse pulls in, or dataclasses and the copy module it
+        imports (numpy loads neither)."""
         train = write_blobs_csv(tmp_path, "train.csv", seed=5)
         hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
         mlp = (f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\n"
@@ -429,7 +430,8 @@ steps = 5
         out = str(tmp_path / "out")
         common = ["avagrad_lab", "avagrad_lab._lanes", "avagrad_lab.cli", "avagrad_lab.core",
                   "avagrad_lab.optim", "avagrad_lab.problems", "avagrad_lab.runner"]
-        front_end = ("argparse", "gettext", "locale", "_locale", "configparser")
+        unused = ("argparse", "gettext", "locale", "_locale", "configparser", "dataclasses",
+                  "copy")
         cases = [  # argv, the package modules past `common`
             (["synthfig", "--steps", "20", "--num-seeds", "2", "--out", out], []),
             (["run", "--config", synth, "--out", out], []),
@@ -442,7 +444,7 @@ steps = 5
             code = "\n".join([
                 "import sys", "from avagrad_lab.cli import main", f"status = main({argv!r})",
                 "print(status, sorted(m for m in sys.modules if m.startswith('avagrad_lab')),"
-                f" [m for m in {front_end!r} if m in sys.modules])"])
+                f" [m for m in {unused!r} if m in sys.modules])"])
             last = run_python(["-c", code], check=True).stdout.splitlines()[-1]
             assert last == f"0 {sorted(common + extra)} []", argv
 
@@ -688,7 +690,8 @@ FULL_CONFIG = {
     "run": {"steps": "5", "seeds": "0"},
     "grid": {"alphas": "0.01,0.1", "epsilons": "1e-3", "methods": "adam"},
 }
-FLOAT_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items() if t is _FLOAT]
+FLOAT_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items()
+              if t[1].startswith("a finite float")]
 LIST_KEYS = [(s, k) for s, keys in _KEYS.items() for k, t in keys.items()
              if t[1].startswith("comma-separated")]
 
@@ -786,7 +789,7 @@ class TestEntryPoint:
         ([], "the following arguments are required: command"),
         (["fit"], "argument command: invalid choice: 'fit'"),
         (["run"], "the following arguments are required: --config"),
-        (["run", "--steps", "abc"], "--steps must be an integer, got 'abc'"),
+        (["run", "--steps", "abc"], "--steps must be an integer >= 1, got 'abc'"),
         (["synthfig", "--workers", "2"], "unrecognized arguments: --workers 2"),
     ], ids=["no-command", "unknown-command", "no-config", "non-integer-steps", "unknown-flag"])
     def test_bad_command_line_exits_one_with_one_error_line(self, capsys, argv, message):
@@ -1077,6 +1080,80 @@ class TestFlags:
         out = capsys.readouterr().out
         assert exc.value.code == 0 and all(f"  {command} " in out for command in cli._COMMANDS)
 
+
+# every flag and key whose type has a range, with a value outside it
+RANGED_FLAGS = {"--steps": "0", "--workers": "0", "--num-seeds": "0", "--alpha": "0",
+                "--epsilon": "-1e-3", "--seed": "-1"}
+RANGED_KEYS = {
+    ("problem", "delta"): "-1", ("problem", "curvatures"): "1,0", ("problem", "noise_std"): "-0.1",
+    ("problem", "n_in"): "0", ("problem", "n_hidden"): "-1", ("problem", "n_classes"): "0",
+    ("problem", "batch_size"): "0", ("optimizer", "alpha"): "0", ("optimizer", "epsilon"): "0",
+    ("optimizer", "beta1"): "1", ("optimizer", "beta2"): "-0.5",
+    ("optimizer", "weight_decay"): "-1e-9", ("run", "steps"): "0", ("run", "seeds"): "0,-1",
+    ("run", "record_every"): "0", ("grid", "alphas"): "0,1", ("grid", "epsilons"): "-1,1",
+    ("grid", "seeds"): "-1", ("grid", "workers"): "0", ("grid", "beta1"): "1.5",
+    ("grid", "beta2"): "1", ("grid", "weight_decay"): "-1",
+}
+RANGE_NOUN = re.compile(r"(>=? \d|in \[)")
+
+
+class TestRanges:
+    """A value outside its flag's or key's range exits 1 with one error line
+    that names that flag or key, before any output is made."""
+
+    def test_table_covers_every_ranged_flag_and_key(self):
+        assert set(RANGED_FLAGS) == {flag for _, flag, key_type in FLAG_CASES
+                                     if RANGE_NOUN.search(key_type[1])}
+        assert set(RANGED_KEYS) == {(s, k) for s, keys in _KEYS.items()
+                                    for k, key_type in keys.items()
+                                    if RANGE_NOUN.search(key_type[1])}
+
+    @pytest.mark.parametrize("command, flag, key_type",
+                             [case for case in FLAG_CASES if case[1] in RANGED_FLAGS],
+                             ids=[f"{c}{f}" for c, f, _ in FLAG_CASES if f in RANGED_FLAGS])
+    def test_flag_out_of_range_names_the_flag(self, tmp_path, capsys, monkeypatch, command,
+                                              flag, key_type):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--out", "o", flag, RANGED_FLAGS[flag]]
+        if command != "synthfig":
+            argv += ["--config", write_config(
+                tmp_path, SWEEP_CONFIG if command == "sweep" else SYNTH_CONFIG)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "o").exists()
+        assert err == f"error: {flag} must be {key_type[1]}, got {RANGED_FLAGS[flag]!r}\n"
+
+    @pytest.mark.parametrize("section, key", RANGED_KEYS, ids=[f"{s}-{k}" for s, k in RANGED_KEYS])
+    def test_key_out_of_range_names_the_key(self, tmp_path, capsys, section, key):
+        value = RANGED_KEYS[section, key]
+        command = "sweep" if section == "grid" else "run"
+        assert run_full_config(tmp_path, command, [(section, key, value)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "o").exists()
+        assert err == (f"error: [{section}] {key} must be {_KEYS[section][key][1]},"
+                       f" got {value!r}\n")
+
+    @pytest.mark.parametrize("command, source", [
+        ("run", "--out"), ("synthfig", "--out"), ("sweep", "--out"), ("run", "[run] out_dir"),
+        ("sweep", "[run] out_dir")])
+    def test_output_path_that_is_a_file_names_its_source(self, tmp_path, capsys, monkeypatch,
+                                                         command, source):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        argv = [command, "--steps", "2"]
+        if command == "synthfig":
+            argv += ["--num-seeds", "1"]
+        else:
+            text = SWEEP_CONFIG if command == "sweep" else SYNTH_CONFIG
+            if source != "--out":
+                text = text.replace("[run]\n", "[run]\nout_dir = afile\n")
+            argv += ["--config", write_config(tmp_path, text)]
+        if source == "--out":
+            argv += ["--out", "afile"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {source} afile: cannot make the directory: File exists\n"
 
 def configparser_config(path):
     """The typed config of an INI file as configparser and _parse read it,

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import os
@@ -30,6 +29,7 @@ from avagrad_lab.sweep import (
     run_sweep,
     separability_index,
 )
+from test_runner import replaced
 
 
 class TestDefaultGrid:
@@ -463,7 +463,7 @@ def test_criterion9_share_is_one_block_within_memory_budget():
     """Each method's share of criterion 9's grid on 2 workers, 74 cells, runs
     as one block; its traced peak at T = 50 stays within the budget that
     BLOCK_SCALARS exists for (1.9 MB measured)."""
-    spec = dataclasses.replace(criterion9.spec(), T=50)
+    spec = replaced(criterion9.spec(), T=50)
     blocks = sweep._blocks(spec, 0, 2)
     assert [len(block) for block in blocks] == [74, 74]
     sweep._run_block(spec, blocks[0][:1])  # lazy imports and the library first

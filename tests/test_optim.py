@@ -19,6 +19,9 @@ from avagrad_lab.optim import (
     step,
 )
 
+from avagrad_lab.problems import quadratic_make, synth_make
+from avagrad_lab.runner import TrialConfig, run_trials
+from engines import counted_kernel
 from reference_impl import RefOptimizer
 
 
@@ -316,6 +319,59 @@ class TestAvagradReduction:
                 w_ava, s_ava, _ = step(s_ava, hp, w_ava, g)
                 w_mom, s_mom, _ = step(s_mom, hp, w_mom, g)
                 assert w_ava[0] == w_mom[0]
+
+
+#: methods whose rates tend to 1/epsilon, so that alpha = epsilon * lambda steps like SGD at lambda
+EPSILON_SCALED = (Method.ADAM, Method.DELAYED_ADAM, Method.AMSGRAD)
+
+
+def limit_gaps(problem, w1, lam, epsilons, seed):
+    """The largest final-iterate gap to momentum SGD at alpha = lam, at each
+    epsilon, for EPSILON_SCALED at alpha = epsilon * lam and for AvaGrad and
+    AvaGradW (no decay) at alpha = lam; T = 2000, one batch per method, every
+    lane on the same seed, so on the same draws; and max|w| of SGD's iterate."""
+    def final(method, alphas, eps):
+        return [record.w_final for record in run_trials([TrialConfig(
+            method, hp_of(alpha, e), problem, 2000, w1, seed, record_every=2000,
+            capture_trace=False, grad_metric="none") for alpha, e in zip(alphas, eps)])]
+
+    sgd = final(Method.MOMENTUM_SGD, [lam], [1.0])[0]
+    gaps = {method: [float(np.max(np.abs(w - sgd))) for w in final(
+        method, [e * lam if method in EPSILON_SCALED else lam for e in epsilons], epsilons)]
+        for method in (*EPSILON_SCALED, Method.AVAGRAD, Method.AVAGRADW)}
+    return gaps, float(np.max(np.abs(sgd)))
+
+
+class TestDecouplingLimits:
+    """For large epsilon, Adam's rate 1/(sqrt(v) + eps) tends to 1/eps, so Adam
+    at alpha = eps * lambda tends to momentum SGD at lambda: its SGD regime is a
+    diagonal of the alpha x epsilon grid. AvaGrad's sqrt(d) / ||eta|| cancels
+    the 1/eps, so it tends to the same SGD at alpha = lambda: a horizontal
+    line. To first order the gap is proportional to 1/eps."""
+
+    def test_quadratic_gap_falls_tenfold_per_decade(self):
+        # the d = 4 noisy quadratic of demos/configs/quadratic_sweep.ini
+        problem = quadratic_make([0.5, 1.0, 2.0, 4.0], 0.3)
+        epsilons = [10.0 ** k for k in range(2, 9)]
+        gaps, scale = limit_gaps(problem, np.ones(4), 0.01, epsilons, seed=5)
+        for method, gap in gaps.items():
+            assert all(9.0 <= a / b <= 11.0 for a, b in zip(gap, gap[1:])), (method, gap)
+            assert gap[-1] < 1e-6 * scale, (method, gap)
+
+    def test_synth_limits_through_the_compiled_loop(self):
+        """At d = 1 AvaGrad is momentum SGD for every epsilon (criterion 3),
+        and Adam's gap falls tenfold per decade once epsilon is a decade above
+        the benchmark's gradient scale, C = 999."""
+        epsilons = [10.0 ** k for k in range(4, 9)]
+        with counted_kernel() as calls:
+            gaps, scale = limit_gaps(synth_make(999.0, 1.0), np.array([0.5]), 1e-3, epsilons,
+                                     seed=5)
+        assert calls == [2000] * 6  # each batch, all its steps compiled
+        for method in EPSILON_SCALED:
+            gap = gaps[method]
+            assert all(9.0 <= a / b <= 11.0 for a, b in zip(gap, gap[1:])), (method, gap)
+            assert gap[-1] < 1e-6 * scale, (method, gap)
+        assert gaps[Method.AVAGRAD] == gaps[Method.AVAGRADW] == [0.0] * len(epsilons)
 
 
 class TestEtaBounds:

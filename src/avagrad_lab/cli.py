@@ -39,21 +39,11 @@ from typing import NoReturn
 import numpy as np
 
 from .core import SCHEDULE_KINDS, NonFiniteError, RngStream, Schedule, mix_seed, write_csv
-from .optim import DecayMode, HyperParams, Method, init_state
+from .optim import BETA1, BETA2, DecayMode, HyperParams, Method, init_state, lane_norm
 from .problems import METRICS, QuadraticProblem, SynthProblem, fd_check, quadratic_make, synth_make
-from .runner import (
-    GRAD_METRICS,
-    STATUS_DIVERGED,
-    TrialConfig,
-    _beta1_is_zero,
-    bias_gap,
-    eval_bound,
-    export_trajectory,
-    run_synth_replicas,
-    run_trial,
-    run_trials,
-    summary_line,
-)
+from .runner import (GRAD_METRICS, INIT_SCALE, STATUS_DIVERGED, TrialConfig, _beta1_is_zero,
+                     bias_gap, eval_bound, export_trajectory, run_synth_replicas, run_trial,
+                     run_trials, summary_line)
 
 ENV_SEED = "AVAGRAD_LAB_SEED"
 
@@ -156,7 +146,8 @@ _BETA_SCHEDULE = _one_of(SCHEDULE_KINDS)
 #: every config key by section, with its type; unknown sections and keys are errors
 _KEYS = {
     "problem": {
-        "kind": _one_of(("synth", "quadratic", "mlp")), "c": _FLOAT, "delta": _NONNEGATIVE,
+        "kind": _one_of(("synth", "quadratic", "mlp")),
+        "c": _where(_FLOAT, lambda x: x > 1.0, "> 1"), "delta": _NONNEGATIVE,
         "curvatures": _POSITIVES, "noise_std": _NONNEGATIVE, "w_star": _FLOATS, "n_in": _COUNT,
         "n_hidden": _COUNT, "n_classes": _COUNT, "dataset": _TEXT, "batch_size": _COUNT,
     },
@@ -303,8 +294,8 @@ def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
     hp = HyperParams(  # in range: every value is typed by its key's or flag's range
         alpha=_schedule(cfg.get("alpha_schedule", "constant"), alpha),
         epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
-        beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", 0.9)),
-        beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", 0.999)),
+        beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", BETA1.base)),
+        beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", BETA2.base)),
         **_given(cfg, "weight_decay", "decay_mode"),
     )
     return hp, method
@@ -317,7 +308,7 @@ def _base_seed(args) -> int:
     return 0 if raw is None else _parse(ENV_SEED, _SEED, raw)
 
 
-def _default_w1(problem, seed_label: int, init_scale: float = 0.1) -> np.ndarray:
+def _default_w1(problem, seed_label: int, init_scale: float = INIT_SCALE) -> np.ndarray:
     if isinstance(problem, SynthProblem):
         return np.array([0.5])
     if isinstance(problem, QuadraticProblem):
@@ -417,7 +408,7 @@ def cmd_sweep(args) -> int:
     if "methods" not in grid:
         raise ConfigError("[grid] methods is required")
     steps = _steps(config.get("run", {}), args, 1000)
-    workers = args.workers if args.workers is not None else grid.get("workers", 1)
+    workers = {"workers": args.workers} if args.workers is not None else _given(grid, "workers")
     holdout = None
     if "holdout" in grid:
         _load("mlp")
@@ -443,7 +434,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"[grid] {exc}") from None
     out_dir = _out_dir(args, config.get("run", {}))
 
-    cells = run_sweep(spec, workers=workers)
+    cells = run_sweep(spec, **workers)
     heatmap_path = out_dir / "heatmap.csv"
     export_heatmap(cells, heatmap_path)
     sep_path = out_dir / "separability.csv"
@@ -481,7 +472,7 @@ def cmd_check(args) -> int:
             w = lo + (hi - lo) * rng.random(problem.dim)
         else:
             w = rng.normal(problem.dim)
-            w /= max(1.0, float(np.sqrt(np.sum(w * w))))
+            w /= max(1.0, lane_norm(w).item())
         outcomes = problem.outcomes()
         tokens = [tok for _, tok in outcomes] if outcomes else [problem.sample(rng)]
         for token in tokens:

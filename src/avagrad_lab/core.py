@@ -308,10 +308,6 @@ class RngStream:
             return self._numpy(lambda g: g.choice(n, size, replace=True))
         return lane_draws([self], "choice", 1, (size,), n)[0, 0]
 
-    def choices(self, n: int, size: int, k: int) -> np.ndarray:
-        """k draws of choice(n, size) without replacement, stacked (k, size)."""
-        return lane_draws([self], "choice", k, (size,), n)[:, 0]
-
 
 def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
                n: int = 0) -> np.ndarray:

@@ -140,7 +140,7 @@ class MlpProblem(StochasticProblem):
         return hidden, logits
 
     def sample(self, rng: RngStream, size: int | None = None):
-        tokens = rng.choices(len(self.dataset), self.batch_size, 1 if size is None else size)
+        tokens = self.sample_lanes([rng], 1 if size is None else size)[:, 0]
         return tokens[0] if size is None else tokens
 
     def sample_lanes(self, streams, k):

@@ -65,6 +65,10 @@ class DivergenceError(NonFiniteError):
     """A step produced NaN/inf in the iterate or a state buffer."""
 
 
+#: the beta1 and beta2 of HyperParams, a sweep's GridSpec and the CLI, unless set
+BETA1, BETA2 = Schedule.constant(0.9), Schedule.constant(0.999)
+
+
 def _validate_beta_schedule(s: Schedule, name: str) -> None:
     # constant and inverse_sqrt peak at t=1 (value = base); inverse_t stays in [0, 1)
     if s.kind in ("constant", "inverse_sqrt") and not (0.0 <= s.base < 1.0):
@@ -80,8 +84,8 @@ class HyperParams(Frozen):
     weight_decay enters; adamw/avagradw force decoupled decay regardless.
     """
 
-    def __init__(self, alpha: Schedule, epsilon: float, beta1: Schedule = Schedule.constant(0.9),
-                 beta2: Schedule = Schedule.constant(0.999), weight_decay: float = 0.0,
+    def __init__(self, alpha: Schedule, epsilon: float, beta1: Schedule = BETA1,
+                 beta2: Schedule = BETA2, weight_decay: float = 0.0,
                  decay_mode: DecayMode = DecayMode.NONE):
         if not (epsilon > 0.0) or not math.isfinite(epsilon):
             raise ValueError(f"epsilon must be a positive finite float, got {epsilon}")
@@ -128,10 +132,15 @@ def init_state(method: Method, d: int) -> OptimizerState:
     return OptimizerState(method=method, m=np.zeros(d), v=np.zeros(d), v_hat=v_hat, t=0)
 
 
+def lane_norm_sq(a: np.ndarray) -> np.ndarray:
+    """||a||^2 of each lane (last axis), kept as a trailing axis of length 1: a sum
+    of squares in numpy's order, without BLAS, so the same bits on any CPU."""
+    return np.add.reduce(a * a, axis=-1, keepdims=True)  # np.sum, less its wrapper
+
+
 def lane_norm(a: np.ndarray) -> np.ndarray:
     """||a|| of each lane (last axis), kept as a trailing axis of length 1."""
-    # np.add.reduce is what np.sum runs, less its Python wrapper
-    return np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
+    return np.sqrt(lane_norm_sq(a))
 
 
 def _scaled_norm(eta: np.ndarray) -> np.ndarray:
@@ -225,7 +234,7 @@ def step(
         eta=eta,
         alpha_eff=np.asarray(alpha_eff).item(),
         eta_min=float(np.min(eta)),
-        eta_l2=float(np.sqrt(np.sum(eta * eta))),
+        eta_l2=lane_norm(eta).item(),
     )
     return w_next, state_next, report
 

@@ -34,13 +34,17 @@ import numpy as np
 from .core import Frozen, NonFiniteError, RngStream, clamp_box, mix_seed, schedule_eval, write_csv
 from . import _lanes
 from .optim import (ADAPTIVE_METHODS, DELAYED_METHODS, FORCED_DECOUPLED, NORMALIZED_METHODS,
-                    DecayMode, HyperParams, Method, OptimizerState, lane_norm, lane_update)
+                    DecayMode, HyperParams, Method, OptimizerState, lane_norm, lane_norm_sq,
+                    lane_update)
 from .optim import init_state, step  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .problems import ProblemConstants, StochasticProblem, SynthProblem
 
 ROW_COLUMNS = ("t", "w_mean", "grad_norm_sq_mean", "alpha_t", "eta_min", "eta_l2", "alpha_eff")
 
 GRAD_METRICS = ("full", "batch", "none")
+
+#: the scale of a random start w1 ~ N(0, INIT_SCALE^2): an MLP run's, a sweep cell's
+INIT_SCALE = 0.1
 
 STATUS_FINISHED = "finished"
 STATUS_CONVERGED = "converged"
@@ -278,11 +282,10 @@ def run_trials(cfgs: list[TrialConfig]) -> list[TrialRecord]:
             while True:  # once, unless a lane diverges: then again without it
                 g = problem.grad(w, tokens[k])
                 # the running sums with this step's terms, screened with the step; the
-                # mean is np.mean's and the squared norm x @ x's, bit for bit
+                # mean is np.mean's, bit for bit, and the squared norm lane_norm_sq's
                 w_sum_t = sums = w_sum + np.add.reduce(w, axis=-1, keepdims=True) / d
                 if grad_metric != "none":
-                    x = problem.full_grad(w) if grad_metric == "full" else g
-                    gs = np.vecdot(x, x)[:, None]
+                    gs = lane_norm_sq(problem.full_grad(w) if grad_metric == "full" else g)
                     gs_sum_t = gs_sum + gs
                     sums = w_sum_t * gs_sum_t
                 w_next, m_next, v_next, v_hat_next, eta_t, alpha_eff_t = lane_update(

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Frozen, RngStream, Schedule, lane_draws, mix_seed, write_csv
-from .optim import DecayMode, HyperParams, Method
+from .optim import BETA1, BETA2, DecayMode, HyperParams, Method
 from .problems import METRICS, StochasticProblem
-from .runner import STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
+from .runner import INIT_SCALE, STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
 
 if TYPE_CHECKING:
     from .mlp import LabeledSet
@@ -64,9 +64,9 @@ class GridSpec:
 
     def __init__(self, problem: StochasticProblem, methods: list[Method], alphas: list[float],
                  epsilons: list[float], seeds: list[int], T: int, base_seed: int = 0,
-                 beta1: float = 0.9, beta2: float = 0.999, weight_decay: float = 0.0,
+                 beta1: float = BETA1.base, beta2: float = BETA2.base, weight_decay: float = 0.0,
                  decay_mode: DecayMode = DecayMode.NONE, w1: np.ndarray | None = None,
-                 init_scale: float = 0.1, metric: str = "full_objective",
+                 init_scale: float = INIT_SCALE, metric: str = "full_objective",
                  holdout: LabeledSet | None = None):
         vars(self).update(problem=problem, methods=[Method(m) for m in methods], alphas=alphas,
                           epsilons=epsilons, seeds=seeds, T=T, base_seed=base_seed, beta1=beta1,

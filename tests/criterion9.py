@@ -4,7 +4,7 @@ Criterion 9 (tests/test_acceptance.py) and its golden sweep
 (tests/test_golden.py) score one run of it, made once a session by the
 `criterion9_cells` fixture of conftest.py with criterion 9's 8 workers; the
 golden fixture was recorded with 2, so the bytes also check worker-count
-invariance.
+invariance. tests/verdicts.py runs it at other base seeds.
 """
 
 from avagrad_lab.core import RngStream
@@ -15,7 +15,7 @@ from avagrad_lab.sweep import GridSpec
 WORKERS = 8
 
 
-def spec() -> GridSpec:
+def spec(base_seed: int = 7) -> GridSpec:
     train = gaussian_blobs(80, 3, 2, 1.5, RngStream(42))
     holdout = gaussian_blobs(40, 3, 2, 1.5, RngStream(43))
     # 7x7 sub-grid of the default axes; the epsilon range sits at and above
@@ -25,5 +25,5 @@ def spec() -> GridSpec:
                     methods=[Method.ADAM, Method.AVAGRAD],
                     alphas=[1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0],
                     epsilons=[1e-2, 1e-1, 1.0, 2.0, 10.0, 20.0, 100.0], seeds=[0, 1, 2],
-                    T=2000, base_seed=7, beta1=0.9, beta2=0.999, metric="holdout_ce",
+                    T=2000, base_seed=base_seed, beta1=0.9, beta2=0.999, metric="holdout_ce",
                     holdout=holdout, init_scale=0.1)

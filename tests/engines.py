@@ -1,12 +1,19 @@
 """Engine selection for tests: the numpy lane loop and numpy's draws, or the
 compiled code of avagrad_lab._lanes that runner.run_trials uses for d = 1
 synth batches with constant schedules, and RngStream for its uniform, normal
-and choice draws, when a C compiler is present."""
+and choice draws, when a C compiler is present. Also the numeric kernels of
+other CPUs, which a child process can be told to use."""
 
 import contextlib
+import ctypes
+import os
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
+import avagrad_lab
 from avagrad_lab import _lanes
 
 
@@ -40,3 +47,36 @@ def counted_kernel():
         yield calls
     finally:
         _lanes.kernel = real
+
+
+def openblas_core():
+    """The kernel set of numpy's bundled OpenBLAS, or None where none is found."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def other_cpu_kernels() -> list[tuple[str, str]]:
+    """(variable, value) pairs that make a process use the numeric kernels of
+    an older CPU: OpenBLAS's Haswell and Sandybridge kernels, and numpy's
+    AVX2 loops in place of its AVX-512 ones. A set this CPU cannot run is
+    left out."""
+    have = _multiarray_umath.__cpu_features__
+    avx512 = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+              if have.get(f) and f in _multiarray_umath.__cpu_dispatch__]
+    return [(name, value) for name, value, needs in (
+        ("OPENBLAS_CORETYPE", "Haswell", ["AVX2", "FMA3"]),
+        ("OPENBLAS_CORETYPE", "Sandybridge", ["AVX"]),
+        ("NPY_DISABLE_CPU_FEATURES", " ".join(avx512), avx512),
+    ) if needs and all(have.get(f) for f in needs)]
+
+
+def child_env(name: str, value: str) -> dict:
+    """This process's environment with `name` set to `value`, and a PYTHONPATH
+    that finds the package and the test modules."""
+    paths = [str(Path(avagrad_lab.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, name: value, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

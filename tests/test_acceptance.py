@@ -35,6 +35,7 @@ from avagrad_lab.sweep import (
     separability_index,
 )
 
+import criterion1
 from reference_impl import RefOptimizer
 
 
@@ -50,62 +51,16 @@ class TestCriterion1SyntheticDivergence:
     """Two-outcome benchmark at full scale: coupled rates stall, delayed rates do not."""
 
     def test_fig1_reproduction(self):
-        problem = synth_make(999.0, 1.0)
-        hp = HyperParams(
-            alpha=Schedule.constant(1e-5),
-            epsilon=1e-8,
-            beta1=Schedule.constant(0.0),
-            beta2=Schedule.constant(0.99),
-        )
-        T, seeds, base = 1_000_000, 10, 20240
-        stride = T // 10  # snapshots at 10%, ..., 100%: enough for tail means
-        # Every method starts far from w* (~0.4995), at the right box edge: from
-        # w1 = 0.5 AMSGrad simply stays near w* with its small first rates, and
-        # the comparison would measure the start point, not convergence.
-        w1 = 1.0
-        methods = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
-        # one batch of 10 lanes per method; replica i of each method keeps seed mix_seed(base, i)
-        all_records = run_synth_replicas(
-            problem, methods, hp, w1=w1, T=T, base_seed=base,
-            n_replicas=seeds, record_every=stride, capture_trace=False,
-        )
-        out = {}
-        for j, method in enumerate(methods):
-            records = all_records[j * seeds:(j + 1) * seeds]
-            prefix_w = float(np.mean([r.w_mean for r in records]))
-            prefix_gs = float(np.mean([r.grad_norm_sq_mean for r in records]))
-            # means over the final 10%: difference of prefix sums at .9T and T
-            tail_w, tail_gs = [], []
-            for r in records:
-                row_09 = r.rows[r.rows[:, 0] == int(0.9 * T)][0]
-                tail_w.append((r.w_mean * T - row_09[1] * (0.9 * T)) / (0.1 * T))
-                tail_gs.append((r.grad_norm_sq_mean * T - row_09[2] * (0.9 * T)) / (0.1 * T))
-            out[method] = (prefix_w, prefix_gs, float(np.mean(tail_w)), float(np.mean(tail_gs)))
-
+        out = criterion1.figures(20240)
         adam_w, adam_gs, _, _ = out[Method.ADAM]
         _, ams_gs, _, _ = out[Method.AMSGRAD]
         _, del_gs, del_tail_w, del_tail_gs = out[Method.DELAYED_ADAM]
-        w_star = problem.w_star
         print(
             f"\n  adam: prefix_w={adam_w:.4f} prefix_gs={adam_gs:.4f}"
             f" | amsgrad: prefix_gs={ams_gs:.3e}"
             f" | delayed: prefix_gs={del_gs:.3e} tail_w={del_tail_w:.4f} tail_gs={del_tail_gs:.3e}"
         )
-        # (b) is read on the final window: delayed Adam's first step uses
-        # eta_1 = 1/epsilon (v_0 = 0, the analysed recursion) and lands on a box
-        # edge, and the way back to w* takes ~6e5 steps, so a prefix mean over
-        # 1e6 steps still carries that transient. At alpha = 1e-5 the rare kicks
-        # leave a stationary noise floor of ~3.5e-3 around w*, so the tail bound
-        # is 1e-2: ~3x that floor and 50x below Adam's >= 0.5 in (a). Delayed
-        # Adam's own windows before 0.5T all read >= 1e-2, so a run that has not
-        # reached w* by 0.9T still fails.
-        report("1 fig1-reproduction", [
-            ("a: adam prefix grad-norm-sq >= 0.5", adam_gs >= 0.5),
-            ("a: adam prefix iterate > 0.9", adam_w > 0.9),
-            ("b: delayed final-10% grad-norm-sq <= 1e-2", del_tail_gs <= 1e-2),
-            ("b: delayed final-10% iterate within 0.05 of w*", abs(del_tail_w - w_star) <= 0.05),
-            ("c: delayed prefix grad-norm-sq below amsgrad", del_gs < ams_gs),
-        ])
+        report("1 fig1-reproduction", criterion1.claims(out))
 
 
 class TestCriterion2StepOracle:

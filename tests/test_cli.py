@@ -396,9 +396,10 @@ steps = 5
             "loaded []"] * len(commands)
         # nor do choice draws on each of numpy's branches, a k-draw and an MLP minibatch
         code = "\n".join([
-            "import sys", "import numpy as np", "from avagrad_lab.core import RngStream",
+            "import sys", "import numpy as np", "from avagrad_lab.core import RngStream, lane_draws",
             "from avagrad_lab.mlp import LabeledSet, MlpProblem", "rng = RngStream(3)",
-            "rng.choice(240, 32); rng.choice(10001, 201); rng.choices(10001, 200, 3)",
+            "rng.choice(240, 32); rng.choice(10001, 201)",
+            "lane_draws([rng], 'choice', 3, (200,), 10001)",
             "data = LabeledSet(np.zeros((240, 1)), np.zeros(240, np.int64))",
             "MlpProblem(1, 1, 1, data, 32).sample(rng)", loaded])
         assert run_python(["-c", code], check=True).stdout.splitlines() == ["loaded []"]
@@ -1085,7 +1086,8 @@ class TestFlags:
 RANGED_FLAGS = {"--steps": "0", "--workers": "0", "--num-seeds": "0", "--alpha": "0",
                 "--epsilon": "-1e-3", "--seed": "-1"}
 RANGED_KEYS = {
-    ("problem", "delta"): "-1", ("problem", "curvatures"): "1,0", ("problem", "noise_std"): "-0.1",
+    ("problem", "c"): "0.5", ("problem", "delta"): "-1", ("problem", "curvatures"): "1,0",
+    ("problem", "noise_std"): "-0.1",
     ("problem", "n_in"): "0", ("problem", "n_hidden"): "-1", ("problem", "n_classes"): "0",
     ("problem", "batch_size"): "0", ("optimizer", "alpha"): "0", ("optimizer", "epsilon"): "0",
     ("optimizer", "beta1"): "1", ("optimizer", "beta2"): "-0.5",

@@ -161,7 +161,8 @@ class TestRngStream:
         rng.integers(0, 1000)  # leaves half an output buffered
         before = rng.state
         with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
-            for draw in (lambda: rng.choice(n, size), lambda: rng.choices(n, size, 3)):
+            for draw in (lambda: rng.choice(n, size),
+                         lambda: lane_draws([rng], "choice", 3, (size,), n)):
                 with pytest.raises(ValueError) as got:
                     draw()
                 assert str(got.value) == str(spec.value)
@@ -276,7 +277,7 @@ _INTEGERS = st.one_of(  # (high, size): a scalar bound, or one per column
     st.tuples(_HIGHS, st.one_of(st.none(), st.integers(0, 9))),
     st.lists(_HIGHS, min_size=1, max_size=4).flatmap(lambda highs: st.tuples(
         st.just(highs), st.one_of(st.none(), st.integers(0, 3).map(lambda k: (k, len(highs)))))))
-# ((n, b), k) of choice(n, b), or of choices(n, b, k) when k is not None: b = 1,
+# ((n, b), k) of choice(n, b), or of k of them in one lane draw when k is not None: b = 1,
 # b = n, and n on both sides of the tail shuffle, n > 10000 and b > n // 50
 _CHOICES = st.tuples(st.one_of(
     st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
@@ -333,7 +334,7 @@ class TestCompiledDraws:
                 got, want = rng.choice(*arg[0]), gen.choice(*arg[0], replace=False)
             else:
                 (n, b), k = arg
-                got = rng.choices(n, b, k)
+                got = lane_draws([rng], "choice", k, (b,), n)[:, 0]
                 want = np.array([gen.choice(n, b, replace=False) for _ in range(k)],
                                 np.int64).reshape(k, b)
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
@@ -431,10 +432,10 @@ class TestLaneDraws:
         assert [state_words(r.state) for r in streams] == before
 
     def test_single_draws_are_the_one_stream_case(self):
-        """random, normal and choices of a stream equal a lane draw of it alone."""
+        """random, normal and choice of a stream equal a lane draw of it alone."""
         draws = [(lambda r: r.random((4, 2)), ("uniform", 1, (4, 2), 0)),
                  (lambda r: r.normal(3), ("normal", 1, (3,), 0)),
-                 (lambda r: r.choices(50, 7, 3), ("choice", 3, (7,), 50))]
+                 (lambda r: r.choice(50, 7), ("choice", 1, (7,), 50))]
         for single, (kind, k, shape, n) in draws:
             a, b = odd_streams(1), odd_streams(1)
             got, want = single(a[0]), lane_draws(b, kind, k, shape, n)

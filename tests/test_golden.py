@@ -7,8 +7,12 @@ synthfig command and writes fig1_left.csv and fig1_right.csv. The bytes must equ
 stored under tests/golden/, under the numpy engine and under the compiled
 loop that runs d = 1 synth trials. The run cases also go through the real
 entry point, `python -m avagrad_lab.cli` in a child process. The fixtures
-were recorded with Python 3.11.7 and numpy 2.4.6; a different numpy or BLAS
-build may round differently.
+were recorded with Python 3.11.7 and numpy 2.4.6; a different numpy build
+may round differently. Of the recorded numbers only the MLP's go through
+BLAS (its @) and through numpy's CPU-dispatched loops (its exp and log), so
+every other fixture holds on any x86-64 CPU, which a test checks under two
+other OpenBLAS kernel sets, and the MLP fixtures hold per pair of BLAS
+kernel set and numpy dispatch target.
 Re-record them only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +39,7 @@ from avagrad_lab.mlp import gaussian_blobs, mlp_make
 from avagrad_lab.problems import quadratic_make, synth_make
 from avagrad_lab.runner import TrialConfig, export_trajectory, run_trial
 from avagrad_lab.sweep import GridSpec, default_grid, export_heatmap, run_sweep, separability_index
+from engines import child_env, other_cpu_kernels
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPO = GOLDEN.parent.parent
@@ -266,6 +271,27 @@ def test_run_matches_golden_bytes(name, tmp_path):
 def test_cli_process_matches_golden_bytes(name, tmp_path):
     _write_run(name, tmp_path, _main_in_child)
     _assert_run_matches_golden(name, tmp_path)
+
+
+def test_non_mlp_cases_match_under_other_blas_kernels():
+    """The trajectory, synthfig and run cases without an MLP, rerun in a child
+    process under each of OpenBLAS's Haswell and Sandybridge kernel sets:
+    no recorded number but the MLP's goes through BLAS. Each child reports
+    the kernel set it ran; one the CPU cannot run is left out."""
+    envs = [env for env in other_cpu_kernels() if env[0] == "OPENBLAS_CORETYPE"]
+    if not envs:
+        pytest.skip("this CPU runs none of the other BLAS kernel sets")
+    code = ("import sys, engines, pytest; status = pytest.main(sys.argv[1:]); "
+            "print('openblas_core', engines.openblas_core()); sys.exit(status)")
+    argv = [__file__, "-q", "-p", "no:cacheprovider",
+            "-k", "not mlp and not sweep and not under_other"]  # and not this test
+    procs = [subprocess.Popen([sys.executable, "-c", code, *argv], text=True, cwd=REPO,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              env=child_env(name, value)) for name, value in envs]
+    for (_, value), proc in zip(envs, procs):
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0, (value, out)
+        assert out.split()[-2:] in (["openblas_core", value], ["openblas_core", "None"]), out
 
 
 if __name__ == "__main__":

@@ -1,25 +1,21 @@
 import contextlib
 import copy
-import ctypes
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy._core import _multiarray_umath
 
 import avagrad_lab
 from avagrad_lab.core import RngStream
 from avagrad_lab.mlp import LabeledSet, gaussian_blobs, load_csv_dataset, mlp_make
 from avagrad_lab.problems import COMMON, RARE, fd_check, quadratic_make, synth_make
-from engines import numpy_engine
+from engines import child_env, numpy_engine, other_cpu_kernels
 from reference_impl import mlp_dataset_error, mlp_dataset_loss, mlp_grad
 
 
@@ -341,16 +337,6 @@ def mlp_parity_slice(seed, count):
                                bool(gen.random() < 0.3), int(gen.integers(2**32)), inf)
 
 
-def openblas_core():
-    """The kernel set of numpy's bundled OpenBLAS, or None where none is found."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
 class TestMlpOracleBits:
     """grad, full_grad, loss and the dataset metrics give the bits of the
     plain formulas in reference_impl."""
@@ -374,25 +360,16 @@ class TestMlpOracleBits:
         the BLAS kernels of older CPUs and under numpy's AVX2 loops. Each
         child compares the oracle with the plain formulas itself, so the test
         holds on any machine; a kernel set the CPU cannot run is left out."""
-        have = _multiarray_umath.__cpu_features__
-        avx512 = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-                  if have.get(f) and f in _multiarray_umath.__cpu_dispatch__]
-        envs = [(name, value) for name, value, needs in (
-            ("OPENBLAS_CORETYPE", "Haswell", ["AVX2", "FMA3"]),
-            ("OPENBLAS_CORETYPE", "Sandybridge", ["AVX"]),
-            ("NPY_DISABLE_CPU_FEATURES", " ".join(avx512), avx512),
-        ) if needs and all(have.get(f) for f in needs)]
+        envs = other_cpu_kernels()
         if not envs:
             pytest.skip("this CPU runs none of the other kernel sets")
-        paths = [str(Path(avagrad_lab.__file__).resolve().parents[1]),
-                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
-        code = ("import sys, test_problems as t; from numpy._core import _multiarray_umath as m; "
-                "t.mlp_parity_slice(int(sys.argv[1]), 100); "
-                "print(t.openblas_core(), *[f for f in m.__cpu_dispatch__ if m.__cpu_features__[f]])")
+        code = ("import sys, engines, test_problems as t; "
+                "from numpy._core import _multiarray_umath as m; "
+                "t.mlp_parity_slice(int(sys.argv[1]), 100); print(engines.openblas_core(), "
+                "*[f for f in m.__cpu_dispatch__ if m.__cpu_features__[f]])")
         procs = [subprocess.Popen([sys.executable, "-c", code, str(seed)], text=True,
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                  env={**os.environ, name: value,
-                                       "PYTHONPATH": os.pathsep.join(filter(None, paths))})
+                                  env=child_env(name, value))
                  for seed, (name, value) in enumerate(envs)]
         for (name, value), proc in zip(envs, procs):
             out, err = proc.communicate(timeout=300)

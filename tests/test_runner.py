@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, runner
-from avagrad_lab.core import NonFiniteError, RngStream, Schedule, mix_seed
+from avagrad_lab.core import NonFiniteError, RngStream, Schedule, lane_draws, mix_seed
 from avagrad_lab.optim import DecayMode, HyperParams, Method, init_state
 from avagrad_lab.mlp import gaussian_blobs, mlp_make
 from avagrad_lab.problems import StochasticProblem, quadratic_make, synth_make
@@ -636,7 +636,8 @@ class TestCompiledLanes:
             rng = RngStream(11)
             return [np.asarray(d).tobytes() for d in (
                 rng.random(3), rng.normal(5), rng.integers(0, [5, 2**40, 2**63]), rng.random(),
-                rng.choice(240, 32), rng.choice(10001, 201), rng.choices(50, 7, 3))]
+                rng.choice(240, 32), rng.choice(10001, 201),
+                lane_draws([rng], "choice", 3, (7,), 50))]
 
         with numpy_engine():
             want, want_draws = run_trials(cfgs), draws()

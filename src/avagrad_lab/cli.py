@@ -159,15 +159,15 @@ _KEYS = {
     },
     "run": {
         "steps": _COUNT, "seeds": _SEEDS, "record_every": _COUNT, "out_dir": _TEXT,
-        "w1": _FLOATS, "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _FLOAT,
-        "init_scale": _FLOAT,
+        "w1": _FLOATS, "grad_metric": _one_of(GRAD_METRICS), "converge_tol": _NONNEGATIVE,
+        "init_scale": _NONNEGATIVE,
     },
     "grid": {
         "default": (_bool, "a boolean"), "alphas": _POSITIVES, "epsilons": _POSITIVES,
         "methods": _list_of(_METHOD, "names from " + ", ".join(_METHOD_NAMES)),
         "seeds": _SEEDS, "workers": _COUNT, "metric": _one_of(METRICS), "holdout": _TEXT,
         "beta1": _BETA, "beta2": _BETA, "weight_decay": _NONNEGATIVE, "decay_mode": _DECAY,
-        "init_scale": _FLOAT,
+        "init_scale": _NONNEGATIVE,
     },
 }
 
@@ -308,13 +308,20 @@ def _base_seed(args) -> int:
     return 0 if raw is None else _parse(ENV_SEED, _SEED, raw)
 
 
-def _default_w1(problem, seed_label: int, init_scale: float = INIT_SCALE) -> np.ndarray:
+def _start(problem, run: dict, seed_label: int) -> np.ndarray:
+    """The start point w1 of `run` and `check`: [run] w1, or the problem's default."""
+    w1 = run.get("w1")
+    if w1 is not None:
+        if len(w1) != problem.dim:
+            raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(w1)}")
+        return np.array(w1)
     if isinstance(problem, SynthProblem):
         return np.array([0.5])
     if isinstance(problem, QuadraticProblem):
         return np.ones(problem.dim)
     # mlp: small random init from a stream disjoint from the trial's sampling stream
-    return init_scale * RngStream(mix_seed(seed_label, 0x1717)).normal(problem.dim)
+    rng = RngStream(mix_seed(seed_label, 0x1717))
+    return run.get("init_scale", INIT_SCALE) * rng.normal(problem.dim)
 
 
 def cmd_run(args) -> int:
@@ -327,9 +334,7 @@ def cmd_run(args) -> int:
     if len(set(seeds)) != len(seeds):  # each seed writes its own trajectory file
         raise ConfigError("[run] seeds must not repeat")
     record_every = run.get("record_every", max(1, steps // 1000))
-    fixed_w1 = run.get("w1")
-    if fixed_w1 is not None and len(fixed_w1) != problem.dim:
-        raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(fixed_w1)}")
+    starts = [_start(problem, run, seed) for seed in seeds]
     out_dir = _out_dir(args, run)
 
     print(
@@ -341,12 +346,10 @@ def cmd_run(args) -> int:
         f" out={out_dir}"
     )
     records = run_trials([TrialConfig(  # the seeds as one lock-step batch
-        method=method, hp=hp, problem=problem, T=steps, seed=seed,
-        w1=(_default_w1(problem, seed, **_given(run, "init_scale")) if fixed_w1 is None
-            else np.array(fixed_w1)),
+        method=method, hp=hp, problem=problem, T=steps, seed=seed, w1=w1,
         record_every=record_every, capture_trace=False,  # only the rows are written
         **_given(run, "grad_metric", "converge_tol"),
-    ) for seed in seeds])
+    ) for seed, w1 in zip(seeds, starts)])
     for seed, record in zip(seeds, records):
         traj_path = out_dir / f"trajectory_seed{seed}.csv"
         export_trajectory(record, traj_path)
@@ -458,8 +461,10 @@ def cmd_check(args) -> int:
     config = _load_config(args.config)
     problem = _build_problem(config.get("problem", {}))
     hp, method = _build_hp(config.get("optimizer", {}), args)
-    steps = _steps(config.get("run", {}), args, 20000)
+    run = config.get("run", {})
+    steps = _steps(run, args, 20000)
     base_seed = _base_seed(args)
+    w1 = _start(problem, run, base_seed)
     failed = False
 
     # gradient check at a handful of seeded points
@@ -497,7 +502,6 @@ def cmd_check(args) -> int:
         failed = failed or worst_delayed > 1e-15
 
     # bound report when constants exist and the momentum term is off
-    w1 = _default_w1(problem, base_seed)
     constants = problem.constants(w1)
     if constants is not None and constants.g_2 is not None:
         if _beta1_is_zero(hp):

@@ -4,12 +4,12 @@ Everything downstream (optimizers, problems, trial runner, sweeps) works in
 terms of float64 numpy arrays, 1-D vectors or lanes of shape (n, d); this
 module holds the vector input check and box projection, the schedule
 evaluator, the deterministic RNG contract used to derive independent
-per-trial streams (seeds mixed from ints or uint64 arrays; uniform, normal
-and choice draws through numpy's own distribution code, compiled into
-_lanes.c's library, on the stream's own Philox words, for a whole batch of
-streams in one lane_draws call, the others through a scratch numpy Philox
-engine per thread, loaded with those words), and the CSV writer every output
-file goes through.
+per-trial streams (seeds mixed from ints or uint64 arrays; every uniform,
+normal and choice draw is one lane_draws call, for a whole batch of streams
+or for one, through numpy's own distribution code compiled into _lanes.c's
+library, on the streams' own Philox words, or without that library through
+a scratch numpy Philox engine per thread, loaded with those words), and the
+CSV writer every output file goes through.
 """
 
 from __future__ import annotations
@@ -221,18 +221,13 @@ class RngStream:
     identical draw sequence on any platform. Independent streams take seeds
     from :func:`mix_seed`. A stream holds its seed and its Philox state
     (counter, key, output buffer and the buffered half of a 32-bit draw), as
-    13 words in a ctypes array, not a Generator. With _lanes.c's library,
-    random, normal and choice without replacement run on those words, through
-    numpy's own distribution code (libnpyrandom.a, linked into the library):
-    numpy's Generator(Philox) draws bit for bit. Each is the one-stream case
-    of :func:`lane_draws`. The other draws, and every draw without that
-    library, load the state into the calling thread's scratch Generator, draw
-    and store its state back: no engine or lock is shared between threads, so
-    a fork never copies one held. Philox is counter-based, so the bits are
-    those of a Generator of the stream's own, and making a stream costs 13
-    words, not the OS entropy that numpy's constructor gathers and then
-    discards for the key. Instances are single-owner; never share one across
-    threads.
+    13 words in a ctypes array, not a Generator. Its draws, random, normal
+    and choice without replacement, are each the one-stream, one-step case of
+    :func:`lane_draws`, and give numpy's Generator(Philox) bits: Philox is
+    counter-based, so they are those of a Generator of the stream's own, and
+    making a stream costs 13 words, not the OS entropy that numpy's
+    constructor gathers and then discards for the key. Instances are
+    single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
@@ -266,47 +261,23 @@ class RngStream:
             words += np.asarray(part, np.uint64).tolist()
         self._words[:] = words + [state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
-    def _numpy(self, draw):
-        """draw(g) on the calling thread's scratch Generator g, loaded with this
-        stream's state, which is stored back after it."""
-        g = getattr(_scratch, "engine", None)
-        if g is None:
-            g = _scratch.engine = np.random.Generator(np.random.Philox(0))
-        g.bit_generator.state = self.state
-        out = draw(g)
-        self.state = g.bit_generator.state
-        return out
-
-    def _compiled(self, name: str, size):
-        """Run _lanes.c's `name` on this stream alone into a new float array
-        of `size` (0-d for None); None without the library."""
-        lib = _lanes.library()
-        if lib is None:
-            return None
-        out = np.empty(() if size is None else size)
-        if out.size:
-            getattr(lib, name)(1, self._alone(), 1, out.size, ctypes.c_double.from_buffer(out))
-        return out
+    def _draw(self, kind: str, size, n: int = 0):
+        """lane_draws of this stream alone, one step of `size` (None, an int or
+        a shape tuple): a float for None."""
+        shape = () if size is None else size if isinstance(size, tuple) else (size,)
+        out = lane_draws([self], kind, 1, shape, n)[0, 0, ...]
+        return float(out) if size is None else out
 
     def random(self, size=None):
-        out = self._compiled("philox_uniform", size)
-        if out is None:
-            return self._numpy(lambda g: g.random(size))
-        return float(out) if size is None else out
+        return self._draw("uniform", size)
 
     def normal(self, size=None):
-        out = self._compiled("philox_normal", size)
-        if out is None:
-            return self._numpy(lambda g: g.standard_normal(size))
-        return float(out) if size is None else out
-
-    def integers(self, low, high=None, size=None):
-        return self._numpy(lambda g: g.integers(low, high, size))
+        return self._draw("normal", size)
 
     def choice(self, n: int, size: int, replace: bool = False):
-        if replace:
-            return self._numpy(lambda g: g.choice(n, size, replace=True))
-        return lane_draws([self], "choice", 1, (size,), n)[0, 0]
+        if replace:  # the keyword stays for callers that pass replace=False
+            raise ValueError("RngStream.choice draws without replacement only")
+        return self._draw("choice", (size,), n)
 
 
 def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
@@ -318,18 +289,25 @@ def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
     C-contiguous (k, len(streams), *shape) array, through numpy's own code;
     choice marks each draw's picks in one n-entry table and clears them after
     it. Without the library, or for a choice that numpy rejects (which then
-    raises numpy's own error before it draws), each stream draws through
-    numpy in turn."""
+    raises numpy's own error before it draws), each stream in turn loads its
+    state into the calling thread's scratch Generator, draws, and stores the
+    state back: no engine or lock is shared between threads, so a fork never
+    copies one held."""
     choice = kind == "choice"
     out = np.empty((k, len(streams), *shape), np.int64 if choice else np.float64)
     lib = _lanes.library()
     if lib is None or choice and not 0 <= shape[0] <= n:
-        draw = {"uniform": lambda g: g.random((k, *shape)),
-                "normal": lambda g: g.standard_normal((k, *shape)),
-                "choice": lambda g: np.array([g.choice(n, *shape, replace=False)
-                                              for _ in range(k)], np.int64).reshape(k, *shape)}[kind]
-        for p, rng in enumerate(streams):
-            out[:, p] = rng._numpy(draw)
+        g = getattr(_scratch, "engine", None)
+        if g is None:
+            g = _scratch.engine = np.random.Generator(np.random.Philox(0))
+        draw = {"uniform": lambda: g.random((k, *shape)),
+                "normal": lambda: g.standard_normal((k, *shape)),
+                "choice": lambda: np.array([g.choice(n, *shape, replace=False)
+                                            for _ in range(k)], np.int64).reshape(k, *shape)}[kind]
+        for p, rng in enumerate(streams):  # load, draw, store back
+            g.bit_generator.state = rng.state
+            out[:, p] = draw()
+            rng.state = g.bit_generator.state
     elif out.size:
         refs = streams[0]._alone() if len(streams) == 1 else _at(
             np.fromiter([ctypes.addressof(s._words) for s in streams], np.uint64, len(streams)))

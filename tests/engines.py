@@ -2,7 +2,8 @@
 compiled code of avagrad_lab._lanes that runner.run_trials uses for d = 1
 synth batches with constant schedules, and RngStream for its uniform, normal
 and choice draws, when a C compiler is present. Also the numeric kernels of
-other CPUs, which a child process can be told to use."""
+other CPUs, which a child process can be told to use, and the Philox states
+that RngStream's tests start from and compare."""
 
 import contextlib
 import ctypes
@@ -80,3 +81,21 @@ def child_env(name: str, value: str) -> dict:
     paths = [str(Path(avagrad_lab.__file__).resolve().parents[1]),
              str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
     return {**os.environ, name: value, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def state_words(state) -> list[int]:
+    """A Philox state dict's 13 words, as RngStream.state and numpy give it."""
+    return [*map(int, [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+
+def buffer_half(rng):
+    """Leave the other half of a 32-bit draw buffered in RngStream rng, which
+    draws no integers itself: its state becomes that of a numpy
+    Generator(Philox) that starts from rng's and draws integers(0, 1000)."""
+    g = np.random.Generator(np.random.Philox(0))
+    g.bit_generator.state = rng.state
+    g.integers(0, 1000)
+    rng.state = g.bit_generator.state
+    assert rng.state["has_uint32"] == 1
+    return rng

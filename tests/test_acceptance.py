@@ -154,7 +154,7 @@ class TestCriterion5BiasDiagnostic:
             rng = RngStream(mix_seed(777, i))
             state = init_state(Method.DELAYED_ADAM, 1)
             state.v = 100.0 * rng.random(1)  # below the stationary v scale (~500)
-            state.t = int(rng.integers(1, 10_000))
+            state.t = 1 + int(9999 * rng.random())  # in [1, 9999]
             w = rng.random(1)
             gap_d = bias_gap(w, state, hp, problem, "delayed")
             gap_a = bias_gap(w, state, hp, problem, "adam")

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from avagrad_lab import _lanes, cli
 from avagrad_lab.cli import _KEYS, ConfigError, _parse, main
-from avagrad_lab.core import SCHEDULE_KINDS, RngStream
+from avagrad_lab.core import SCHEDULE_KINDS, RngStream, Schedule, mix_seed
 from avagrad_lab.mlp import gaussian_blobs
-from avagrad_lab.optim import DecayMode, Method
-from avagrad_lab.problems import METRICS
-from avagrad_lab.runner import GRAD_METRICS, run_trials
+from avagrad_lab.optim import DecayMode, HyperParams, Method
+from avagrad_lab.problems import METRICS, synth_make
+from avagrad_lab.runner import GRAD_METRICS, TrialConfig, eval_bound, run_trial, run_trials
 from avagrad_lab.sweep import default_grid
 
 
@@ -398,6 +398,7 @@ steps = 5
         code = "\n".join([
             "import sys", "import numpy as np", "from avagrad_lab.core import RngStream, lane_draws",
             "from avagrad_lab.mlp import LabeledSet, MlpProblem", "rng = RngStream(3)",
+            "rng.random(); rng.random(3); rng.normal(); rng.normal((2, 3))",
             "rng.choice(240, 32); rng.choice(10001, 201)",
             "lane_draws([rng], 'choice', 3, (200,), 10001)",
             "data = LabeledSet(np.zeros((240, 1)), np.zeros(240, np.int64))",
@@ -653,6 +654,33 @@ steps = 10
         out = capsys.readouterr().out
         assert code == 0
         assert "fd_max_rel_err=" in out
+
+    def test_bound_trial_starts_at_run_w1(self, tmp_path, capsys):
+        """check's bound trial, and its constants, start at [run] w1, as run's
+        trials do: its line is eval_bound's on a run_trial from there."""
+        lines = {}
+        for w1 in (0.5, 0.9):
+            cfg = write_config(tmp_path, SYNTH_CONFIG.replace("[run]\n", f"[run]\nw1 = {w1}\n"))
+            assert main(["check", "--config", cfg, "--seed", "3"]) == 0
+            lines[w1] = [line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("bound_lhs=")]
+        problem, start = synth_make(999.0, 1.0), np.array([0.9])
+        hp = HyperParams(alpha=Schedule.constant(1e-3), epsilon=1e-8,
+                         beta1=Schedule.constant(0.0), beta2=Schedule.constant(0.99))
+        record = run_trial(TrialConfig(method=Method.DELAYED_ADAM, hp=hp, problem=problem,
+                                       T=200, w1=start, seed=mix_seed(3, 4), record_every=2,
+                                       capture_trace=True))
+        report = eval_bound(record, problem.constants(start), "unconditional")
+        assert lines[0.9] == [f"bound_lhs={report.lhs:.6e} bound_rhs={report.rhs:.6e}"
+                              f" bound_ok={int(report.lhs <= report.rhs)} variant=unconditional"]
+        assert lines[0.5] != lines[0.9]
+
+    def test_w1_of_the_wrong_length_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("[run]\n", "[run]\nw1 = 0.5,0.5\n"))
+        assert main(["check", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error(err, "error: [run] w1 must be 1 values, got 2")
 
     def test_diverged_bound_run_exits_two(self, tmp_path, capsys):
         # the first step's alpha * eta = 1e306 / 1e-8 overflows the iterate
@@ -1094,7 +1122,8 @@ RANGED_KEYS = {
     ("optimizer", "weight_decay"): "-1e-9", ("run", "steps"): "0", ("run", "seeds"): "0,-1",
     ("run", "record_every"): "0", ("grid", "alphas"): "0,1", ("grid", "epsilons"): "-1,1",
     ("grid", "seeds"): "-1", ("grid", "workers"): "0", ("grid", "beta1"): "1.5",
-    ("grid", "beta2"): "1", ("grid", "weight_decay"): "-1",
+    ("grid", "beta2"): "1", ("grid", "weight_decay"): "-1", ("run", "converge_tol"): "-1e-6",
+    ("run", "init_scale"): "-0.1", ("grid", "init_scale"): "-5",
 }
 RANGE_NOUN = re.compile(r"(>=? \d|in \[)")
 

@@ -28,7 +28,7 @@ from avagrad_lab.core import (
     schedule_eval,
     write_csv,
 )
-from engines import numpy_engine
+from engines import buffer_half, numpy_engine, state_words
 
 
 class TestClampBox:
@@ -89,10 +89,10 @@ class TestSchedule:
 
 
 class TestRngStream:
-    def test_fixed_seed_reproduces_integer_sequence(self):
-        a = RngStream(987654321).integers(0, 2**63, size=256)
-        b = RngStream(987654321).integers(0, 2**63, size=256)
-        assert np.array_equal(a, b)
+    def test_fixed_seed_reproduces_normal_sequence(self):
+        a = RngStream(987654321).normal(256)
+        b = RngStream(987654321).normal(256)
+        assert a.tobytes() == b.tobytes()
 
     def test_scalar_and_array_draws_agree(self):
         # the replica fast path draws in blocks while run_trial draws one at a time
@@ -109,12 +109,13 @@ class TestRngStream:
     def test_copied_and_pickled_streams_continue_the_sequence(self):
         rng = RngStream(12)
         rng.random(1)  # with the library, makes the stream's own array of states
-        rng.integers(0, 1000)  # leaves half an output buffered
+        buffer_half(rng)
         copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
-        want = rng.integers(0, 1000, size=3), rng.normal(5)
+        want = rng.random(3), rng.normal(5), rng.choice(240, 32)
         for other in copies:
-            got = other.integers(0, 1000, size=3), other.normal(5)
+            got = other.random(3), other.normal(5), other.choice(240, 32)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert state_words(other.state) == state_words(rng.state)
 
     def test_mix_seed_order_sensitive(self):
         assert mix_seed(1, 2, 3) != mix_seed(1, 3, 2)
@@ -122,20 +123,20 @@ class TestRngStream:
 
     def test_interleaved_streams_equal_their_own_generators(self):
         """Streams drawn in turn, each on its own state, give the bits of a
-        Generator of their own; a 32-bit integer draw leaves the other half of
-        a Philox output buffered in the stream for its next one."""
+        Generator of their own, and keep the other half of a 32-bit draw
+        buffered in every other stream (the first included) through them."""
         seeds = [0, 7, 2**63, 2**64 - 1]
         streams = [RngStream(s) for s in seeds]
         gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+        for rng, gen in list(zip(streams, gens))[::2]:
+            gen.bit_generator.state = buffer_half(rng).state
         draws = [
             (lambda r: r.random(), lambda g: g.random()),
-            (lambda r: r.integers(0, 1000), lambda g: g.integers(0, 1000)),
             (lambda r: r.normal(5), lambda g: g.standard_normal(5)),
-            (lambda r: r.integers(0, [7, 2**31, 90], size=(4, 3)),
-             lambda g: g.integers(0, [7, 2**31, 90], size=(4, 3))),
             (lambda r: r.choice(240, 32), lambda g: g.choice(240, size=32, replace=False)),
             (lambda r: r.random((2, 3)), lambda g: g.random((2, 3))),
-            (lambda r: r.choice(9, 9, replace=True), lambda g: g.choice(9, size=9)),
+            (lambda r: r.normal(), lambda g: g.standard_normal()),
+            (lambda r: r.choice(9, 9), lambda g: g.choice(9, size=9, replace=False)),
         ]
         for _ in range(3):
             for stream_draw, gen_draw in draws:
@@ -157,8 +158,7 @@ class TestRngStream:
             pytest.skip("no C compiler: the library cannot be built")
         with pytest.raises(ValueError) as spec:
             np.random.Generator(np.random.Philox(0)).choice(n, size, replace=False)
-        rng = RngStream(8)
-        rng.integers(0, 1000)  # leaves half an output buffered
+        rng = buffer_half(RngStream(8))
         before = rng.state
         with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
             for draw in (lambda: rng.choice(n, size),
@@ -167,6 +167,17 @@ class TestRngStream:
                     draw()
                 assert str(got.value) == str(spec.value)
         assert rng.state == before
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    def test_choice_with_replacement_raises_and_draws_nothing(self, engine):
+        if engine == "compiled" and _lanes.library() is None:
+            pytest.skip("no C compiler: the library cannot be built")
+        rng = buffer_half(RngStream(8))
+        before = state_words(rng.state)
+        with numpy_engine() if engine == "numpy" else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="without replacement"):
+                rng.choice(5, 2, replace=True)
+        assert state_words(rng.state) == before
 
     def test_threads_drawing_their_own_streams_get_the_sequential_values(self):
         seeds, rounds = (3, 4), 2000
@@ -268,15 +279,6 @@ class TestMixSeedArrays:
 
 _SIZES = st.one_of(st.none(), st.integers(0, 9), st.integers(0, 9).map(lambda k: (k,)),
                    st.integers(0, 9).map(lambda k: (k, 1)))
-# bounds at the edges of numpy's branches: 32-bit draws up to 2**32 (buffered:
-# they set has_uint32 and keep the other half of a Philox output), 64-bit ones
-# above, and int64's largest range
-_HIGHS = st.one_of(st.sampled_from([1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63]),
-                   st.integers(1, 2**63))
-_INTEGERS = st.one_of(  # (high, size): a scalar bound, or one per column
-    st.tuples(_HIGHS, st.one_of(st.none(), st.integers(0, 9))),
-    st.lists(_HIGHS, min_size=1, max_size=4).flatmap(lambda highs: st.tuples(
-        st.just(highs), st.one_of(st.none(), st.integers(0, 3).map(lambda k: (k, len(highs)))))))
 # ((n, b), k) of choice(n, b), or of k of them in one lane draw when k is not None: b = 1,
 # b = n, and n on both sides of the tail shuffle, n > 10000 and b > n // 50
 _CHOICES = st.tuples(st.one_of(
@@ -287,7 +289,6 @@ _CHOICES = st.tuples(st.one_of(
 # (stream, draw, argument)
 _DRAWS = st.lists(st.tuples(st.integers(0, 1), st.one_of(
     st.tuples(st.just("random"), _SIZES), st.tuples(st.just("normal"), _SIZES),
-    st.tuples(st.just("integers"), _INTEGERS),
     st.tuples(st.just("choice"), _CHOICES))), max_size=16)
 _END_OF_LOW_WORDS = (2**64 - 1, 2**64 - 1, 0, 0)  # the next block carries into word 2
 
@@ -295,41 +296,40 @@ _END_OF_LOW_WORDS = (2**64 - 1, 2**64 - 1, 0, 0)  # the next block carries into 
 class TestCompiledDraws:
     """RngStream's uniform, normal and choice draws, run by numpy's own
     distribution code in _lanes.c's library when it loads, give numpy's
-    Generator(Philox) bits and state, mixed with each other and with integer
-    draws, which go through numpy and leave half an output buffered, on two
-    streams."""
+    Generator(Philox) bits and state, mixed with each other on two streams,
+    either of which may start with the other half of a 32-bit draw
+    buffered."""
 
     @settings(max_examples=300, deadline=None)
     @given(seeds=st.tuples(_UINT64, _UINT64), draws=_DRAWS,
            counter=st.sampled_from([(0, 0, 0, 0), _END_OF_LOW_WORDS, (2**64 - 2, 0, 0, 0),
-                                    (2**64 - 1, 2**64 - 1, 2**64 - 1, 5)]))
-    @example(seeds=(2**64 - 1, 0), counter=_END_OF_LOW_WORDS,
-             draws=[(0, ("random", (9,))), (0, ("integers", (7, None))), (0, ("random", None)),
+                                    (2**64 - 1, 2**64 - 1, 2**64 - 1, 5)]),
+           odd=st.tuples(st.booleans(), st.booleans()))
+    @example(seeds=(2**64 - 1, 0), counter=_END_OF_LOW_WORDS, odd=(True, False),
+             draws=[(0, ("random", (9,))), (0, ("random", None)),
                     (1, ("random", (3, 1))), (0, ("normal", 2)), (0, ("random", 5))])
-    @example(seeds=(3, 4), counter=(0, 0, 0, 0),
-             draws=[(0, ("integers", ([2, 2**63, 2**32 - 1], (2, 3)))), (1, ("normal", None)),
-                    (0, ("integers", (2**32 + 1, 3))), (0, ("normal", (3, 1))),
-                    (1, ("integers", (2**32, None))), (0, ("integers", ([1, 2**32], None)))])
-    @example(seeds=(5, 6), counter=(0, 0, 0, 0),
-             draws=[(0, ("integers", (1000, None))), (0, ("choice", ((10001, 201), 2))),
-                    (0, ("choice", ((10001, 200), None))), (1, ("integers", (7, None))),
+    @example(seeds=(3, 4), counter=(0, 0, 0, 0), odd=(True, True),
+             draws=[(0, ("random", (2, 3))), (1, ("normal", None)), (0, ("random", 3)),
+                    (0, ("normal", (3, 1))), (1, ("random", None)), (0, ("normal", None))])
+    @example(seeds=(5, 6), counter=(0, 0, 0, 0), odd=(True, True),
+             draws=[(0, ("choice", ((10001, 201), 2))),
+                    (0, ("choice", ((10001, 200), None))),
                     (1, ("choice", ((40, 40), 3))), (1, ("choice", ((40, 1), None))),
                     (0, ("choice", ((10000, 201), 1)))])
-    def test_draws_equal_numpy_generator(self, seeds, draws, counter):
+    def test_draws_equal_numpy_generator(self, seeds, draws, counter, odd):
         streams = [RngStream(s) for s in seeds]
         gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
         state = gens[0].bit_generator.state
         state["state"]["counter"] = np.array(counter, dtype=np.uint64)
-        gens[0].bit_generator.state = state
-        streams[0].state = gens[0].bit_generator.state
+        streams[0].state = state
+        for rng, gen, skew in zip(streams, gens, odd):
+            gen.bit_generator.state = (buffer_half(rng) if skew else rng).state
         for i, (name, arg) in draws:
             rng, gen = streams[i], gens[i]
             if name == "random":
                 got, want = rng.random(arg), gen.random(arg)
             elif name == "normal":
                 got, want = rng.normal(arg), gen.standard_normal(arg)
-            elif name == "integers":
-                got, want = rng.integers(0, *arg), gen.integers(0, *arg)
             elif arg[1] is None:
                 got, want = rng.choice(*arg[0]), gen.choice(*arg[0], replace=False)
             else:
@@ -357,19 +357,12 @@ class TestCompiledDraws:
         assert np.array_equal(before["buffer"], buffer) and before["buffer_pos"] == 2
 
 
-def state_words(state) -> list[int]:
-    """A Philox state dict's 13 words, as RngStream.state and numpy give it."""
-    return [*map(int, [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]),
-            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
-
-
 def odd_streams(n: int) -> list[RngStream]:
     """n streams, every other one (the first included) with the other half of a
     32-bit draw buffered."""
     streams = [RngStream(mix_seed(17, p)) for p in range(n)]
     for rng in streams[::2]:
-        rng.integers(0, 1000)
-        assert rng.state["has_uint32"] == 1
+        buffer_half(rng)
     return streams
 
 

@@ -1,10 +1,11 @@
-"""The names perfbench's tracer wraps exist on the package.
+"""The names perfbench's tracer wraps exist on the package, and the calls its
+micro-benchmarks make still run.
 
 perfbench/tracer.py patches functions by (namespace, attribute) and methods
 through each class's own __dict__; a name that a change deletes or moves
 breaks only the traced benchmark run, which this suite does not run. The
-tables are read from the file's source, so nothing under perfbench/ is
-imported or written.
+tables, and perfbench/layers.py's micro-benchmarks, are read from the files'
+source, so nothing under perfbench/ is imported or written.
 
 `cli` binds the names of `sweep` and of the MLP on first use, so the tracer's
 setattr on `cli` must still reach the commands: each command calls those
@@ -18,9 +19,11 @@ import pytest
 
 import avagrad_lab
 from avagrad_lab import cli  # `sweep` and the MLP load on the tables' first getattr
+from avagrad_lab.core import RngStream
 from test_cli import SWEEP_CONFIG, write_blobs_csv, write_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+LAYERS = TRACER.with_name("layers.py")
 
 
 def _table(name: str) -> list:
@@ -82,3 +85,30 @@ def test_lazy_names_resolve_where_they_did():
     assert gaussian_blobs is avagrad_lab.mlp.gaussian_blobs
     with pytest.raises(AttributeError):
         avagrad_lab.problems.no_such_name  # noqa: B018
+
+
+def _rng_benchmarks() -> dict:
+    """layers.py's `micro.time("core.rng_...", unit, fn, ...)` calls: name -> fn's lambda."""
+    found = {}
+    for node in ast.walk(ast.parse(LAYERS.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "time" and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value.startswith("core.rng_")):
+            assert isinstance(node.args[2], ast.Lambda), ast.unparse(node)
+            found[node.args[0].value] = node.args[2]
+    return found
+
+
+RNG_BENCHMARKS = _rng_benchmarks()
+
+
+def test_rng_benchmarks_are_found():
+    assert sorted(RNG_BENCHMARKS) == ["core.rng_choice_us", "core.rng_normal_us",
+                                      "core.rng_random_ns_per_draw"]
+
+
+@pytest.mark.parametrize("name", sorted(RNG_BENCHMARKS))
+def test_rng_benchmark_runs_on_a_stream(name):
+    """Each RngStream call that a core.rng_* micro-benchmark times still runs."""
+    code = compile(ast.Expression(RNG_BENCHMARKS[name]), str(LAYERS), "eval")
+    eval(code, {"rng": RngStream(3)})()

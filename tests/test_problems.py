@@ -15,7 +15,7 @@ import avagrad_lab
 from avagrad_lab.core import RngStream
 from avagrad_lab.mlp import LabeledSet, gaussian_blobs, load_csv_dataset, mlp_make
 from avagrad_lab.problems import COMMON, RARE, fd_check, quadratic_make, synth_make
-from engines import child_env, numpy_engine, other_cpu_kernels
+from engines import buffer_half, child_env, numpy_engine, other_cpu_kernels, state_words
 from reference_impl import mlp_dataset_error, mlp_dataset_loss, mlp_grad
 
 
@@ -388,20 +388,13 @@ def index_mlp(n, batch_size):
 
 
 def lane_streams(seeds, odd):
-    """One stream per seed; where `odd` is true, a 32-bit draw first leaves the
-    other half of a Philox output buffered in the stream."""
+    """One stream per seed; where `odd` is true, with the other half of a 32-bit
+    draw buffered."""
     streams = [RngStream(s) for s in seeds]
     for rng, skew in zip(streams, odd):
         if skew:
-            rng.integers(0, 1000)
-            assert rng.state["has_uint32"] == 1
+            buffer_half(rng)
     return streams
-
-
-def state_words(state):
-    """A Philox state dict's 13 words, as RngStream.state and numpy give it."""
-    return [*map(int, [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]),
-            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
 
 def assert_bulk_draw_equals_single_draws(n, b, k, seeds, odd):

@@ -36,7 +36,7 @@ from avagrad_lab.runner import (
     summary_line,
 )
 
-from engines import counted_kernel, numpy_engine
+from engines import buffer_half, counted_kernel, numpy_engine
 from reference_impl import RefOptimizer, reference_bias_gap
 
 
@@ -634,10 +634,11 @@ class TestCompiledLanes:
 
         def draws():
             rng = RngStream(11)
-            return [np.asarray(d).tobytes() for d in (
-                rng.random(3), rng.normal(5), rng.integers(0, [5, 2**40, 2**63]), rng.random(),
-                rng.choice(240, 32), rng.choice(10001, 201),
-                lane_draws([rng], "choice", 3, (7,), 50))]
+            got = [rng.random(3), rng.normal(5)]
+            buffer_half(rng)
+            got += [rng.random(), rng.choice(240, 32), rng.choice(10001, 201),
+                    lane_draws([rng], "choice", 3, (7,), 50)]
+            return [np.asarray(d).tobytes() for d in got]
 
         with numpy_engine():
             want, want_draws = run_trials(cfgs), draws()
@@ -849,7 +850,7 @@ class TestBiasGap:
         rng = RngStream(mix_seed(314, i))
         state = init_state(Method.DELAYED_ADAM, 1)
         state.v = 100.0 * rng.random(1)  # below the stationary second-moment scale
-        state.t = int(rng.integers(1, 1000))
+        state.t = 1 + int(999 * rng.random())  # in [1, 999]
         w = rng.random(1)
         return w, state
 

@@ -166,8 +166,6 @@ _KEYS = {
         "default": (_bool, "a boolean"), "alphas": _POSITIVES, "epsilons": _POSITIVES,
         "methods": _list_of(_METHOD, "names from " + ", ".join(_METHOD_NAMES)),
         "seeds": _SEEDS, "workers": _COUNT, "metric": _one_of(METRICS), "holdout": _TEXT,
-        "beta1": _BETA, "beta2": _BETA, "weight_decay": _NONNEGATIVE, "decay_mode": _DECAY,
-        "init_scale": _NONNEGATIVE,
     },
 }
 
@@ -308,13 +306,18 @@ def _base_seed(args) -> int:
     return 0 if raw is None else _parse(ENV_SEED, _SEED, raw)
 
 
+def _w1(problem, run: dict) -> np.ndarray | None:
+    """[run] w1 as an array, checked against the problem's dimension; None if unset."""
+    w1 = run.get("w1")
+    if w1 is not None and len(w1) != problem.dim:
+        raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(w1)}")
+    return None if w1 is None else np.array(w1)
+
+
 def _start(problem, run: dict, seed_label: int) -> np.ndarray:
     """The start point w1 of `run` and `check`: [run] w1, or the problem's default."""
-    w1 = run.get("w1")
-    if w1 is not None:
-        if len(w1) != problem.dim:
-            raise ConfigError(f"[run] w1 must be {problem.dim} values, got {len(w1)}")
-        return np.array(w1)
+    if "w1" in run:
+        return _w1(problem, run)
     if isinstance(problem, SynthProblem):
         return np.array([0.5])
     if isinstance(problem, QuadraticProblem):
@@ -403,6 +406,8 @@ def cmd_sweep(args) -> int:
     if grid is None:
         raise ConfigError("sweep needs a [grid] section")
     if grid.get("default", False):
+        if "alphas" in grid or "epsilons" in grid:
+            raise ConfigError("[grid] default = true replaces alphas and epsilons: give one")
         alphas, epsilons = default_grid()
     elif "alphas" in grid and "epsilons" in grid:
         alphas, epsilons = grid["alphas"], grid["epsilons"]
@@ -410,7 +415,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("[grid] needs alphas and epsilons (or default = true)")
     if "methods" not in grid:
         raise ConfigError("[grid] methods is required")
-    steps = _steps(config.get("run", {}), args, 1000)
+    optimizer, run = config.get("optimizer", {}), config.get("run", {})
+    for key in ("alpha_schedule", "beta1_schedule", "beta2_schedule"):
+        kind = optimizer.get(key, "constant")
+        if kind != "constant":  # a cell's schedules are constant (GridSpec.hyper_params)
+            raise ConfigError(f"[optimizer] {key} must be constant in a sweep, got {kind!r}")
+    steps = _steps(run, args, 1000)
     workers = {"workers": args.workers} if args.workers is not None else _given(grid, "workers")
     holdout = None
     if "holdout" in grid:
@@ -430,12 +440,14 @@ def cmd_sweep(args) -> int:
             seeds=grid.get("seeds", [0]),
             T=steps,
             base_seed=_base_seed(args),
+            w1=_w1(problem, run),
             holdout=holdout,
-            **_given(grid, "beta1", "beta2", "weight_decay", "decay_mode", "metric", "init_scale"),
+            **_given(optimizer, "beta1", "beta2", "weight_decay", "decay_mode"),
+            **_given(run, "init_scale"), **_given(grid, "metric"),
         )
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from None
-    out_dir = _out_dir(args, config.get("run", {}))
+    out_dir = _out_dir(args, run)
 
     cells = run_sweep(spec, **workers)
     heatmap_path = out_dir / "heatmap.csv"

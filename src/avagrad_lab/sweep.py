@@ -90,11 +90,12 @@ class GridSpec:
             raise ValueError("T must be >= 1")
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if metric.startswith("holdout"):
+        if (holdout is None) == metric.startswith("holdout"):  # a set no metric reads is an error
+            raise ValueError("holdout metrics need a holdout dataset" if holdout is None else
+                             f"holdout needs metric holdout_ce or holdout_error, got {metric!r}")
+        if holdout is not None:
             from .mlp import MlpProblem  # only a holdout sweep loads the MLP
 
-            if holdout is None:
-                raise ValueError("holdout metrics need a holdout dataset")
             if not isinstance(problem, MlpProblem):
                 raise ValueError("holdout metrics only apply to the MLP problem")
         if metric == "full_objective" and problem.objective(np.zeros(problem.dim)) is None:

@@ -2,6 +2,7 @@ import ast
 import atexit
 import configparser
 import gc
+import io
 import json
 import math
 import os
@@ -23,9 +24,9 @@ from avagrad_lab.cli import _KEYS, ConfigError, _parse, main
 from avagrad_lab.core import SCHEDULE_KINDS, RngStream, Schedule, mix_seed
 from avagrad_lab.mlp import gaussian_blobs
 from avagrad_lab.optim import DecayMode, HyperParams, Method
-from avagrad_lab.problems import METRICS, synth_make
+from avagrad_lab.problems import METRICS, quadratic_make, synth_make
 from avagrad_lab.runner import GRAD_METRICS, TrialConfig, eval_bound, run_trial, run_trials
-from avagrad_lab.sweep import default_grid
+from avagrad_lab.sweep import GridSpec, default_grid, export_heatmap, run_sweep
 
 
 SYNTH_CONFIG = """\
@@ -565,6 +566,39 @@ class TestCmdSweep:
         assert_one_error_line(capsys, "error: [grid] default must be a boolean")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("optimizer, run, settings", [
+        ("beta1 = 0.5\nweight_decay = 1e-3\ndecay_mode = coupled_l2\n", "init_scale = 0.3\n",
+         dict(beta1=0.5, weight_decay=1e-3, decay_mode=DecayMode.COUPLED_L2, init_scale=0.3)),
+        ("", "w1 = 2.0,-1.0\n", dict(w1=np.array([2.0, -1.0]))),
+    ], ids=["optimizer-and-init-scale", "w1"])
+    def test_cells_take_optimizer_and_run_settings(self, tmp_path, optimizer, run, settings):
+        """[optimizer] sets each cell's betas and weight decay and [run] its start,
+        as the same GridSpec arguments do; the grid's axes replace method,
+        alpha and epsilon."""
+        text = SWEEP_CONFIG.replace("[run]\n", f"[run]\n{run}") + f"\n[optimizer]\n{optimizer}"
+        for name, config in (("base", SWEEP_CONFIG), ("set", text)):
+            argv = ["sweep", "--config", write_config(tmp_path, config, f"{name}.ini"),
+                    "--out", str(tmp_path / name), "--seed", "7"]
+            assert main(argv) == 0
+        spec = GridSpec(problem=quadratic_make([1.0, 4.0], noise_std=0.1),
+                        methods=[Method.SGD, Method.ADAM], alphas=[0.01, 0.1],
+                        epsilons=[0.001, 0.1], seeds=[0, 1, 2], T=60, base_seed=7, **settings)
+        export_heatmap(run_sweep(spec, progress=io.StringIO()), tmp_path / "spec.csv")
+        heatmap = (tmp_path / "set" / "heatmap.csv").read_bytes()
+        assert heatmap == (tmp_path / "spec.csv").read_bytes()
+        assert heatmap != (tmp_path / "base" / "heatmap.csv").read_bytes()
+
+    def test_holdout_without_a_holdout_metric_rejected(self, tmp_path, capsys):
+        train = write_blobs_csv(tmp_path, "train.csv", seed=5)
+        hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
+        cfg = write_config(tmp_path, (
+            f"[problem]\nkind = mlp\nn_in = 2\nn_hidden = 4\nn_classes = 3\ndataset = {train}\n\n"
+            f"[grid]\nalphas = 0.01\nepsilons = 0.1\nmethods = adam\nholdout = {hold}\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_one_error_line(capsys, "error: [grid] holdout needs metric holdout_ce or"
+                                      " holdout_error, got 'full_objective'")
+        assert not (tmp_path / "o").exists()
+
     def test_mlp_holdout_sweep(self, tmp_path):
         train = write_blobs_csv(tmp_path, "train.csv", seed=5)
         hold = write_blobs_csv(tmp_path, "hold.csv", seed=6)
@@ -1011,8 +1045,16 @@ class TestConfigTable:
         ("sweep", [("grid", "methods", None)], "[grid] methods is required"),
         ("sweep", [("grid", "holdout", "hold.csv")],
          "[grid] holdout only applies to mlp problems"),
+        ("sweep", [("grid", "default", "true")],
+         "[grid] default = true replaces alphas and epsilons: give one"),
+        ("sweep", [("run", "w1", "1,2,3")], "[run] w1 must be 2 values, got 3"),
+        ("sweep", [("optimizer", "beta1_schedule", "inverse_sqrt")],
+         "[optimizer] beta1_schedule must be constant in a sweep, got 'inverse_sqrt'"),
+        ("sweep", [("optimizer", "alpha_schedule", "inverse_sqrt")],
+         "[optimizer] alpha_schedule must be constant in a sweep, got 'inverse_sqrt'"),
     ], ids=["no-kind", "no-curvatures", "no-method", "w1-length", "no-alphas", "no-epsilons",
-            "no-methods", "holdout-not-mlp"])
+            "no-methods", "holdout-not-mlp", "default-with-axes", "sweep-w1-length",
+            "sweep-beta1-schedule", "sweep-alpha-schedule"])
     def test_incomplete_config_rejected(self, tmp_path, capsys, command, edits, message):
         assert run_full_config(tmp_path, command, edits) == 1
         assert_one_error_line(capsys, f"error: {message}")
@@ -1121,9 +1163,8 @@ RANGED_KEYS = {
     ("optimizer", "beta1"): "1", ("optimizer", "beta2"): "-0.5",
     ("optimizer", "weight_decay"): "-1e-9", ("run", "steps"): "0", ("run", "seeds"): "0,-1",
     ("run", "record_every"): "0", ("grid", "alphas"): "0,1", ("grid", "epsilons"): "-1,1",
-    ("grid", "seeds"): "-1", ("grid", "workers"): "0", ("grid", "beta1"): "1.5",
-    ("grid", "beta2"): "1", ("grid", "weight_decay"): "-1", ("run", "converge_tol"): "-1e-6",
-    ("run", "init_scale"): "-0.1", ("grid", "init_scale"): "-5",
+    ("grid", "seeds"): "-1", ("grid", "workers"): "0", ("run", "converge_tol"): "-1e-6",
+    ("run", "init_scale"): "-0.1",
 }
 RANGE_NOUN = re.compile(r"(>=? \d|in \[)")
 

@@ -1,11 +1,13 @@
-"""The names perfbench's tracer wraps exist on the package, and the calls its
-micro-benchmarks make still run.
+"""The names perfbench's tracer wraps exist on the package, the calls its
+micro-benchmarks make still run, and each workload's own inputs and commands
+still run and give the outputs golden.json records.
 
 perfbench/tracer.py patches functions by (namespace, attribute) and methods
 through each class's own __dict__; a name that a change deletes or moves
 breaks only the traced benchmark run, which this suite does not run. The
 tables, and perfbench/layers.py's micro-benchmarks, are read from the files'
-source, so nothing under perfbench/ is imported or written.
+source; perfbench/workloads.py is loaded from its path without writing
+bytecode, so nothing is written under perfbench/.
 
 `cli` binds the names of `sweep` and of the MLP on first use, so the tracer's
 setattr on `cli` must still reach the commands: each command calls those
@@ -13,6 +15,9 @@ names through `cli`'s globals.
 """
 
 import ast
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,7 @@ from test_cli import SWEEP_CONFIG, write_blobs_csv, write_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYERS = TRACER.with_name("layers.py")
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _table(name: str) -> list:
@@ -112,3 +118,40 @@ def test_rng_benchmark_runs_on_a_stream(name):
     """Each RngStream call that a core.rng_* micro-benchmark times still runs."""
     code = compile(ast.Expression(RNG_BENCHMARKS[name]), str(LAYERS), "eval")
     eval(code, {"rng": RngStream(3)})()
+
+
+def _load_workloads():
+    """perfbench/workloads.py as a module, loaded from its path; no bytecode is written."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up while decorating
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_and_matches_its_golden_outputs(name, tmp_path, capsys, monkeypatch):
+    """Each workload's inputs at seed 0 and its commands at the smoke T run
+    through cli.main, exit 0, and, in golden.json's environment, give its
+    recorded output bytes: a key or flag that a change removes fails here."""
+    steps = workloads.WORKLOADS[name].smoke_steps
+    workloads.write_inputs(name, 0, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for command in workloads.commands(name, 0, steps, "out"):
+        assert cli.main(list(command.argv)) == 0, (command.argv, capsys.readouterr().err)
+        stdout = capsys.readouterr().out
+        if command.stdout_name is not None:
+            (tmp_path / "out" / command.stdout_name).write_text(stdout)
+    check = workloads.OutputCheck.load(name, 0)
+    assert check.compare(steps, workloads.digest_outputs(name, 0, tmp_path / "out")) == 0
+    if json.loads(workloads.GOLDEN_PATH.read_text())["environment"] == workloads.environment_key():
+        assert check.status == {steps: "matched"}

@@ -206,6 +206,8 @@ def test_labeled_set_survives_a_pickle_round_trip():
     (GridSpec, dict(alphas=[0.1, 0.01]), "alphas must be strictly ascending"),
     (GridSpec, dict(T=0), "T must be >= 1"),
     (GridSpec, dict(beta2=1.0), "beta2 must evaluate into [0, 1)"),
+    (GridSpec, dict(holdout=LabeledSet(np.zeros((2, 2)), np.arange(2))),
+     "holdout needs metric holdout_ce or holdout_error, got 'full_objective'"),
 ])
 def test_constructors_check_their_arguments(cls, bad, message):
     kwargs = {name: value for name, _, value in SIGNATURES[cls]}

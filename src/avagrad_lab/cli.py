@@ -143,10 +143,14 @@ _METHOD = _one_of(_METHOD_NAMES, Method)
 _DECAY = _one_of(tuple(m.value for m in DecayMode), DecayMode)
 _BETA_SCHEDULE = _one_of(SCHEDULE_KINDS)
 
+#: the [problem] keys each kind takes besides kind, as (required, optional)
+_KIND_KEYS = {"synth": ((), ("c", "delta")),
+              "quadratic": (("curvatures",), ("noise_std", "w_star")),
+              "mlp": (("n_in", "n_hidden", "n_classes", "dataset"), ("batch_size",))}
 #: every config key by section, with its type; unknown sections and keys are errors
 _KEYS = {
     "problem": {
-        "kind": _one_of(("synth", "quadratic", "mlp")),
+        "kind": _one_of(tuple(_KIND_KEYS)),
         "c": _where(_FLOAT, lambda x: x > 1.0, "> 1"), "delta": _NONNEGATIVE,
         "curvatures": _POSITIVES, "noise_std": _NONNEGATIVE, "w_star": _FLOATS, "n_in": _COUNT,
         "n_hidden": _COUNT, "n_classes": _COUNT, "dataset": _TEXT, "batch_size": _COUNT,
@@ -262,11 +266,13 @@ def _build_problem(cfg: dict):
     kind = cfg.get("kind")
     if kind is None:
         raise ConfigError("[problem] kind is required")
-    required = {"synth": (), "quadratic": ("curvatures",),
-                "mlp": ("n_in", "n_hidden", "n_classes", "dataset")}[kind]
+    required, optional = _KIND_KEYS[kind]
     for key in required:
         if key not in cfg:
             raise ConfigError(f"[problem] {key} is required for kind={kind}")
+    foreign = [key for key in cfg if key not in ("kind", *required, *optional)]
+    if foreign:
+        raise ConfigError(f"[problem] kind={kind} does not take {', '.join(foreign)}")
     try:
         if kind == "synth":
             return synth_make(cfg.get("c", 999.0), cfg.get("delta", 1.0))
@@ -280,23 +286,22 @@ def _build_problem(cfg: dict):
         raise ConfigError(f"[problem] {exc}") from None
 
 
-def _schedule(kind: str, base: float) -> Schedule:
-    return Schedule.inverse_t() if kind == "inverse_t" else Schedule(kind, base)
-
-
-def _build_hp(cfg: dict, args) -> tuple[HyperParams, Method]:
-    method = args.method if args.method is not None else cfg.get("method")
-    if method is None:
+def _method(cfg: dict, args) -> Method:
+    if args.method is None and "method" not in cfg:
         raise ConfigError("[optimizer] method is required")
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.001)
-    hp = HyperParams(  # in range: every value is typed by its key's or flag's range
-        alpha=_schedule(cfg.get("alpha_schedule", "constant"), alpha),
-        epsilon=args.epsilon if args.epsilon is not None else cfg.get("epsilon", 1e-8),
-        beta1=_schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", BETA1.base)),
-        beta2=_schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", BETA2.base)),
+    return cfg["method"] if args.method is None else args.method
+
+
+def _build_hp(cfg: dict, alpha: float | None = None, epsilon: float | None = None) -> HyperParams:
+    """The [optimizer] settings; an alpha or epsilon given here (a flag) overrides the file's."""
+    return HyperParams(  # in range: every value is typed by its key's or flag's range
+        alpha=Schedule(cfg.get("alpha_schedule", "constant"),
+                       alpha if alpha is not None else cfg.get("alpha", 0.001)),
+        epsilon=epsilon if epsilon is not None else cfg.get("epsilon", 1e-8),
+        beta1=Schedule(cfg.get("beta1_schedule", "constant"), cfg.get("beta1", BETA1.base)),
+        beta2=Schedule(cfg.get("beta2_schedule", "constant"), cfg.get("beta2", BETA2.base)),
         **_given(cfg, "weight_decay", "decay_mode"),
     )
-    return hp, method
 
 
 def _base_seed(args) -> int:
@@ -331,7 +336,8 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     run = config.get("run", {})
     problem = _build_problem(config.get("problem", {}))
-    hp, method = _build_hp(config.get("optimizer", {}), args)
+    optimizer = config.get("optimizer", {})
+    method, hp = _method(optimizer, args), _build_hp(optimizer, args.alpha, args.epsilon)
     steps = _steps(run, args, 1000)
     seeds = run["seeds"] if args.seed is None and "seeds" in run else [_base_seed(args)]
     if len(set(seeds)) != len(seeds):  # each seed writes its own trajectory file
@@ -362,9 +368,7 @@ def cmd_run(args) -> int:
 
 
 def schedule_repr(s: Schedule) -> str:
-    if s.kind == "inverse_t":
-        return "inverse_t"
-    return f"{s.base:g}@{s.kind}"
+    return "inverse_t" if s.kind == "inverse_t" else f"{s.base:g}@{s.kind}"
 
 
 SYNTHFIG_METHODS = (Method.ADAM, Method.AMSGRAD, Method.DELAYED_ADAM)
@@ -377,12 +381,7 @@ def cmd_synthfig(args) -> int:
     out_dir = _out_dir(args, {})
     stride = max(1, steps // 1000)
     problem = _build_problem({"kind": "synth"})
-    hp = HyperParams(
-        alpha=Schedule.constant(1e-5),
-        epsilon=1e-8,
-        beta1=Schedule.constant(0.0),
-        beta2=Schedule.constant(0.99),
-    )
+    hp = _build_hp({"alpha": 1e-5, "epsilon": 1e-8, "beta1": 0.0, "beta2": 0.99})
     records = run_synth_replicas(  # one batch per method, of its replicas
         problem, SYNTHFIG_METHODS, hp, w1=0.5, T=steps, base_seed=base_seed,
         n_replicas=n_seeds, record_every=stride, capture_trace=False,
@@ -415,11 +414,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("[grid] needs alphas and epsilons (or default = true)")
     if "methods" not in grid:
         raise ConfigError("[grid] methods is required")
-    optimizer, run = config.get("optimizer", {}), config.get("run", {})
-    for key in ("alpha_schedule", "beta1_schedule", "beta2_schedule"):
-        kind = optimizer.get(key, "constant")
-        if kind != "constant":  # a cell's schedules are constant (GridSpec.hyper_params)
-            raise ConfigError(f"[optimizer] {key} must be constant in a sweep, got {kind!r}")
+    run = config.get("run", {})
     steps = _steps(run, args, 1000)
     workers = {"workers": args.workers} if args.workers is not None else _given(grid, "workers")
     holdout = None
@@ -440,9 +435,9 @@ def cmd_sweep(args) -> int:
             seeds=grid.get("seeds", [0]),
             T=steps,
             base_seed=_base_seed(args),
+            hp=_build_hp(config.get("optimizer", {})),  # the grid's axes replace alpha, epsilon
             w1=_w1(problem, run),
             holdout=holdout,
-            **_given(optimizer, "beta1", "beta2", "weight_decay", "decay_mode"),
             **_given(run, "init_scale"), **_given(grid, "metric"),
         )
     except ValueError as exc:
@@ -472,7 +467,8 @@ _FD_THRESHOLDS = {"SynthProblem": 1e-8, "QuadraticProblem": 1e-7, "MlpProblem": 
 def cmd_check(args) -> int:
     config = _load_config(args.config)
     problem = _build_problem(config.get("problem", {}))
-    hp, method = _build_hp(config.get("optimizer", {}), args)
+    optimizer = config.get("optimizer", {})
+    method, hp = _method(optimizer, args), _build_hp(optimizer, args.alpha, args.epsilon)
     run = config.get("run", {})
     steps = _steps(run, args, 20000)
     base_seed = _base_seed(args)
@@ -545,8 +541,8 @@ def cmd_check(args) -> int:
 
 
 _COMMON_FLAGS = (("--seed", _SEED, f"base seed (falls back to ${ENV_SEED}, then 0)"),
-                 ("--out", _TEXT, "output directory"),
                  ("--steps", _COUNT, "override step count T"))
+_OUT_FLAG = (("--out", _TEXT, "output directory"),)
 _CONFIG_FLAG = (("--config", _TEXT, "configuration file path"),)
 _OPTIMIZER_FLAGS = (("--alpha", _POSITIVE, "override learning rate"),
                     ("--epsilon", _POSITIVE, "override epsilon"),
@@ -556,12 +552,12 @@ _OPTIMIZER_FLAGS = (("--alpha", _POSITIVE, "override learning rate"),
 #: help), it defaults to None, and a command that has --config requires it
 _COMMANDS = {
     "run": (cmd_run, "run the configured trial per seed",
-            _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
-    "synthfig": (cmd_synthfig, "scalar benchmark comparison CSVs",
-                 _COMMON_FLAGS + (("--num-seeds", _COUNT, "replicas per method (default 10)"),)),
-    "sweep": (cmd_sweep, "alpha x epsilon grid sweep",
-              _CONFIG_FLAG + _COMMON_FLAGS + (("--workers", _COUNT, "parallel workers"),)),
-    "check": (cmd_check, "gradient / bias / bound diagnostics",
+            _CONFIG_FLAG + _COMMON_FLAGS + _OUT_FLAG + _OPTIMIZER_FLAGS),
+    "synthfig": (cmd_synthfig, "scalar benchmark comparison CSVs", _COMMON_FLAGS + _OUT_FLAG
+                 + (("--num-seeds", _COUNT, "replicas per method (default 10)"),)),
+    "sweep": (cmd_sweep, "alpha x epsilon grid sweep", _CONFIG_FLAG + _COMMON_FLAGS + _OUT_FLAG
+              + (("--workers", _COUNT, "parallel workers"),)),
+    "check": (cmd_check, "gradient / bias / bound diagnostics",  # it writes no file
               _CONFIG_FLAG + _COMMON_FLAGS + _OPTIMIZER_FLAGS),
 }
 

@@ -133,7 +133,7 @@ class Schedule(Frozen):
 
     constant     -> base
     inverse_sqrt -> base / sqrt(t)
-    inverse_t    -> 1 - 1/t   (base unused)
+    inverse_t    -> 1 - 1/t   (base unused and stored as 0.0)
     """
 
     def __init__(self, kind: str, base: float = 0.0):
@@ -141,7 +141,7 @@ class Schedule(Frozen):
             raise ValueError(f"unknown schedule kind {kind!r}")
         if not math.isfinite(base):
             raise ValueError("schedule base must be finite")
-        vars(self).update(kind=kind, base=base)
+        vars(self).update(kind=kind, base=0.0 if kind == "inverse_t" else base)
 
     @classmethod
     def constant(cls, base: float) -> "Schedule":

@@ -65,7 +65,7 @@ class DivergenceError(NonFiniteError):
     """A step produced NaN/inf in the iterate or a state buffer."""
 
 
-#: the beta1 and beta2 of HyperParams, a sweep's GridSpec and the CLI, unless set
+#: the beta1 and beta2 of HyperParams (a sweep cell's without an hp) and the CLI, unless set
 BETA1, BETA2 = Schedule.constant(0.9), Schedule.constant(0.999)
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Frozen, RngStream, Schedule, lane_draws, mix_seed, write_csv
-from .optim import BETA1, BETA2, DecayMode, HyperParams, Method
+from .optim import HyperParams, Method
 from .problems import METRICS, StochasticProblem
 from .runner import INIT_SCALE, STATUS_DIVERGED, TrialConfig, TrialRecord, run_trial, run_trials
 
@@ -60,17 +60,17 @@ def default_grid() -> tuple[list[float], list[float]]:
 
 class GridSpec:
     """One sweep: the grid axes, per-cell trial settings, and the scoring metric.
-    A w1 of None draws each cell's start from N(0, init_scale^2)."""
+    A cell runs hp (None: a constant alpha, the default betas, no decay) with
+    its alpha as the alpha schedule's base and its epsilon. A w1 of None draws
+    each cell's start from N(0, init_scale^2)."""
 
     def __init__(self, problem: StochasticProblem, methods: list[Method], alphas: list[float],
                  epsilons: list[float], seeds: list[int], T: int, base_seed: int = 0,
-                 beta1: float = BETA1.base, beta2: float = BETA2.base, weight_decay: float = 0.0,
-                 decay_mode: DecayMode = DecayMode.NONE, w1: np.ndarray | None = None,
+                 hp: HyperParams | None = None, w1: np.ndarray | None = None,
                  init_scale: float = INIT_SCALE, metric: str = "full_objective",
                  holdout: LabeledSet | None = None):
         vars(self).update(problem=problem, methods=[Method(m) for m in methods], alphas=alphas,
-                          epsilons=epsilons, seeds=seeds, T=T, base_seed=base_seed, beta1=beta1,
-                          beta2=beta2, weight_decay=weight_decay, decay_mode=decay_mode, w1=w1,
+                          epsilons=epsilons, seeds=seeds, T=T, base_seed=base_seed, hp=hp, w1=w1,
                           init_scale=init_scale, metric=metric, holdout=holdout)
         for name in ("methods", "seeds"):
             vals = getattr(self, name)
@@ -100,17 +100,6 @@ class GridSpec:
                 raise ValueError("holdout metrics only apply to the MLP problem")
         if metric == "full_objective" and problem.objective(np.zeros(problem.dim)) is None:
             raise ValueError("problem has no exact objective; pick another metric")
-        self.hyper_params(alphas[0], epsilons[0])  # rejects bad betas or decay
-
-    def hyper_params(self, alpha: float, epsilon: float) -> HyperParams:
-        return HyperParams(
-            alpha=Schedule.constant(alpha),
-            epsilon=epsilon,
-            beta1=Schedule.constant(self.beta1),
-            beta2=Schedule.constant(self.beta2),
-            weight_decay=self.weight_decay,
-            decay_mode=self.decay_mode,
-        )
 
 
 class HeatmapCell(Frozen):
@@ -134,7 +123,7 @@ def _block_configs(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> li
     starts are one lane draw of the block's start streams."""
     cell_seeds = mix_seed(spec.base_seed, *np.array(block, dtype=np.uint64).T)
     start_seeds, seeds = mix_seed(cell_seeds, 0).tolist(), mix_seed(cell_seeds, 1).tolist()
-    shared = spec.hyper_params(spec.alphas[0], spec.epsilons[0])  # one pair of beta schedules
+    shared = spec.hp or HyperParams(Schedule.constant(spec.alphas[0]), spec.epsilons[0])
     if spec.w1 is not None:
         starts = np.array([spec.w1] * len(block), dtype=np.float64)
     else:
@@ -142,8 +131,8 @@ def _block_configs(spec: GridSpec, block: list[tuple[int, int, int, int]]) -> li
                                               (spec.problem.dim,))[0]
     cfgs = []
     for (mi, ai, ei, _), seed, w1 in zip(block, seeds, starts):
-        hp = HyperParams(Schedule.constant(spec.alphas[ai]), spec.epsilons[ei], shared.beta1,
-                         shared.beta2, shared.weight_decay, shared.decay_mode)
+        hp = HyperParams(Schedule(shared.alpha.kind, spec.alphas[ai]), spec.epsilons[ei],
+                         shared.beta1, shared.beta2, shared.weight_decay, shared.decay_mode)
         cfgs.append(TrialConfig(method=spec.methods[mi], hp=hp, problem=spec.problem, T=spec.T,
                                 w1=w1, seed=seed, record_every=spec.T,
                                 capture_trace=False,  # only the final iterate is scored

@@ -25,5 +25,5 @@ def spec(base_seed: int = 7) -> GridSpec:
                     methods=[Method.ADAM, Method.AVAGRAD],
                     alphas=[1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0],
                     epsilons=[1e-2, 1e-1, 1.0, 2.0, 10.0, 20.0, 100.0], seeds=[0, 1, 2],
-                    T=2000, base_seed=base_seed, beta1=0.9, beta2=0.999, metric="holdout_ce",
-                    holdout=holdout, init_scale=0.1)
+                    T=2000, base_seed=base_seed, metric="holdout_ce", holdout=holdout,
+                    init_scale=0.1)

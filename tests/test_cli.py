@@ -568,13 +568,17 @@ class TestCmdSweep:
 
     @pytest.mark.parametrize("optimizer, run, settings", [
         ("beta1 = 0.5\nweight_decay = 1e-3\ndecay_mode = coupled_l2\n", "init_scale = 0.3\n",
-         dict(beta1=0.5, weight_decay=1e-3, decay_mode=DecayMode.COUPLED_L2, init_scale=0.3)),
+         dict(hp=HyperParams(Schedule.constant(1e-3), 1e-8, Schedule.constant(0.5),
+                             weight_decay=1e-3, decay_mode=DecayMode.COUPLED_L2),
+              init_scale=0.3)),
         ("", "w1 = 2.0,-1.0\n", dict(w1=np.array([2.0, -1.0]))),
-    ], ids=["optimizer-and-init-scale", "w1"])
+        ("alpha_schedule = inverse_sqrt\nbeta1_schedule = inverse_t\n", "",
+         dict(hp=HyperParams(Schedule.inverse_sqrt(1e-3), 1e-8, Schedule.inverse_t()))),
+    ], ids=["optimizer-and-init-scale", "w1", "schedules"])
     def test_cells_take_optimizer_and_run_settings(self, tmp_path, optimizer, run, settings):
-        """[optimizer] sets each cell's betas and weight decay and [run] its start,
-        as the same GridSpec arguments do; the grid's axes replace method,
-        alpha and epsilon."""
+        """[optimizer] sets each cell's settings, schedules included, as GridSpec's
+        hp does, and [run] its start; the grid's axes replace method, alpha and
+        epsilon."""
         text = SWEEP_CONFIG.replace("[run]\n", f"[run]\n{run}") + f"\n[optimizer]\n{optimizer}"
         for name, config in (("base", SWEEP_CONFIG), ("set", text)):
             argv = ["sweep", "--config", write_config(tmp_path, config, f"{name}.ini"),
@@ -716,6 +720,14 @@ steps = 10
         assert out == ""
         assert_one_error(err, "error: [run] w1 must be 1 values, got 2")
 
+    def test_key_of_another_kind_rejected(self, tmp_path, capsys):
+        text = SYNTH_CONFIG.replace("delta = 1\n", "delta = 1\ncurvatures = 1.0\nw_star = 3\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["check", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error(err, "error: [problem] kind=synth does not take curvatures, w_star")
+
     def test_diverged_bound_run_exits_two(self, tmp_path, capsys):
         # the first step's alpha * eta = 1e306 / 1e-8 overflows the iterate
         cfg = write_config(tmp_path, SYNTH_CONFIG.replace("alpha = 1e-3", "alpha = 1e306"))
@@ -818,12 +830,14 @@ runpy.run_module("avagrad_lab.cli", run_name="__main__", alter_sys=True)
 
 
 def entry_argv(cwd, config, argv):
-    """The case's command line, run from `cwd` into `cwd/o`, its config written there."""
+    """The case's command line, run from `cwd` into `cwd/o` (check writes no
+    file), its config written there."""
     cwd.mkdir()
+    out = [] if argv[0] == "check" else ["--out", "o"]
     if config is None:
-        return [*argv, "--out", "o"]
+        return [*argv, *out]
     (cwd / "config.ini").write_text(config)
-    return [*argv, "--config", "config.ini", "--out", "o"]
+    return [*argv, "--config", "config.ini", *out]
 
 
 def output_files(cwd):
@@ -854,7 +868,9 @@ class TestEntryPoint:
         (["run"], "the following arguments are required: --config"),
         (["run", "--steps", "abc"], "--steps must be an integer >= 1, got 'abc'"),
         (["synthfig", "--workers", "2"], "unrecognized arguments: --workers 2"),
-    ], ids=["no-command", "unknown-command", "no-config", "non-integer-steps", "unknown-flag"])
+        (["check", "--config", "c.ini", "--out", "o"], "unrecognized arguments: --out o"),
+    ], ids=["no-command", "unknown-command", "no-config", "non-integer-steps", "unknown-flag",
+            "check-writes-no-file"])
     def test_bad_command_line_exits_one_with_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -865,6 +881,9 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0 and "--config CONFIG" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "--out" not in capsys.readouterr().out  # check writes no file
 
     def test_main_freezes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)
@@ -1048,17 +1067,20 @@ class TestConfigTable:
         ("sweep", [("grid", "default", "true")],
          "[grid] default = true replaces alphas and epsilons: give one"),
         ("sweep", [("run", "w1", "1,2,3")], "[run] w1 must be 2 values, got 3"),
-        ("sweep", [("optimizer", "beta1_schedule", "inverse_sqrt")],
-         "[optimizer] beta1_schedule must be constant in a sweep, got 'inverse_sqrt'"),
-        ("sweep", [("optimizer", "alpha_schedule", "inverse_sqrt")],
-         "[optimizer] alpha_schedule must be constant in a sweep, got 'inverse_sqrt'"),
+        ("run", [("problem", "c", "5"), ("problem", "delta", "3"), ("problem", "n_in", "7")],
+         "[problem] kind=quadratic does not take c, delta, n_in"),
     ], ids=["no-kind", "no-curvatures", "no-method", "w1-length", "no-alphas", "no-epsilons",
             "no-methods", "holdout-not-mlp", "default-with-axes", "sweep-w1-length",
-            "sweep-beta1-schedule", "sweep-alpha-schedule"])
+            "key-of-another-kind"])
     def test_incomplete_config_rejected(self, tmp_path, capsys, command, edits, message):
         assert run_full_config(tmp_path, command, edits) == 1
         assert_one_error_line(capsys, f"error: {message}")
         assert not (tmp_path / "o").exists()
+
+    def test_each_problem_key_belongs_to_one_kind(self):
+        keys = ["kind", *(key for required, optional in cli._KIND_KEYS.values()
+                          for key in required + optional)]
+        assert sorted(keys) == sorted(_KEYS["problem"])  # each key exactly once
 
     def test_unknown_method_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG)
@@ -1071,7 +1093,8 @@ class TestConfigTable:
                          ids=lambda p: p.name)
 def test_shipped_config_runs(tmp_path, capsys, path):
     command = re.search(r"^# Usage: avagrad-lab (\w+) --config", path.read_text(), re.M)[1]
-    assert main([command, "--config", str(path), "--steps", "2", "--out", str(tmp_path)]) == 0
+    out = [] if command == "check" else ["--out", str(tmp_path)]  # check writes no file
+    assert main([command, "--config", str(path), "--steps", "2", *out]) == 0
 
 
 def test_readme_names_every_config_key():
@@ -1108,7 +1131,7 @@ class TestFlags:
     def test_each_flag_value_is_typed(self, tmp_path, capsys, monkeypatch, command, flag,
                                       key_type, good):
         monkeypatch.chdir(tmp_path)
-        flags = {"--steps": "2", "--out": "o"}
+        flags = {"--steps": "2"} if command == "check" else {"--steps": "2", "--out": "o"}
         if command == "synthfig":
             flags["--num-seeds"] = "1"
         else:

@@ -57,8 +57,7 @@ SIGNATURES = {
     GridSpec: [("problem", REQUIRED, QUADRATIC), ("methods", REQUIRED, [Method.SGD, Method.ADAM]),
                ("alphas", REQUIRED, [0.01, 0.1]), ("epsilons", REQUIRED, [1e-3]),
                ("seeds", REQUIRED, [0, 1]), ("T", REQUIRED, 5), ("base_seed", 0, 4),
-               ("beta1", 0.9, 0.5), ("beta2", 0.999, 0.9), ("weight_decay", 0.0, 1e-3),
-               ("decay_mode", DecayMode.NONE, DecayMode.COUPLED_L2), ("w1", None, np.ones(2)),
+               ("hp", None, HP), ("w1", None, np.ones(2)),
                ("init_scale", 0.1, 0.2), ("metric", "full_objective", "full_objective"),
                ("holdout", None, None)],
     HeatmapCell: [("method", REQUIRED, "adam"), ("alpha", REQUIRED, 0.1),
@@ -139,7 +138,8 @@ def test_equal_schedules_built_apart_are_one_value():
     a, b = Schedule("constant", 0.5), Schedule.constant(0.5)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Schedule.constant(0.25) and a != Schedule.inverse_sqrt(0.5)
-    assert Schedule.inverse_t() == Schedule("inverse_t", 0.0)
+    assert Schedule.inverse_t() == Schedule("inverse_t", 0.0) == Schedule("inverse_t", 0.9)
+    assert Schedule("inverse_t", 0.9).base == 0.0  # inverse_t ignores its base
     assert len({a, b, Schedule.inverse_t(), Schedule.inverse_t()}) == 2
     assert a != ("constant", 0.5)
     hp = HyperParams(Schedule.constant(1e-3), 1e-8, Schedule.constant(0.5))
@@ -205,7 +205,6 @@ def test_labeled_set_survives_a_pickle_round_trip():
     (GridSpec, dict(seeds=[1, 1]), "seeds must not repeat"),
     (GridSpec, dict(alphas=[0.1, 0.01]), "alphas must be strictly ascending"),
     (GridSpec, dict(T=0), "T must be >= 1"),
-    (GridSpec, dict(beta2=1.0), "beta2 must evaluate into [0, 1)"),
     (GridSpec, dict(holdout=LabeledSet(np.zeros((2, 2)), np.arange(2))),
      "holdout needs metric holdout_ce or holdout_error, got 'full_objective'"),
 ])

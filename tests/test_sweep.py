@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import criterion9
 from avagrad_lab import sweep
-from avagrad_lab.optim import Method
-from avagrad_lab.core import RngStream
+from avagrad_lab.optim import HyperParams, Method
+from avagrad_lab.core import RngStream, Schedule
 from avagrad_lab.mlp import MlpProblem, gaussian_blobs
 from avagrad_lab.problems import QuadraticProblem, quadratic_make
 from avagrad_lab.runner import run_trial, run_trials
@@ -159,14 +159,6 @@ class TestRunSweep:
         run_sweep(small_spec(T=1), progress=io.StringIO())
         assert len(records) == 2 * 3 * 3 * 2
         assert all(rec.trace is None for rec in records)
-
-    def test_bad_beta_rejected_before_any_cell(self):
-        with pytest.raises(ValueError, match="beta1"):
-            small_spec(beta1=1.0)
-
-    def test_non_finite_weight_decay_rejected_before_any_cell(self):
-        with pytest.raises(ValueError, match="weight_decay"):
-            small_spec(weight_decay=math.nan)
 
     def test_progress_lines(self):
         out = io.StringIO()
@@ -386,16 +378,20 @@ AXIS_EPSILONS = (1e-8, 1e-4, 1e-1, 10.0)
     n_seeds=st.integers(1, 2),
     d=st.integers(1, 3),
     fixed_w1=st.booleans(),
+    schedules=st.booleans(),
     T=st.integers(1, 60),
     width=st.integers(1, 12),
     workers=st.integers(1, 3),
     base_seed=st.integers(0, 2**32 - 1),
 )
 def test_cells_independent_of_workers_and_block_width(methods, alphas, epsilons, n_seeds, d,
-                                                     fixed_w1, T, width, workers, base_seed):
+                                                     fixed_w1, schedules, T, width, workers,
+                                                     base_seed):
+    # with schedules, each lane of a block evaluates its own alpha base / sqrt(t)
+    hp = HyperParams(Schedule.inverse_sqrt(1.0), 1.0, Schedule.inverse_t()) if schedules else None
     spec = GridSpec(problem=quadratic_make(np.linspace(1.0, 4.0, d), 0.1), methods=methods,
                     alphas=sorted(alphas), epsilons=sorted(epsilons),
-                    seeds=list(range(n_seeds)), T=T, base_seed=base_seed,
+                    seeds=list(range(n_seeds)), T=T, base_seed=base_seed, hp=hp,
                     w1=np.full(d, 2.0) if fixed_w1 else None, init_scale=1.0)
     assert_cells_independent_of_workers_and_block_width(spec, width, workers)
 

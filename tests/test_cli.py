@@ -1067,11 +1067,16 @@ class TestConfigTable:
         ("sweep", [("grid", "default", "true")],
          "[grid] default = true replaces alphas and epsilons: give one"),
         ("sweep", [("run", "w1", "1,2,3")], "[run] w1 must be 2 values, got 3"),
+        ("sweep", [("optimizer", "beta1_schedule", "cosine")],
+         "[optimizer] beta1_schedule must be one of constant, inverse_sqrt, inverse_t, "
+         "got 'cosine'"),
+        ("sweep", [("optimizer", "alpha_schedule", "inverse_t")],
+         "[optimizer] alpha_schedule must be one of constant, inverse_sqrt, got 'inverse_t'"),
         ("run", [("problem", "c", "5"), ("problem", "delta", "3"), ("problem", "n_in", "7")],
          "[problem] kind=quadratic does not take c, delta, n_in"),
     ], ids=["no-kind", "no-curvatures", "no-method", "w1-length", "no-alphas", "no-epsilons",
             "no-methods", "holdout-not-mlp", "default-with-axes", "sweep-w1-length",
-            "key-of-another-kind"])
+            "sweep-beta1-schedule", "sweep-alpha-schedule", "key-of-another-kind"])
     def test_incomplete_config_rejected(self, tmp_path, capsys, command, edits, message):
         assert run_full_config(tmp_path, command, edits) == 1
         assert_one_error_line(capsys, f"error: {message}")

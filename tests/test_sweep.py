@@ -160,6 +160,14 @@ class TestRunSweep:
         assert len(records) == 2 * 3 * 3 * 2
         assert all(rec.trace is None for rec in records)
 
+    def test_bad_beta_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="beta1"):
+            small_spec(hp=HyperParams(Schedule.constant(0.1), 1e-2, Schedule.constant(1.0)))
+
+    def test_non_finite_weight_decay_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="weight_decay"):
+            small_spec(hp=HyperParams(Schedule.constant(0.1), 1e-2, weight_decay=math.nan))
+
     def test_progress_lines(self):
         out = io.StringIO()
         run_sweep(small_spec(seeds=(0,), alphas=(0.1,), epsilons=(1e-2,),

@@ -15,7 +15,7 @@ library must then give numpy's known answers for each kind of draw, and
 Python's for one row of the formatter. Without a compiler, the archive or a
 writable cache, or with a library that misses an answer, there is no
 library: the runner uses its numpy loop, RngStream draws through numpy's
-Generator, and write_csv prints every row through its % templates.
+Generator, and write_csv prints every row field by field in Python.
 """
 
 from __future__ import annotations

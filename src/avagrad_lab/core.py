@@ -57,13 +57,12 @@ _CHUNK_ROWS = 2048
 def write_csv(path, header, rows, what: str) -> None:
     """Write a header and rows as LF-terminated UTF-8 CSV. Floats print with 17
     significant digits (%.17g), so the bytes are fixed for a fixed seed; other
-    fields print with str() (%s). Each row is formatted by one % template,
-    made once per tuple of field types. A 2-D float64 ndarray of rows is
-    instead printed a chunk of _CHUNK_ROWS rows at a time by one call of
-    _lanes.c's csv_g17, which writes the bytes of %.17g by integer
-    arithmetic; a chunk that it declines (a subnormal, inf or nan, or a value
-    outside about [1.1e-16, 7.3e47] in magnitude), and every chunk without the
-    library, goes through the templates as a list of rows."""
+    fields print with str(). A 2-D float64 ndarray of rows is instead printed
+    a chunk of _CHUNK_ROWS rows at a time by one call of _lanes.c's csv_g17,
+    which writes the bytes of %.17g by integer arithmetic; a chunk that it
+    declines (a subnormal, inf or nan, or a value outside about
+    [1.1e-16, 7.3e47] in magnitude), and every chunk without the library,
+    goes field by field as a list of rows."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
@@ -76,15 +75,9 @@ def write_csv(path, header, rows, what: str) -> None:
 
 
 def _write_rows(fh, rows) -> None:
-    """Rows through the % template of their field types, made once a tuple of types."""
-    templates = {}
+    """Rows field by field: %.17g for a float, str() otherwise."""
     for row in rows:
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                ["%.17g" if issubclass(t, float) else "%s" for t in types]) + "\n"
-        fh.write(template % tuple(row))
+        fh.write(",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row]) + "\n")
 
 
 def _write_table(fh, table: np.ndarray) -> None:
@@ -219,33 +212,21 @@ class RngStream:
 
     Philox keyed directly by the 64-bit seed: the same seed replays the
     identical draw sequence on any platform. Independent streams take seeds
-    from :func:`mix_seed`. A stream holds its seed and its Philox state
+    from :func:`mix_seed`. A stream holds only its seed and its Philox state
     (counter, key, output buffer and the buffered half of a 32-bit draw), as
-    13 words in a ctypes array, not a Generator. Its draws, random, normal
-    and choice without replacement, are each the one-stream, one-step case of
-    :func:`lane_draws`, and give numpy's Generator(Philox) bits: Philox is
-    counter-based, so they are those of a Generator of the stream's own, and
-    making a stream costs 13 words, not the OS entropy that numpy's
-    constructor gathers and then discards for the key. Instances are
-    single-owner; never share one across threads.
+    13 words in a ctypes array, so a copy or a pickle is the whole stream.
+    Its draws, random, normal and choice without replacement, are each the
+    one-stream, one-step case of :func:`lane_draws`, and give numpy's
+    Generator(Philox) bits: Philox is counter-based, so they are those of a
+    Generator of the stream's own, and making a stream costs 13 words, not
+    the OS entropy that numpy's constructor gathers and then discards for
+    the key. Instances are single-owner; never share one across threads.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._words = _Words()
         self._words[4], self._words[10] = self.seed, 4
-
-    def __getstate__(self):  # not _one: it holds the address of this stream's words
-        return {"seed": self.seed, "_words": self._words}
-
-    def _alone(self):
-        """This stream alone, as _lanes.c's array of stream states; made on its
-        first compiled draw, since most streams only ever draw in lanes."""
-        try:
-            return self._one
-        except AttributeError:
-            self._one = (ctypes.c_void_p * 1)(ctypes.addressof(self._words))
-            return self._one
 
     @property
     def state(self) -> dict:
@@ -285,7 +266,8 @@ def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
     """The next k draws of each stream, step-major: out[i, p] is stream p's
     i-th draw of `kind`, "uniform" (random(shape)), "normal" (normal(shape))
     or "choice" (choice(n, *shape) without replacement, int64). With
-    _lanes.c's library one call makes them all, stream by stream, into the
+    _lanes.c's library one call on an array of the streams' state addresses,
+    for one stream as for n, makes them all, stream by stream, into the
     C-contiguous (k, len(streams), *shape) array, through numpy's own code;
     choice marks each draw's picks in one n-entry table and clears them after
     it. Without the library, or for a choice that numpy rejects (which then
@@ -309,8 +291,7 @@ def lane_draws(streams: list[RngStream], kind: str, k: int, shape: tuple = (),
             out[:, p] = draw()
             rng.state = g.bit_generator.state
     elif out.size:
-        refs = streams[0]._alone() if len(streams) == 1 else _at(
-            np.fromiter([ctypes.addressof(s._words) for s in streams], np.uint64, len(streams)))
+        refs = _at(np.fromiter([ctypes.addressof(s._words) for s in streams], np.uint64))
         if choice:
             lib.philox_choice(len(streams), refs, k, ctypes.c_int64.from_buffer(out), n, *shape,
                               ctypes.c_int64.from_buffer(np.zeros(n, np.int64)))

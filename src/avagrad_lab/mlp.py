@@ -139,9 +139,7 @@ class MlpProblem(StochasticProblem):
             col -= log_norm
         return hidden, logits
 
-    def sample(self, rng: RngStream, size: int | None = None):
-        tokens = self.sample_lanes([rng], 1 if size is None else size)[:, 0]
-        return tokens[0] if size is None else tokens
+    sample = StochasticProblem.sample  # on the class itself, for perfbench's tracer to patch
 
     def sample_lanes(self, streams, k):
         return lane_draws(streams, "choice", k, (self.batch_size,), len(self.dataset))

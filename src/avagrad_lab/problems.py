@@ -1,21 +1,20 @@
 """Stochastic objectives: the two-outcome rare-event benchmark and noisy
 quadratics. The small tanh MLP classifier, on the same contract, is in `mlp`.
 
-Each problem exposes the same contract: sample(rng) draws an opaque token
-(sample(rng, k) the next k tokens, stacked), grad(w, token) and loss(w, token)
-are deterministic given the token, and full_grad(w) / objective(w) give the
-exact expectation where one exists. grad, full_grad and objective also take
-lanes: w of shape (n, d), with one stacked token per lane for grad, gives one
-gradient or value per lane (as do the MLP's dataset metrics), and
-sample_lanes(streams, k) draws the next k tokens of n lanes' streams as one
-(k, n, ...) block. Problems are immutable after construction; all randomness
-flows through the caller-provided RngStream.
+Each problem exposes the same contract: sample_lanes(streams, k) draws the
+next k tokens of n lanes' streams as one (k, n, ...) block, and sample(rng)
+(sample(rng, k) the next k tokens, stacked) is its one-stream case.
+grad(w, token) and loss(w, token) are deterministic given the token, and
+full_grad(w) / objective(w) give the exact expectation where one exists.
+grad, full_grad and objective also take lanes: w of shape (n, d), with one
+stacked token per lane for grad, gives one gradient or value per lane (as do
+the MLP's dataset metrics). Problems are immutable after construction; all
+randomness flows through the caller-provided RngStream.
 
-A token is made from one draw: a uniform (synth) or a standard normal
-vector (quadratic), passed through the problem's _tokens transform, or the
-indices of numpy's Generator.choice without replacement (the MLP's
-minibatch). sample makes the draws on one stream, and sample_lanes on all
-lanes' streams in one core.lane_draws call.
+A token is made from one draw of one core.lane_draws call on all lanes'
+streams: a uniform (synth) or a standard normal vector (quadratic), passed
+through the problem's transform, or the indices of numpy's Generator.choice
+without replacement (the MLP's minibatch).
 """
 
 from __future__ import annotations
@@ -45,20 +44,20 @@ class ProblemConstants(Frozen):
 
 
 class StochasticProblem:
-    """Base contract; concrete problems override the sampling and gradient oracle."""
+    """Base contract; concrete problems define sample_lanes and the gradient oracle."""
 
     dim: int
     draw_size: int = 1  # scalars one sample draws from the stream
     box: tuple[float, float] | None = None  # coordinate bounds, or None if unconstrained
 
     def sample(self, rng: RngStream, size: int | None = None):
-        raise NotImplementedError
+        """sample_lanes' one-stream case: rng's next token, or its next `size`."""
+        tokens = self.sample_lanes([rng], 1 if size is None else size)[:, 0]
+        return tokens[0] if size is None else tokens
 
     def sample_lanes(self, streams: list[RngStream], k: int) -> np.ndarray:
-        """The next k tokens of each stream: tokens[i, p] is sample(streams[p])
-        the i-th time it would be called. This default draws stream by stream;
-        the problems here override it with one lane_draws call."""
-        return np.stack([self.sample(rng, k) for rng in streams], axis=1)
+        """The next k tokens of each stream, step-major: tokens[i, p] is stream p's i-th."""
+        raise NotImplementedError
 
     def grad(self, w: np.ndarray, token) -> np.ndarray:
         raise NotImplementedError
@@ -133,14 +132,10 @@ class SynthProblem(StochasticProblem):
         self.dim = 1
         self.box = (0.0, 1.0)
 
-    def _tokens(self, u):
-        return u < self.p
-
-    def sample(self, rng: RngStream, size: int | None = None):
-        return self._tokens(rng.random(1 if size is None else (size, 1)))
+    sample = StochasticProblem.sample  # on the class itself, for perfbench's tracer to patch
 
     def sample_lanes(self, streams, k):
-        return self._tokens(lane_draws(streams, "uniform", k, (1,)))
+        return lane_draws(streams, "uniform", k, (1,)) < self.p
 
     def grad(self, w, token):
         return np.where(token, self.big_c * w, -1.0)
@@ -195,14 +190,10 @@ class QuadraticProblem(StochasticProblem):
             raise ValueError("w_star length must match curvatures")
         self.dim = self.draw_size = c.shape[0]
 
-    def _tokens(self, z):
-        return self.w_star + self.noise_std * z
-
-    def sample(self, rng: RngStream, size: int | None = None):
-        return self._tokens(rng.normal(self.dim if size is None else (size, self.dim)))
+    sample = StochasticProblem.sample  # on the class itself, for perfbench's tracer to patch
 
     def sample_lanes(self, streams, k):
-        return self._tokens(lane_draws(streams, "normal", k, (self.dim,)))
+        return self.w_star + self.noise_std * lane_draws(streams, "normal", k, (self.dim,))
 
     def grad(self, w, token):
         return self.curvatures * (w - token)

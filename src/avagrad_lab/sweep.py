@@ -61,8 +61,9 @@ def default_grid() -> tuple[list[float], list[float]]:
 class GridSpec:
     """One sweep: the grid axes, per-cell trial settings, and the scoring metric.
     A cell runs hp (None: a constant alpha, the default betas, no decay) with
-    its alpha as the alpha schedule's base and its epsilon. A w1 of None draws
-    each cell's start from N(0, init_scale^2)."""
+    its alpha as the alpha schedule's base (so that schedule may not be
+    inverse_t, which has none) and its epsilon. A w1 of None draws each
+    cell's start from N(0, init_scale^2)."""
 
     def __init__(self, problem: StochasticProblem, methods: list[Method], alphas: list[float],
                  epsilons: list[float], seeds: list[int], T: int, base_seed: int = 0,
@@ -88,6 +89,16 @@ class GridSpec:
                 raise ValueError(f"{name} must be strictly ascending")
         if T < 1:
             raise ValueError("T must be >= 1")
+        if hp is not None and hp.alpha.kind == "inverse_t":  # each cell would run 1 - 1/t
+            raise ValueError("alpha schedule inverse_t ignores its base, so alphas cannot vary")
+        if w1 is not None:
+            start = np.asarray(w1, dtype=np.float64)
+            if start.shape != (problem.dim,):
+                raise ValueError(f"w1 must have shape ({problem.dim},), got {start.shape}")
+            if not np.all(np.isfinite(start)):
+                raise ValueError("w1 must be finite")
+        if not (0.0 <= init_scale < math.inf):
+            raise ValueError(f"init_scale must be finite and >= 0, got {init_scale}")
         if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if (holdout is None) == metric.startswith("holdout"):  # a set no metric reads is an error

@@ -108,8 +108,9 @@ class TestRngStream:
 
     def test_copied_and_pickled_streams_continue_the_sequence(self):
         rng = RngStream(12)
-        rng.random(1)  # with the library, makes the stream's own array of states
+        rng.random(1)  # a stream that has drawn holds what a new one holds,
         buffer_half(rng)
+        assert sorted(vars(rng)) == ["_words", "seed"]  # so a copy or a pickle is all of it
         copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
         want = rng.random(3), rng.normal(5), rng.choice(240, 32)
         for other in copies:
@@ -510,7 +511,7 @@ class TestLibraryCheck:
 
 
 def per_field_row(row) -> str:
-    """A CSV row as write_csv formatted it field by field before its templates."""
+    """A CSV row formatted field by field, the bytes every write_csv path must give."""
     return ",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]) + "\n"
 
 
@@ -568,7 +569,7 @@ class TestWriteCsv:
     def test_chunks_of_a_strided_table(self, tmp_path, monkeypatch):
         """A strided (not C-contiguous) view of two and a half chunks, with a
         nan in the second: one csv_g17 call a chunk, the second declined at
-        the nan's cell and printed by the templates, the bytes the formula's."""
+        the nan's cell and printed field by field, the bytes the formula's."""
         lib = _lanes.library()
         if lib is None:
             pytest.skip("no C compiler: the library cannot be built")
@@ -594,8 +595,8 @@ class TestWriteCsv:
     def test_memory_does_not_grow_with_rows(self, engine, rows):
         """tracemalloc's peak while writing a (rows, 7) table, whose text is
         about 3 MB every 20,000 rows: a chunk's buffers (0.8-0.95 MB), not the
-        file's. The templates take 0.35 ms a row under tracemalloc, so the
-        numpy engine writes fewer."""
+        file's. Rows printed field by field in Python take about 0.05 ms
+        each under tracemalloc, so the numpy engine writes fewer."""
         table = np.random.default_rng(1).normal(size=(rows, 7))
         with engine_context(engine):
             tracemalloc.start()
@@ -611,7 +612,7 @@ class TestWriteCsv:
 def g17():
     """One value through csv_g17 of the built library, loaded without the
     known-answer check, so a formatter that misses one fails here instead of
-    leaving write_csv on its templates: the printed field, or None when the
+    leaving write_csv on its Python path: the printed field, or None when the
     call declines the value."""
     try:
         lib = ctypes.CDLL(str(_lanes._build(_lanes.CC, _lanes.cache_dir())))

@@ -20,11 +20,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import avagrad_lab
 from avagrad_lab import cli  # `sweep` and the MLP load on the tables' first getattr
 from avagrad_lab.core import RngStream
+from avagrad_lab.mlp import gaussian_blobs, mlp_make
+from avagrad_lab.problems import quadratic_make, synth_make
 from test_cli import SWEEP_CONFIG, write_blobs_csv, write_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -94,14 +97,22 @@ def test_lazy_names_resolve_where_they_did():
 
 
 def _rng_benchmarks() -> dict:
-    """layers.py's `micro.time("core.rng_...", unit, fn, ...)` calls: name -> fn's lambda."""
+    """layers.py's `micro.time("core.rng_...", unit, fn, ...)` calls, and its
+    `micro.time(f"problems.sample_us.{label}", ...)` call, named with a *
+    for the label: name -> fn's lambda."""
     found = {}
     for node in ast.walk(ast.parse(LAYERS.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "time" and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value.startswith("core.rng_")):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "time"):
+            continue
+        name = node.args[0]
+        if isinstance(name, ast.JoinedStr):  # the constant parts, a * for each field
+            name = ast.Constant("".join(v.value if isinstance(v, ast.Constant) else "*"
+                                        for v in name.values))
+        if isinstance(name, ast.Constant) and name.value.startswith(
+                ("core.rng_", "problems.sample_us.")):
             assert isinstance(node.args[2], ast.Lambda), ast.unparse(node)
-            found[node.args[0].value] = node.args[2]
+            found[name.value] = node.args[2]
     return found
 
 
@@ -110,14 +121,30 @@ RNG_BENCHMARKS = _rng_benchmarks()
 
 def test_rng_benchmarks_are_found():
     assert sorted(RNG_BENCHMARKS) == ["core.rng_choice_us", "core.rng_normal_us",
-                                      "core.rng_random_ns_per_draw"]
+                                      "core.rng_random_ns_per_draw", "problems.sample_us.*"]
 
 
-@pytest.mark.parametrize("name", sorted(RNG_BENCHMARKS))
+def _run_benchmark(name: str, **names):
+    """Evaluate the benchmark's lambda with `names` as its globals, and call it."""
+    code = compile(ast.Expression(RNG_BENCHMARKS[name]), str(LAYERS), "eval")
+    return eval(code, names)()
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(RNG_BENCHMARKS) if n.startswith("core.")])
 def test_rng_benchmark_runs_on_a_stream(name):
     """Each RngStream call that a core.rng_* micro-benchmark times still runs."""
-    code = compile(ast.Expression(RNG_BENCHMARKS[name]), str(LAYERS), "eval")
-    eval(code, {"rng": RngStream(3)})()
+    _run_benchmark(name, rng=RngStream(3))
+
+
+@pytest.mark.parametrize("problem", [
+    synth_make(999.0, 1.0), quadratic_make(np.linspace(1.0, 4.0, 10), 0.1),
+    mlp_make(2, 4, 3, gaussian_blobs(8, 3, 2, 1.5, RngStream(0)), batch_size=5)],
+    ids=["synth", "quadratic", "mlp"])
+def test_sample_benchmark_runs_on_each_problem(problem):
+    """problems.sample_us.*, whose lambda binds the loop's `problem`, still
+    runs on each built-in problem, and draws the token that sample does."""
+    token = _run_benchmark("problems.sample_us.*", rng=RngStream(3), problem=problem)
+    assert np.array_equal(token, problem.sample(RngStream(3)))
 
 
 def _load_workloads():

@@ -58,7 +58,7 @@ class TestSynthProblem:
         prob = synth_make(999.0, 1.0)
         rng = RngStream(20240)
         draws = 10**6
-        rare = sum(1 for _ in range(draws) if prob.sample(rng) == RARE)
+        rare = int(np.count_nonzero(prob.sample_lanes([rng], draws) == RARE))
         sigma = math.sqrt(draws * prob.p * (1 - prob.p))
         assert abs(rare - draws * prob.p) <= 4 * sigma
 
@@ -435,13 +435,6 @@ class TestMlpSampleLanes:
         assert_bulk_draw_equals_single_draws(12, 1, 4, [1, 2], [True, False])
         assert_bulk_draw_equals_single_draws(12, 12, 5, [1, 2], [True, False])  # k < b
 
-    def test_sample_k_equals_k_single_draws(self):
-        prob = small_mlp(batch_size=5)
-        bulk, single = RngStream(31), RngStream(31)
-        chunk = prob.sample(bulk, 7)
-        assert np.array_equal(chunk, np.stack([prob.sample(single) for _ in range(7)]))
-        assert np.array_equal(prob.sample(bulk), prob.sample(single))
-
     @pytest.mark.parametrize("k", [16, 1024])
     def test_draw_memory_is_one_table_whatever_the_draw_count(self, k):
         # one 500,000-index table is 4 MB; a table for each of k draws at once, k times that
@@ -468,6 +461,17 @@ def sampling_problems():
 
 
 class TestSampleLanes:
+    @pytest.mark.parametrize("kind", ["uniform", "normal", "choice"])
+    def test_sample_k_equals_k_single_draws(self, kind):
+        """A k-step chunk of one stream is its next k single tokens, stacked,
+        and leaves the stream where they do; k is large enough that synth's
+        rare token (p = 0.002) comes up."""
+        prob = sampling_problems()[kind]
+        bulk, single = RngStream(31), RngStream(31)
+        chunk = prob.sample(bulk, 1000)
+        assert np.array_equal(chunk, np.stack([prob.sample(single) for _ in range(1000)]))
+        assert np.array_equal(prob.sample(bulk), prob.sample(single))
+
     @pytest.mark.parametrize("engine", ["compiled", "numpy"])
     @pytest.mark.parametrize("kind", ["uniform", "normal", "choice"])
     @pytest.mark.parametrize("lanes", [1, 5])

@@ -207,6 +207,12 @@ def test_labeled_set_survives_a_pickle_round_trip():
     (GridSpec, dict(T=0), "T must be >= 1"),
     (GridSpec, dict(holdout=LabeledSet(np.zeros((2, 2)), np.arange(2))),
      "holdout needs metric holdout_ce or holdout_error, got 'full_objective'"),
+    (GridSpec, dict(w1=np.array([np.nan, 0.0])), "w1 must be finite"),
+    (GridSpec, dict(w1=np.ones(3)), "w1 must have shape (2,), got (3,)"),
+    (GridSpec, dict(init_scale=float("inf")), "init_scale must be finite and >= 0, got inf"),
+    (GridSpec, dict(init_scale=-1.0), "init_scale must be finite and >= 0, got -1.0"),
+    (GridSpec, dict(hp=HyperParams(Schedule.inverse_t(), 1e-3)),
+     "alpha schedule inverse_t ignores its base, so alphas cannot vary"),
 ])
 def test_constructors_check_their_arguments(cls, bad, message):
     kwargs = {name: value for name, _, value in SIGNATURES[cls]}

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gc
 import math
 import os
@@ -167,13 +168,17 @@ class TestRunTrialBasics:
         class NoExpectation(StochasticProblem):  # synth's draws and gradients only
             dim, box, synth = 1, (0.0, 1.0), synth_make(999.0, 1.0)
 
-            def sample(self, rng, size=None):
-                return self.synth.sample(rng, size)
+            def sample_lanes(self, streams, k):
+                return self.synth.sample_lanes(streams, k)
 
             def grad(self, w, token):
                 return self.synth.grad(w, token)
 
         problem = NoExpectation()
+        rng, synth = RngStream(5), synth_make(999.0, 1.0)
+        copied = copy.deepcopy(rng)  # the inherited sample is synth's, token and chunk
+        assert np.array_equal(problem.sample(rng), synth.sample(copied))
+        assert np.array_equal(problem.sample(rng, 2000), synth.sample(copied, 2000))
         cfgs = [synth_cfg(T=60, seed=s, record_every=7, capture_trace=True, problem=problem,
                           grad_metric="full") for s in (1, 2)]
         got = run_trials(cfgs)
